@@ -8,12 +8,19 @@ crossings of the normalized curve and I is the trapezoidal integral of
   1. rough amplitude/offset from min/max of f
   2. normalize f to [0, 1]
   3. linear interpolation between grid points
-  4. bracket + bisection root search for both crossings
+  4. for each crossing, the sign change of the interpolant nearest the
+     search start (counted in whole grid steps, right side first on a tie),
+     solved exactly on its segment
   5. refine amplitude/offset from plateau averages near the extrema
   6. re-normalize with the refined constants
   7. refine each crossing with a local least-squares line
   8. trapezoidal integral of the normalized curve minus 1/2
   9. pi_hat = (t2 - t1) / I
+
+Every step works row-wise on a 2-D array of fractions, one row per dataset.
+``estimate_rows`` runs the pipeline on such a batch and records, per row,
+the first step that failed; ``estimate_pi`` and the public step functions
+run the same code on a single row and raise that step's ``PipelineError``.
 
 Also provides the full four-parameter curve fit used for plotting and a
 screener that rejects datasets with calibration jumps.
@@ -31,6 +38,7 @@ from .simulate import Dataset
 __all__ = [
     "EstimateConfig",
     "EstimateResult",
+    "RowEstimates",
     "NormalizedCurve",
     "ScreenVerdict",
     "PipelineError",
@@ -41,6 +49,7 @@ __all__ = [
     "refine_alpha_beta",
     "refine_crossing_linear",
     "trapezoid_integral",
+    "estimate_rows",
     "estimate_pi",
     "fit_model",
     "screen_dataset",
@@ -92,6 +101,31 @@ class EstimateResult:
 
 
 @dataclass(frozen=True)
+class RowEstimates:
+    """Pipeline outputs for every row of a batch (see ``estimate_rows``).
+
+    Each array holds one value per row; the values of a failed row are
+    meaningless.  ``errors[r]`` is the ``PipelineError`` of the first step
+    that failed on row r, or None when the row succeeded.
+    """
+
+    alpha_hat: np.ndarray
+    beta_hat: np.ndarray
+    t1_hat: np.ndarray
+    t2_hat: np.ndarray
+    integral_I: np.ndarray
+    pi_hat: np.ndarray
+    t_minval: np.ndarray
+    t_maxval: np.ndarray
+    errors: tuple
+
+    @property
+    def ok(self) -> np.ndarray:
+        """Boolean mask of the rows that passed every step."""
+        return np.array([e is None for e in self.errors], dtype=bool)
+
+
+@dataclass(frozen=True)
 class NormalizedCurve:
     """Sampled normalized fractions f1(t) with strictly increasing times."""
 
@@ -110,26 +144,170 @@ class NormalizedCurve:
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(f1))):
             raise ValueError("curve values must be finite")
 
-    @property
-    def grid_step(self) -> float:
-        return float(np.min(np.diff(self.t)))
+
+# -- row-wise steps ---------------------------------------------------------
+#
+# Each takes the shared times ``t`` (n,), a 2-D array ``f``/``f1`` (rows, n)
+# and per-row parameters of shape (rows,), and reports rows that fail
+# through ``fails``.  Failed rows run on with meaningless values, so callers
+# silence floating-point warnings around them.
+
+
+class _Failures:
+    """The first failing step of each row of a batch, as a PipelineError."""
+
+    def __init__(self, rows: int):
+        self.ok = np.ones(rows, dtype=bool)
+        self.errors = [None] * rows
+
+    def check(self, good, step: str, describe):
+        """Fail each row still ok where ``good`` is false; ``describe(r)``
+        gives row r's message."""
+        bad = self.ok & ~good
+        if bad.any():
+            for r in np.flatnonzero(bad):
+                self.errors[r] = PipelineError(step, describe(r))
+            self.ok &= ~bad
+
+    def raise_first(self):
+        for err in self.errors:
+            if err is not None:
+                raise err
+
+
+def _rough_alpha_beta(f, fails):
+    lo, hi = f.min(axis=1), f.max(axis=1)
+    fails.check(hi != lo, "rough_alpha_beta",
+                lambda r: "all fractions are equal; no oscillation signal")
+    return hi - lo, lo
+
+
+def _normalize(f, alpha, beta, fails):
+    fails.check(alpha > 0, "normalize",
+                lambda r: f"alpha_hat must be > 0, got {alpha[r]}")
+    return (f - beta[:, None]) / alpha[:, None]
+
+
+def _interpolate(t, f1, x):
+    """Each row's piecewise-linear interpolant at that row's points x
+    (rows, q); exact at the knots."""
+    k = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
+    w = (x - t[k]) / (t[k + 1] - t[k])
+    rows = np.arange(len(f1))[:, None]
+    return f1[rows, k] * (1 - w) + f1[rows, k + 1] * w
+
+
+def _find_crossing(t, f1, start, level, fails):
+    start = min(max(start, t[0]), t[-1])
+    g = f1 - level
+    ga, gb = g[:, :-1], g[:, 1:]
+    dt = np.diff(t)
+    # candidates: knots on the level, and the exact crossing of each segment
+    # whose ends lie strictly on opposite sides of it (kept inside the
+    # segment against rounding); inf marks none
+    inside = np.minimum(t[:-1] + dt * (ga / (ga - gb)), t[1:])
+    x = np.concatenate((
+        np.where(g == 0, t, np.inf),
+        np.where(ga * gb < 0, inside, np.inf),
+    ), axis=1)
+    dist = np.abs(x - start)
+    # the search widens by one grid step per side and round, right side
+    # first; a candidate a whole number of steps away belongs to the earlier
+    # round (rounding strips the float noise of grid knots)
+    order = 2 * np.ceil(np.round(dist / dt.min(), 9)) + (x < start)
+    first = order.min(axis=1)
+    fails.check(np.isfinite(first), "find_crossing",
+                lambda r: f"no crossing of level {level} within "
+                          f"[{t[0]}, {t[-1]}] near t={start}")
+    pick = np.where(order == first[:, None], dist, np.inf).argmin(axis=1)
+    return x[np.arange(len(x)), pick]
+
+
+def _window_mean(t, f1, center, delta):
+    """Mean of each row over |t - center| < delta, and the point count."""
+    inside = np.abs(t - center[:, None]) < delta
+    n = inside.sum(axis=1)
+    return (f1 * inside).sum(axis=1) / n, n
+
+
+def _refine_alpha_beta(t, f1, t1, t2, delta, fails):
+    t_lo, t_hi = t[0], t[-1]
+    t_maxval = (t1 + t2) / 2
+    below, above = (3 * t1 - t2) / 2, (3 * t2 - t1) / 2
+    t_minval = np.where(below >= t_lo, below,
+                        np.where(above <= t_hi, above, np.clip(below, t_lo, t_hi)))
+    beta, n_min = _window_mean(t, f1, t_minval, delta)
+    top, n_max = _window_mean(t, f1, t_maxval, delta)
+    fails.check(n_min > 0, "refine_alpha_beta",
+                lambda r: f"no grid points within {delta} of t_minval={t_minval[r]}")
+    fails.check(n_max > 0, "refine_alpha_beta",
+                lambda r: f"no grid points within {delta} of t_maxval={t_maxval[r]}")
+    return top - beta, beta, t_minval, t_maxval
+
+
+def _refine_crossing_linear(t, f1, t_i, window, level, fails):
+    w = np.abs(t - t_i[:, None]) <= window
+    n = w.sum(axis=1)
+    fails.check(n >= 2, "refine_crossing_linear",
+                lambda r: f"need >= 2 points within {window} of t={t_i[r]}, "
+                          f"got {n[r]}")
+    # closed-form least-squares line through the windowed points
+    t_mean = (w * t).sum(axis=1) / n
+    f_mean = (w * f1).sum(axis=1) / n
+    dt = w * (t - t_mean[:, None])
+    slope = (dt * (f1 - f_mean[:, None])).sum(axis=1) / (dt * dt).sum(axis=1)
+    fails.check(np.abs(slope) >= 1e-12, "refine_crossing_linear",
+                lambda r: f"fitted slope {slope[r]} too small; no crossing defined")
+    return t_mean + (level - f_mean) / slope
+
+
+def _trapezoid_integral(t, f1, t1, t2, level, fails):
+    fails.check((t[0] <= t1) & (t1 < t2) & (t2 <= t[-1]), "trapezoid_integral",
+                lambda r: f"limits [{t1[r]}, {t2[r]}] invalid for range "
+                          f"[{t[0]}, {t[-1]}]")
+    g = f1 - level
+    rows = np.arange(len(g))
+    # integral of the interpolant from t[0] to each knot
+    panels = (g[:, :-1] + g[:, 1:]) / 2 * np.diff(t)
+    to_knot = np.concatenate((np.zeros((len(g), 1)), np.cumsum(panels, axis=1)),
+                             axis=1)
+
+    def to(x):
+        """Integral from t[0] to x: whole panels plus a partial end panel."""
+        k = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
+        gx = _interpolate(t, g, x[:, None])[:, 0]
+        return to_knot[rows, k] + (g[rows, k] + gx) / 2 * (x - t[k])
+
+    return to(t2) - to(t1)
+
+
+def _on_one_row(step, *args):
+    """Run a row-wise step on a single row and raise its PipelineError."""
+    fails = _Failures(1)
+    with np.errstate(all="ignore"):
+        out = step(*args, fails)
+    fails.raise_first()
+    return out
+
+
+def _row(value: float) -> np.ndarray:
+    return np.array([value], dtype=float)
+
+
+# -- public steps -----------------------------------------------------------
 
 
 def rough_alpha_beta(ds: Dataset) -> tuple[float, float]:
     """Rough amplitude/offset: beta = min f, alpha = max f - min f."""
-    f = ds.fractions()
-    lo, hi = float(f.min()), float(f.max())
-    if hi == lo:
-        raise PipelineError("rough_alpha_beta",
-                            "all fractions are equal; no oscillation signal")
-    return hi - lo, lo
+    alpha, beta = _on_one_row(_rough_alpha_beta, ds.fractions()[None])
+    return float(alpha[0]), float(beta[0])
 
 
 def normalize(ds: Dataset, alpha_hat: float, beta_hat: float) -> NormalizedCurve:
     """Affine rescale f1 = (f - beta)/alpha; values are not clamped."""
-    if alpha_hat <= 0:
-        raise PipelineError("normalize", f"alpha_hat must be > 0, got {alpha_hat}")
-    return NormalizedCurve(ds.times(), (ds.fractions() - beta_hat) / alpha_hat)
+    f1 = _on_one_row(_normalize, ds.fractions()[None], _row(alpha_hat),
+                     _row(beta_hat))
+    return NormalizedCurve(ds.times(), f1[0])
 
 
 def interpolate(curve: NormalizedCurve, t) -> float | np.ndarray:
@@ -139,7 +317,7 @@ def interpolate(curve: NormalizedCurve, t) -> float | np.ndarray:
         raise PipelineError(
             "interpolate",
             f"query outside data range [{curve.t[0]}, {curve.t[-1]}]")
-    out = np.interp(tq, curve.t, curve.f1)
+    out = _interpolate(curve.t, curve.f1[None], tq.reshape(1, -1)).reshape(tq.shape)
     return float(out) if np.isscalar(t) or tq.ndim == 0 else out
 
 
@@ -147,59 +325,15 @@ def find_crossing(curve: NormalizedCurve, start: float, level: float = 0.5,
                   time_tol: float = 1e-10) -> float:
     """Locate a crossing of the interpolated curve with ``level`` near ``start``.
 
-    The bracket grows from ``start`` by one grid step alternately right and
-    left until the sign of (f1 - level) changes over a newly covered segment;
-    bisection then narrows the crossing to ``time_tol``.
+    Among the knots on the level and the segments whose ends straddle it,
+    the one nearest ``start`` (clamped to the data range) wins.  Distance is
+    counted in whole grid steps, rounded up, and on a tie the right side
+    wins: the order of a search that widens one grid step at a time, right
+    then left.  The crossing is solved exactly on its segment, so
+    ``time_tol`` is not needed and only kept for compatibility.
     """
-    tmin, tmax = float(curve.t[0]), float(curve.t[-1])
-    start = min(max(start, tmin), tmax)
-    step = curve.grid_step
-
-    def g(x):
-        return float(np.interp(x, curve.t, curve.f1)) - level
-
-    if g(start) == 0.0:
-        return start
-
-    segments = []  # newly covered segments, in expansion order
-    lo = hi = start
-    right_done = left_done = False
-    while not (right_done and left_done):
-        if not right_done:
-            new_hi = min(hi + step, tmax)
-            if new_hi > hi:
-                segments.append((hi, new_hi))
-                hi = new_hi
-            else:
-                right_done = True
-        if not left_done:
-            new_lo = max(lo - step, tmin)
-            if new_lo < lo:
-                segments.append((new_lo, lo))
-                lo = new_lo
-            else:
-                left_done = True
-        while segments:
-            a, b = segments.pop(0)
-            ga, gb = g(a), g(b)
-            if ga == 0.0:
-                return a
-            if gb == 0.0:
-                return b
-            if ga * gb < 0:
-                while b - a > time_tol:
-                    m = (a + b) / 2
-                    gm = g(m)
-                    if gm == 0.0:
-                        return m
-                    if ga * gm < 0:
-                        b = m
-                    else:
-                        a, ga = m, gm
-                return (a + b) / 2
-    raise PipelineError(
-        "find_crossing",
-        f"no crossing of level {level} within [{tmin}, {tmax}] near t={start}")
+    return float(_on_one_row(_find_crossing, curve.t, curve.f1[None],
+                             start, level)[0])
 
 
 def refine_alpha_beta(curve: NormalizedCurve, t1_hat: float, t2_hat: float,
@@ -210,99 +344,96 @@ def refine_alpha_beta(curve: NormalizedCurve, t1_hat: float, t2_hat: float,
     a half-period below the first crossing or, when that falls outside the
     data range, a half-period above the second (clamping to the range edge
     would average over a window that misses the true minimum and bias the
-    offset).  Returns (alpha, beta, t_minval, t_maxval) on the scale of the
-    given curve.
+    offset).  Windows are strict, |t - t_hat| < delta.  Returns (alpha,
+    beta, t_minval, t_maxval) on the scale of the given curve.
     """
-    t_lo, t_hi = float(curve.t[0]), float(curve.t[-1])
-    t_maxval = (t1_hat + t2_hat) / 2
-    below, above = (3 * t1_hat - t2_hat) / 2, (3 * t2_hat - t1_hat) / 2
-    if below >= t_lo:
-        t_minval = below
-    elif above <= t_hi:
-        t_minval = above
-    else:
-        t_minval = min(max(below, t_lo), t_hi)
-    # strict window |t - t_hat| < delta; ties at exactly delta are excluded
-    in_min = np.abs(curve.t - t_minval) < delta
-    in_max = np.abs(curve.t - t_maxval) < delta
-    if not in_min.any():
-        raise PipelineError("refine_alpha_beta",
-                            f"no grid points within {delta} of t_minval={t_minval}")
-    if not in_max.any():
-        raise PipelineError("refine_alpha_beta",
-                            f"no grid points within {delta} of t_maxval={t_maxval}")
-    beta_hat = float(curve.f1[in_min].mean())
-    alpha_hat = float(curve.f1[in_max].mean()) - beta_hat
-    return alpha_hat, beta_hat, t_minval, t_maxval
+    out = _on_one_row(_refine_alpha_beta, curve.t, curve.f1[None],
+                      _row(t1_hat), _row(t2_hat), delta)
+    return tuple(float(v[0]) for v in out)
 
 
 def refine_crossing_linear(curve: NormalizedCurve, t_i: float,
                            window: float = 0.5, level: float = 0.5) -> float:
     """Refine a crossing by fitting a line to the points with |t - t_i| <= window."""
-    mask = np.abs(curve.t - t_i) <= window
-    if mask.sum() < 2:
-        raise PipelineError("refine_crossing_linear",
-                            f"need >= 2 points within {window} of t={t_i}, "
-                            f"got {int(mask.sum())}")
-    slope, intercept = np.polyfit(curve.t[mask], curve.f1[mask], 1)
-    if abs(slope) < 1e-12:
-        raise PipelineError("refine_crossing_linear",
-                            f"fitted slope {slope} too small; no crossing defined")
-    return float((level - intercept) / slope)
+    return float(_on_one_row(_refine_crossing_linear, curve.t, curve.f1[None],
+                             _row(t_i), window, level)[0])
 
 
 def trapezoid_integral(curve: NormalizedCurve, t1: float, t2: float,
                        level: float = 0.5) -> float:
     """Integral of (f1~(t) - level) over [t1, t2], exact for the interpolant.
 
-    Composite trapezoid over interior grid points plus partial panels at
-    both ends using interpolated endpoint values.
+    A running sum of whole trapezoid panels from the first grid point,
+    plus partial panels at both ends using interpolated endpoint values.
     """
-    tmin, tmax = float(curve.t[0]), float(curve.t[-1])
-    if not (tmin <= t1 < t2 <= tmax):
-        raise PipelineError("trapezoid_integral",
-                            f"limits [{t1}, {t2}] invalid for range [{tmin}, {tmax}]")
-    interior = curve.t[(curve.t > t1) & (curve.t < t2)]
-    pts = np.concatenate(([t1], interior, [t2]))
-    g = np.interp(pts, curve.t, curve.f1) - level
-    return float(np.sum((g[:-1] + g[1:]) / 2 * np.diff(pts)))
+    return float(_on_one_row(_trapezoid_integral, curve.t, curve.f1[None],
+                             _row(t1), _row(t2), level)[0])
+
+
+# -- the pipeline -----------------------------------------------------------
+
+
+def estimate_rows(times, fractions,
+                  cfg: EstimateConfig = EstimateConfig()) -> RowEstimates:
+    """Run the nine-step pipeline on every row of ``fractions``.
+
+    ``times`` holds the strictly increasing sample times shared by all rows,
+    ``fractions`` one row of |1> fractions per dataset.  A failing row does
+    not stop the batch; ``errors`` names the first step it failed.
+    """
+    t = np.asarray(times, dtype=float)
+    f = np.asarray(fractions, dtype=float)
+    if t.ndim != 1 or len(t) < 2 or f.ndim != 2 or f.shape[1] != len(t):
+        raise ValueError(f"need >= 2 times and one column of fractions per "
+                         f"time, got times {t.shape} and fractions {f.shape}")
+    fails = _Failures(len(f))
+    with np.errstate(all="ignore"):
+        alpha1, beta1 = _rough_alpha_beta(f, fails)
+        f1 = _normalize(f, alpha1, beta1, fails)
+        t1_rough = _find_crossing(t, f1, cfg.root_start_1, cfg.level, fails)
+        t2_rough = _find_crossing(t, f1, cfg.root_start_2, cfg.level, fails)
+        alpha5, beta5, t_minval, t_maxval = _refine_alpha_beta(
+            t, f1, t1_rough, t2_rough, cfg.delta, fails)
+        fails.check(alpha5 > 0, "refine_alpha_beta",
+                    lambda r: f"refined amplitude {alpha5[r]} is not positive")
+        # compose the normalized-scale refinement with the rough estimates so
+        # the second normalization acts on raw fractions
+        alpha_hat = alpha1 * alpha5
+        beta_hat = beta1 + alpha1 * beta5
+        f1 = _normalize(f, alpha_hat, beta_hat, fails)
+        t1_hat = _refine_crossing_linear(t, f1, t1_rough, cfg.refine_window,
+                                         cfg.level, fails)
+        t2_hat = _refine_crossing_linear(t, f1, t2_rough, cfg.refine_window,
+                                         cfg.level, fails)
+        fails.check(t1_hat < t2_hat, "refine_crossing_linear",
+                    lambda r: f"refined crossings out of order: "
+                              f"{t1_hat[r]} >= {t2_hat[r]}")
+        integral = _trapezoid_integral(t, f1, t1_hat, t2_hat, cfg.level, fails)
+        fails.check(integral > 0, "trapezoid_integral",
+                    lambda r: f"integral {integral[r]} is not positive")
+        pi_hat = (t2_hat - t1_hat) / integral
+    return RowEstimates(alpha_hat=alpha_hat, beta_hat=beta_hat, t1_hat=t1_hat,
+                        t2_hat=t2_hat, integral_I=integral, pi_hat=pi_hat,
+                        t_minval=t_minval, t_maxval=t_maxval,
+                        errors=tuple(fails.errors))
 
 
 def estimate_pi(ds: Dataset, cfg: EstimateConfig = EstimateConfig()) -> EstimateResult:
     """Run the full nine-step pipeline on one dataset."""
-    alpha1, beta1 = rough_alpha_beta(ds)
-    curve = normalize(ds, alpha1, beta1)
-    t1_rough = find_crossing(curve, cfg.root_start_1, cfg.level)
-    t2_rough = find_crossing(curve, cfg.root_start_2, cfg.level)
-    alpha5, beta5, t_minval, t_maxval = refine_alpha_beta(
-        curve, t1_rough, t2_rough, cfg.delta)
-    if alpha5 <= 0:
-        raise PipelineError("refine_alpha_beta",
-                            f"refined amplitude {alpha5} is not positive")
-    # compose the normalized-scale refinement with the rough estimates so the
-    # second normalization acts on raw fractions
-    alpha_hat = alpha1 * alpha5
-    beta_hat = beta1 + alpha1 * beta5
-    curve = normalize(ds, alpha_hat, beta_hat)
-    t1_hat = refine_crossing_linear(curve, t1_rough, cfg.refine_window, cfg.level)
-    t2_hat = refine_crossing_linear(curve, t2_rough, cfg.refine_window, cfg.level)
-    if t1_hat >= t2_hat:
-        raise PipelineError("refine_crossing_linear",
-                            f"refined crossings out of order: {t1_hat} >= {t2_hat}")
-    integral = trapezoid_integral(curve, t1_hat, t2_hat, cfg.level)
-    if integral <= 0:
-        raise PipelineError("trapezoid_integral",
-                            f"integral {integral} is not positive")
+    rows = estimate_rows(ds.times(), ds.fractions()[None], cfg)
+    if rows.errors[0] is not None:
+        raise rows.errors[0]
+    integral = float(rows.integral_I[0])
     return EstimateResult(
-        alpha_hat=alpha_hat,
-        beta_hat=beta_hat,
-        t1_hat=t1_hat,
-        t2_hat=t2_hat,
+        alpha_hat=float(rows.alpha_hat[0]),
+        beta_hat=float(rows.beta_hat[0]),
+        t1_hat=float(rows.t1_hat[0]),
+        t2_hat=float(rows.t2_hat[0]),
         integral_I=integral,
-        pi_hat=(t2_hat - t1_hat) / integral,
+        pi_hat=float(rows.pi_hat[0]),
         c_hat=1.0 / integral,
-        t_minval=t_minval,
-        t_maxval=t_maxval,
+        t_minval=float(rows.t_minval[0]),
+        t_maxval=float(rows.t_maxval[0]),
     )
 
 

@@ -13,6 +13,8 @@ oracles for the sampled-data estimation pipeline.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "NoiseModel",
     "IDEAL",
@@ -74,13 +76,19 @@ def ideal_prob(phi: float) -> float:
     return (1.0 - math.cos(phi)) / 2.0
 
 
-def noisy_prob(model: NoiseModel, t: float) -> float:
-    """Excited-state probability under the affine noise model at time ``t``."""
+def noisy_prob(model: NoiseModel, t):
+    """Excited-state probability under the affine noise model at time ``t``.
+
+    ``t`` may be a scalar, giving a float, or an array of times, giving an
+    array of the same shape; every time must be finite.
+    """
     if not isinstance(model, NoiseModel):
         raise TypeError("model must be a NoiseModel")
-    if not math.isfinite(t):
+    ts = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(ts)):
         raise ValueError(f"t must be finite, got {t!r}")
-    return model.alpha * (1.0 - math.cos(model.c * t + model.phi0)) / 2.0 + model.beta
+    p = model.alpha * (1.0 - np.cos(model.c * ts + model.phi0)) / 2.0 + model.beta
+    return float(p) if ts.ndim == 0 else p
 
 
 def _require_normalized(model: NoiseModel):

@@ -9,14 +9,15 @@ at 50 runs each reproduce the 150-run protocol used to quote the error bar.
 import hashlib
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimate import EstimateConfig, EstimateResult, PipelineError, estimate_pi, \
+from .estimate import EstimateConfig, PipelineError, estimate_pi, estimate_rows, \
     screen_dataset
 from .model import NoiseModel
-from .simulate import DEFAULT_GRID, DEFAULT_SHOTS, Dataset, TimeGrid, sample_dataset
+from .simulate import DEFAULT_GRID, DEFAULT_SHOTS, TimeGrid, sample_counts
 
 __all__ = [
     "McConfig",
@@ -51,6 +52,8 @@ class McSummary:
     std_dt: float    # std of (t2_hat - t1_hat)
     std_I: float
     failures: int
+    #: PipelineError.step -> number of runs that failed there; sums to failures
+    failures_by_step: dict = field(default_factory=dict, hash=False)
 
 
 @dataclass(frozen=True)
@@ -73,41 +76,44 @@ def _run_seed(base_seed: int, model: NoiseModel, run: int) -> int:
 def run_mc(models: list, cfg: McConfig = McConfig()) -> McSummary:
     """Sample and estimate ``runs_per_model`` times for each model.
 
-    Failed pipeline runs are counted and excluded from the pooled
+    Run r of a model is the dataset ``sample_dataset(model, cfg.grid,
+    cfg.shots, seed=_run_seed(cfg.base_seed, model, r))``; all runs of a
+    model are sampled as one count matrix and estimated as one batch.
+    Failed pipeline runs are counted, by step, and excluded from the pooled
     statistics; an error is raised only if every run fails.
     """
     if not models:
         raise ValueError("need at least one model")
+    times = cfg.grid.times()
     pis, dts, integrals = [], [], []
-    failures = 0
+    failed = Counter()
     for model in models:
-        for run in range(cfg.runs_per_model):
-            ds = sample_dataset(model, cfg.grid, cfg.shots,
-                                seed=_run_seed(cfg.base_seed, model, run))
-            try:
-                r = estimate_pi(ds, cfg.estimate)
-            except PipelineError:
-                failures += 1
-                continue
-            pis.append(r.pi_hat)
-            dts.append(r.t2_hat - r.t1_hat)
-            integrals.append(r.integral_I)
+        seeds = [_run_seed(cfg.base_seed, model, run)
+                 for run in range(cfg.runs_per_model)]
+        ones = sample_counts(model, cfg.grid, cfg.shots, seeds)
+        rows = estimate_rows(times, ones / cfg.shots, cfg.estimate)
+        ok = rows.ok
+        pis.append(rows.pi_hat[ok])
+        dts.append((rows.t2_hat - rows.t1_hat)[ok])
+        integrals.append(rows.integral_I[ok])
+        failed.update(e.step for e in rows.errors if e is not None)
     n_runs = len(models) * cfg.runs_per_model
-    if not pis:
+    # canonical (sorted) order makes the pooled statistics bitwise invariant
+    # under permutation of the model list
+    pis, dts, integrals = (np.sort(np.concatenate(v)) for v in (pis, dts, integrals))
+    if not len(pis):
         raise PipelineError("run_mc", f"all {n_runs} runs failed")
     if len(pis) < 2:
         raise PipelineError("run_mc", "fewer than 2 successful runs; "
                             "standard deviation undefined")
-    # canonical (sorted) order makes the pooled statistics bitwise invariant
-    # under permutation of the model list
-    pis, dts, integrals = sorted(pis), sorted(dts), sorted(integrals)
     return McSummary(
         n_runs=n_runs,
         mean_pi=float(np.mean(pis)),
         std_pi=float(np.std(pis, ddof=1)),
         std_dt=float(np.std(dts, ddof=1)),
         std_I=float(np.std(integrals, ddof=1)),
-        failures=failures,
+        failures=sum(failed.values()),
+        failures_by_step=dict(sorted(failed.items())),
     )
 
 

@@ -71,8 +71,8 @@ def render_svg(ds: Dataset, model: NoiseModel | None = None,
 
     if model is not None:
         tt = np.linspace(t_lo, t_hi, CURVE_SAMPLES)
-        pts = " ".join(
-            f"{sx(x):.2f},{sy(noisy_prob(model, float(x))):.2f}" for x in tt)
+        pts = " ".join(f"{sx(x):.2f},{sy(p):.2f}"
+                       for x, p in zip(tt, noisy_prob(model, tt)))
         parts.append(
             f'<polyline class="fit" points="{pts}" fill="none" stroke="red"/>')
 

@@ -3,8 +3,10 @@
 Each dataset mimics one qubit: a grid of rotation times, a fixed number of
 measurement shots per time, and the count of |1> outcomes drawn from a
 binomial distribution with the model probability.  Sampling is reproducible:
-the stream for each record is derived from (seed, record index), so results
-do not depend on evaluation order.
+one seed drives one generator, which draws every record of the dataset in
+grid order with a single binomial call.  A record's count therefore depends
+on the whole grid, not only on its own time; identical inputs still give
+bit-identical datasets.
 """
 
 import math
@@ -21,6 +23,7 @@ __all__ = [
     "DEFAULT_GRID",
     "DEFAULT_SHOTS",
     "make_grid",
+    "sample_counts",
     "sample_dataset",
     "exact_dataset",
     "inject_step",
@@ -110,24 +113,40 @@ def make_grid(start: float = 0.0, stop: float = 6.3, step: float = 0.1) -> TimeG
 DEFAULT_GRID = make_grid()
 
 
+def _dataset(times: np.ndarray, shots: int, ones: np.ndarray, label: str) -> Dataset:
+    return Dataset(records=tuple(
+        ShotRecord(t=t, shots=shots, ones=k)
+        for t, k in zip(times.tolist(), ones.tolist())), label=label)
+
+
+def sample_counts(model: NoiseModel, grid: TimeGrid, shots: int,
+                  seeds) -> np.ndarray:
+    """Binomial |1> counts on ``grid``, one row per seed.
+
+    Row r comes from one generator, ``default_rng(seeds[r] mod 2**64)``,
+    drawing the whole grid in a single binomial call, so it equals the
+    counts of ``sample_dataset(model, grid, shots, seed=seeds[r])``.
+    """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    p = np.clip(noisy_prob(model, grid.times()), 0.0, 1.0)
+    counts = np.empty((len(seeds), len(p)), dtype=np.int64)
+    for r, seed in enumerate(seeds):
+        counts[r] = np.random.default_rng(int(seed) & (2**64 - 1)).binomial(shots, p)
+    return counts
+
+
 def sample_dataset(model: NoiseModel, grid: TimeGrid, shots: int = DEFAULT_SHOTS,
                    seed: int = 0, label: str = "") -> Dataset:
     """Draw a binomial shot count at every grid time.
 
-    The count at grid index i comes from a generator seeded with (seed, i),
-    so identical inputs always give bit-identical datasets and records can
-    be sampled in any order.
+    One generator seeded with ``seed`` draws all counts in grid order (see
+    ``sample_counts``), so identical inputs always give bit-identical
+    datasets.  Records are not independent of the grid they are drawn on:
+    sampling a sub-grid gives different counts.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    times = grid.times()
-    records = []
-    for i, t in enumerate(times):
-        p = noisy_prob(model, float(t))
-        rng = np.random.default_rng([int(seed) & (2**64 - 1), i])
-        ones = int(rng.binomial(shots, min(max(p, 0.0), 1.0)))
-        records.append(ShotRecord(t=float(t), shots=shots, ones=ones))
-    return Dataset(records=tuple(records), label=label)
+    ones = sample_counts(model, grid, shots, [seed])[0]
+    return _dataset(grid.times(), shots, ones, label)
 
 
 def exact_dataset(model: NoiseModel, grid: TimeGrid, shots: int = 2**40,
@@ -137,11 +156,9 @@ def exact_dataset(model: NoiseModel, grid: TimeGrid, shots: int = 2**40,
     Uses a huge shot count so the integer tally represents the exact
     probability; convenient for checking the deterministic pipeline bias.
     """
-    records = []
-    for t in grid.times():
-        p = noisy_prob(model, float(t))
-        records.append(ShotRecord(t=float(t), shots=shots, ones=round(p * shots)))
-    return Dataset(records=tuple(records), label=label)
+    times = grid.times()
+    ones = np.round(noisy_prob(model, times) * shots).astype(np.int64)
+    return _dataset(times, shots, ones, label)
 
 
 def inject_step(ds: Dataset, t_jump: float, offset: float) -> Dataset:

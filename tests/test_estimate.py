@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rabipi.estimate import (EstimateConfig, NormalizedCurve, PipelineError,
-                             estimate_pi, find_crossing, fit_model,
-                             interpolate, normalize, refine_alpha_beta,
-                             refine_crossing_linear, rough_alpha_beta,
-                             screen_dataset, trapezoid_integral)
+                             estimate_pi, estimate_rows, find_crossing,
+                             fit_model, interpolate, normalize,
+                             refine_alpha_beta, refine_crossing_linear,
+                             rough_alpha_beta, screen_dataset,
+                             trapezoid_integral)
 from rabipi.model import IDEAL, NoiseModel, noisy_prob
 from rabipi.simulate import (DEFAULT_GRID, Dataset, ShotRecord, exact_dataset,
                              inject_step, make_grid, sample_dataset)
@@ -112,6 +113,50 @@ class TestFindCrossing:
         curve = NormalizedCurve(np.array([0.0, 1.0, 2.0]),
                                 np.array([0.0, 0.5, 1.0]))
         assert find_crossing(curve, 1.0) == 1.0
+
+    def test_knot_away_from_start_returned_exactly(self):
+        # the level is hit exactly at the knot 4.7, two grid steps from start
+        curve = NormalizedCurve(GRID_TIMES, 0.5 + 0.25 * (GRID_TIMES - GRID_TIMES[47]))
+        assert GRID_TIMES[47] == 4.7
+        assert find_crossing(curve, 4.5) == 4.7
+
+    @pytest.mark.parametrize("g,expected", [
+        ([0.5, 0.5, -0.5, 0.5, 0.5], 2.5),   # crossings at 1.5 and 2.5
+        ([0.5, -0.9, 0.1, -1 / 15, -0.5], 2.6),  # at 1.9 and 2.6
+    ], ids=["equal_distance", "same_grid_step"])
+    def test_right_side_wins_a_tie(self, g, expected):
+        # both crossings lie within one grid step of start: the right one
+        # wins, as in a search that widens right first
+        curve = NormalizedCurve(np.arange(5.0), 0.5 + np.array(g))
+        assert find_crossing(curve, 2.0) == pytest.approx(expected, abs=1e-9)
+
+    def test_crossing_stays_inside_its_segment(self):
+        # the level is 6e-17 above the right end, so the segment fraction
+        # rounds to 1 and t0 + (t1 - t0) rounds past t1
+        t = np.array([1.815060912382438, 11.606647719737014])
+        curve = NormalizedCurve(t, np.array([2.0, 0.49999999999999994]))
+        assert t[0] + (t[1] - t[0]) > t[1]
+        assert find_crossing(curve, 1.9) == t[1]
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_exact_on_random_piecewise_linear(self, data):
+        n = data.draw(st.integers(2, 20))
+        t = np.cumsum(np.array(data.draw(
+            st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))))
+        f1 = np.array(data.draw(
+            st.lists(st.floats(-1, 2), min_size=n, max_size=n)))
+        level = data.draw(st.floats(0.05, 0.95))
+        start = data.draw(st.floats(float(t[0]) - 1, float(t[-1]) + 1))
+        curve = NormalizedCurve(t, f1)
+        g = f1 - level
+        if np.all(g > 0) or np.all(g < 0):
+            with pytest.raises(PipelineError):
+                find_crossing(curve, start, level)
+            return
+        x = find_crossing(curve, start, level)
+        assert t[0] <= x <= t[-1]
+        assert abs(np.interp(x, t, f1) - level) <= 1e-12
 
 
 class TestRefineAlphaBeta:
@@ -262,6 +307,36 @@ class TestEstimatePi:
         with pytest.raises(PipelineError) as exc:
             estimate_pi(constant_dataset())
         assert exc.value.step == "rough_alpha_beta"
+
+
+class TestEstimateRows:
+    def test_rows_match_single_dataset_calls(self):
+        # low-shot, off-phase data, where some rows fail; the last row is flat
+        grid = make_grid(0.0, 6.3, 0.05)
+        datasets = [sample_dataset(NoiseModel(0.9, 0.05, 1.5, 1.0), grid, 256,
+                                   seed=seed) for seed in range(60)]
+        fractions = np.array([ds.fractions() for ds in datasets]
+                             + [np.full(len(grid), 0.7)])
+        rows = estimate_rows(grid.times(), fractions)
+        steps = set()
+        for r, ds in enumerate(datasets):
+            try:
+                single = estimate_pi(ds)
+            except PipelineError as exc:
+                assert rows.errors[r].step == exc.step
+                assert str(rows.errors[r]) == str(exc)
+                steps.add(exc.step)
+                continue
+            assert rows.errors[r] is None
+            assert (rows.alpha_hat[r], rows.beta_hat[r], rows.t1_hat[r],
+                    rows.t2_hat[r], rows.integral_I[r], rows.pi_hat[r],
+                    rows.t_minval[r], rows.t_maxval[r]) == (
+                single.alpha_hat, single.beta_hat, single.t1_hat,
+                single.t2_hat, single.integral_I, single.pi_hat,
+                single.t_minval, single.t_maxval)
+        assert rows.errors[-1].step == "rough_alpha_beta"
+        assert steps  # the batch covered failing rows
+        assert list(rows.ok) == [e is None for e in rows.errors]
 
 
 class TestFitModel:

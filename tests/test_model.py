@@ -58,6 +58,19 @@ class TestNoisyProb:
         for t in np.linspace(0, 2 * math.pi, 1000):
             assert noisy_prob(IDEAL, float(t)) == ideal_prob(float(t))
 
+    def test_array_matches_scalar(self):
+        m = NoiseModel(0.8, 0.1, 0.3, 1.07)
+        ts = np.linspace(-3, 9, 120).reshape(10, 12)
+        probs = noisy_prob(m, ts)
+        assert probs.shape == ts.shape
+        assert all(p == noisy_prob(m, float(t))
+                   for t, p in zip(ts.ravel(), probs.ravel()))
+        assert isinstance(noisy_prob(m, 1.0), float)
+
+    def test_array_nonfinite_rejected(self):
+        with pytest.raises(ValueError):
+            noisy_prob(IDEAL, np.array([0.0, math.nan, 1.0]))
+
     @given(
         alpha=st.floats(0, 1),
         frac=st.floats(0, 1),

@@ -1,19 +1,60 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from rabipi.estimate import EstimateResult, PipelineError, estimate_pi
 from rabipi.model import IDEAL, NoiseModel
-from rabipi.montecarlo import (McConfig, aggregate, models_from_datasets,
-                               run_mc)
+from rabipi.montecarlo import (McConfig, McSummary, _run_seed, aggregate,
+                               models_from_datasets, run_mc)
 from rabipi.simulate import DEFAULT_GRID, exact_dataset, inject_step, \
-    sample_dataset
+    make_grid, sample_dataset
 
 THREE_MODELS = [
     NoiseModel(0.90, 0.05, 0.0, 1.0),
     NoiseModel(0.85, 0.08, 0.1, 0.98),
     NoiseModel(0.95, 0.02, -0.1, 1.02),
 ]
+
+
+#: The paper's three demo qubits, as in demos/02_error_characterization.py.
+DEMO_QUBITS = [
+    NoiseModel(0.90, 0.05, 0.0, 1.0),
+    NoiseModel(0.85, 0.08, 0.0, 1.0),
+    NoiseModel(0.95, 0.02, 0.0, 1.0),
+]
+#: Off-protocol model whose runs fail about 6% of the time at 256 shots.
+FAILING = NoiseModel(0.9, 0.05, 1.5, 1.0)
+LOWSHOT = dict(shots=256, grid=make_grid(0.0, 6.3, 0.05))
+
+
+def reference_mc(models, cfg):
+    """run_mc as a plain loop: one dataset and one estimate_pi per run."""
+    pis, dts, integrals = [], [], []
+    failed = Counter()
+    for model in models:
+        for run in range(cfg.runs_per_model):
+            ds = sample_dataset(model, cfg.grid, cfg.shots,
+                                seed=_run_seed(cfg.base_seed, model, run))
+            try:
+                r = estimate_pi(ds, cfg.estimate)
+            except PipelineError as exc:
+                failed[exc.step] += 1
+                continue
+            pis.append(r.pi_hat)
+            dts.append(r.t2_hat - r.t1_hat)
+            integrals.append(r.integral_I)
+    pis, dts, integrals = sorted(pis), sorted(dts), sorted(integrals)
+    return McSummary(
+        n_runs=len(models) * cfg.runs_per_model,
+        mean_pi=float(np.mean(pis)),
+        std_pi=float(np.std(pis, ddof=1)),
+        std_dt=float(np.std(dts, ddof=1)),
+        std_I=float(np.std(integrals, ddof=1)),
+        failures=sum(failed.values()),
+        failures_by_step=dict(failed),
+    )
 
 
 def _result(pi_hat):
@@ -61,6 +102,29 @@ class TestRunMc:
         s = run_mc([IDEAL], McConfig(runs_per_model=150, shots=8192))
         bound = 4 * s.std_pi / math.sqrt(150) + 0.005
         assert abs(s.mean_pi - noiseless) <= bound
+
+
+    @pytest.mark.parametrize("models,cfg,min_failures", [
+        (DEMO_QUBITS, McConfig(runs_per_model=50, base_seed=11), 0),
+        ([FAILING], McConfig(runs_per_model=100, base_seed=0, **LOWSHOT), 1),
+    ], ids=["demo_qubits", "lowshot_failing"])
+    def test_matches_reference_loop(self, models, cfg, min_failures):
+        batch = run_mc(models, cfg)
+        assert batch == reference_mc(models, cfg)
+        assert batch.failures >= min_failures
+
+    def test_failures_by_step(self):
+        s = run_mc([FAILING], McConfig(runs_per_model=300, base_seed=0, **LOWSHOT))
+        assert sum(s.failures_by_step.values()) == s.failures
+        assert set(s.failures_by_step) <= {"refine_alpha_beta", "trapezoid_integral"}
+        # ~6% failure rate; the band is about 3 binomial sigma either way
+        assert 0.02 <= s.failures / s.n_runs <= 0.10
+
+    def test_no_failures_gives_empty_breakdown(self):
+        s = run_mc(DEMO_QUBITS, McConfig(runs_per_model=10))
+        assert s.failures == 0
+        assert s.failures_by_step == {}
+        assert isinstance(hash(s), int)  # the breakdown keeps it hashable
 
 
 class TestModelsFromDatasets:

@@ -5,7 +5,8 @@ import pytest
 
 from rabipi.model import IDEAL, NoiseModel, noisy_prob
 from rabipi.simulate import (DEFAULT_GRID, Dataset, ShotRecord, exact_dataset,
-                             inject_step, make_grid, sample_dataset)
+                             inject_step, make_grid, sample_counts,
+                             sample_dataset)
 
 
 class TestMakeGrid:
@@ -86,12 +87,43 @@ class TestSampleDataset:
         with pytest.raises(ValueError):
             sample_dataset(IDEAL, DEFAULT_GRID, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [0, 7, -3, 2**64 + 5])
+    def test_one_generator_per_dataset(self, seed):
+        # stream contract: one default_rng(seed mod 2**64) draws the whole
+        # grid with a single binomial call
+        m = NoiseModel(0.9, 0.05, 0.1, 1.02)
+        ds = sample_dataset(m, DEFAULT_GRID, 8192, seed=seed)
+        p = noisy_prob(m, DEFAULT_GRID.times())
+        expected = np.random.default_rng(seed % 2**64).binomial(8192, p)
+        assert [r.ones for r in ds.records] == expected.tolist()
+
+
+class TestSampleCounts:
+    def test_rows_equal_sample_dataset(self):
+        m = NoiseModel(0.85, 0.08, 0.0, 1.0)
+        seeds = [3, 99, 2**63 + 1]
+        counts = sample_counts(m, DEFAULT_GRID, 512, seeds)
+        assert counts.shape == (3, len(DEFAULT_GRID))
+        for row, seed in zip(counts, seeds):
+            ds = sample_dataset(m, DEFAULT_GRID, 512, seed=seed)
+            assert row.tolist() == [r.ones for r in ds.records]
+
+    def test_invalid_shots(self):
+        with pytest.raises(ValueError):
+            sample_counts(IDEAL, DEFAULT_GRID, 0, [1])
+
 
 class TestExactDataset:
     def test_fractions_match_probabilities(self):
         ds = exact_dataset(IDEAL, DEFAULT_GRID)
         probs = np.array([noisy_prob(IDEAL, r.t) for r in ds.records])
         assert np.max(np.abs(ds.fractions() - probs)) < 1e-12
+
+    def test_counts_are_rounded_scalar_probabilities(self):
+        m = NoiseModel(0.8, 0.1, 0.2, 1.05)
+        ds = exact_dataset(m, DEFAULT_GRID, shots=10**6)
+        assert [r.ones for r in ds.records] == [
+            round(noisy_prob(m, r.t) * 10**6) for r in ds.records]
 
 
 class TestInjectStep:
