@@ -9,7 +9,7 @@ curve between them.
 import math
 
 from rabipi import (EstimateConfig, NoiseModel, estimate_pi, fit_model,
-                    make_grid, render_svg, sample_dataset, save_csv, save_svg)
+                    make_grid, render_svg, sample_dataset, save_csv, save_text)
 
 # a plausible hardware-like distortion: 90% visibility, 5% dark counts,
 # small phase offset, rate slightly off unity
@@ -32,5 +32,5 @@ print(f"pi estimate               pi_hat = {result.pi_hat:.4f}"
 fitted = fit_model(dataset)
 print(f"fitted model: alpha={fitted.alpha:.3f} beta={fitted.beta:.3f} "
       f"phi0={fitted.phi0:.3f} c={fitted.c:.3f}")
-save_svg(render_svg(dataset, fitted, result), "demo_qubit.svg")
+save_text(render_svg(dataset, fitted, result), "demo_qubit.svg")
 print("wrote demo_qubit.csv and demo_qubit.svg")

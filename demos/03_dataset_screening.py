@@ -7,7 +7,7 @@ rate of change plus five binomial standard deviations.
 """
 
 from rabipi import (DEFAULT_GRID, NoiseModel, inject_step, render_svg,
-                    sample_dataset, save_svg, screen_dataset)
+                    sample_dataset, save_text, screen_dataset)
 
 model = NoiseModel(0.9, 0.05, 0.0, 1.0)
 clean = sample_dataset(model, DEFAULT_GRID, 8192, seed=1, label="clean")
@@ -23,5 +23,5 @@ for offset in (0.005, 0.05, 0.15):
         print(f"step of {offset:+.3f} at t=4.0: reject at t={verdict.location}")
         print(f"    {verdict.reason}")
 
-save_svg(render_svg(inject_step(clean, 4.0, 0.15)), "demo_step_anomaly.svg")
+save_text(render_svg(inject_step(clean, 4.0, 0.15)), "demo_step_anomaly.svg")
 print("wrote demo_step_anomaly.svg")

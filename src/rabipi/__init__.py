@@ -18,7 +18,7 @@ from .montecarlo import (AggregateReport, McConfig, McSummary, aggregate,
 from .simulate import (DEFAULT_GRID, DEFAULT_SHOTS, Dataset, ShotRecord,
                        TimeGrid, exact_dataset, inject_step, make_grid,
                        sample_dataset)
-from .dataio import CsvFormatError, load_csv, parse_csv, save_csv, write_csv
-from .plotting import render_svg, save_svg
+from .dataio import CsvFormatError, load_csv, parse_csv, save_csv, save_text, write_csv
+from .plotting import render_svg
 
 __version__ = "0.1.0"

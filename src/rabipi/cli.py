@@ -13,16 +13,14 @@ Exit codes: 0 success, 1 runtime/data error, 2 usage error.
 """
 
 import argparse
-import math
 import sys
 
-from . import montecarlo
-from .dataio import CsvFormatError, load_csv, save_csv, write_csv
+from .dataio import CsvFormatError, load_csv, save_text, write_csv
 from .estimate import EstimateConfig, PipelineError, estimate_pi, fit_model, \
     screen_dataset
 from .model import NoiseModel
 from .montecarlo import McConfig, aggregate, models_from_datasets, run_mc
-from .plotting import render_svg, save_svg
+from .plotting import render_svg
 from .simulate import make_grid, sample_dataset
 
 __all__ = ["cli_main", "main"]
@@ -104,8 +102,7 @@ def _estimate_config(args) -> EstimateConfig:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        save_text(text, out_path)
     else:
         sys.stdout.write(text)
 

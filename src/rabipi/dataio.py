@@ -16,7 +16,7 @@ import os
 
 from .simulate import Dataset, ShotRecord
 
-__all__ = ["CsvFormatError", "parse_csv", "write_csv", "load_csv", "save_csv"]
+__all__ = ["CsvFormatError", "parse_csv", "write_csv", "load_csv", "save_csv", "save_text"]
 
 HEADER = "t,shots,ones"
 
@@ -98,5 +98,10 @@ def load_csv(path) -> Dataset:
 
 
 def save_csv(ds: Dataset, path):
+    save_text(write_csv(ds), path)
+
+
+def save_text(text: str, path):
+    """Write ``text`` to ``path`` as UTF-8 with LF line endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(write_csv(ds))
+        fh.write(text)

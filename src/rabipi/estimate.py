@@ -188,6 +188,12 @@ def _normalize(f, alpha, beta, fails):
     return (f - beta[:, None]) / alpha[:, None]
 
 
+#: Distances closer than this many grid steps count as equal, so that float
+#: noise in decimal grid knots cannot decide which side of an edge they are on.
+_TIE_STEPS = 1e-8
+_SCAN_CELLS = 1 << 18  # most (rate, time) pairs fit_model's scan evaluates at once
+
+
 def _interpolate(t, f1, x):
     """Each row's piecewise-linear interpolant at that row's points x
     (rows, q); exact at the knots."""
@@ -211,10 +217,9 @@ def _find_crossing(t, f1, start, level, fails):
         np.where(ga * gb < 0, inside, np.inf),
     ), axis=1)
     dist = np.abs(x - start)
-    # the search widens by one grid step per side and round, right side
-    # first; a candidate a whole number of steps away belongs to the earlier
-    # round (rounding strips the float noise of grid knots)
-    order = 2 * np.ceil(np.round(dist / dt.min(), 9)) + (x < start)
+    # the search widens one grid step per side and round, right side first;
+    # a candidate a whole number of steps away belongs to the earlier round
+    order = 2 * np.ceil(dist / dt.min() - _TIE_STEPS) + (x < start)
     first = order.min(axis=1)
     fails.check(np.isfinite(first), "find_crossing",
                 lambda r: f"no crossing of level {level} within "
@@ -234,10 +239,11 @@ def _refine_alpha_beta(t, f1, t1, t2, delta, fails):
     t_lo, t_hi = t[0], t[-1]
     t_maxval = (t1 + t2) / 2
     below, above = (3 * t1 - t2) / 2, (3 * t2 - t1) / 2
-    t_minval = np.where(below >= t_lo, below,
-                        np.where(above <= t_hi, above, np.clip(below, t_lo, t_hi)))
-    beta, n_min = _window_mean(t, f1, t_minval, delta)
-    top, n_max = _window_mean(t, f1, t_maxval, delta)
+    tie = _TIE_STEPS * np.diff(t).min()
+    t_minval = np.where(below >= t_lo - tie, below, np.where(
+        above <= t_hi + tie, above, np.clip(below, t_lo, t_hi)))
+    beta, n_min = _window_mean(t, f1, t_minval, delta - tie)
+    top, n_max = _window_mean(t, f1, t_maxval, delta - tie)
     fails.check(n_min > 0, "refine_alpha_beta",
                 lambda r: f"no grid points within {delta} of t_minval={t_minval[r]}")
     fails.check(n_max > 0, "refine_alpha_beta",
@@ -246,7 +252,7 @@ def _refine_alpha_beta(t, f1, t1, t2, delta, fails):
 
 
 def _refine_crossing_linear(t, f1, t_i, window, level, fails):
-    w = np.abs(t - t_i[:, None]) <= window
+    w = np.abs(t - t_i[:, None]) <= window + _TIE_STEPS * np.diff(t).min()
     n = w.sum(axis=1)
     fails.check(n >= 2, "refine_crossing_linear",
                 lambda r: f"need >= 2 points within {window} of t={t_i[r]}, "
@@ -321,16 +327,15 @@ def interpolate(curve: NormalizedCurve, t) -> float | np.ndarray:
     return float(out) if np.isscalar(t) or tq.ndim == 0 else out
 
 
-def find_crossing(curve: NormalizedCurve, start: float, level: float = 0.5,
-                  time_tol: float = 1e-10) -> float:
+def find_crossing(curve: NormalizedCurve, start: float, level: float = 0.5) -> float:
     """Locate a crossing of the interpolated curve with ``level`` near ``start``.
 
     Among the knots on the level and the segments whose ends straddle it,
     the one nearest ``start`` (clamped to the data range) wins.  Distance is
-    counted in whole grid steps, rounded up, and on a tie the right side
-    wins: the order of a search that widens one grid step at a time, right
-    then left.  The crossing is solved exactly on its segment, so
-    ``time_tol`` is not needed and only kept for compatibility.
+    counted in whole grid steps, rounded up (within ``_TIE_STEPS`` of a whole
+    step counts as whole), and on a tie the right side wins: the order of a
+    search that widens one grid step at a time, right then left.  The
+    crossing is solved exactly on its segment.
     """
     return float(_on_one_row(_find_crossing, curve.t, curve.f1[None],
                              start, level)[0])
@@ -344,8 +349,9 @@ def refine_alpha_beta(curve: NormalizedCurve, t1_hat: float, t2_hat: float,
     a half-period below the first crossing or, when that falls outside the
     data range, a half-period above the second (clamping to the range edge
     would average over a window that misses the true minimum and bias the
-    offset).  Windows are strict, |t - t_hat| < delta.  Returns (alpha,
-    beta, t_minval, t_maxval) on the scale of the given curve.
+    offset).  Windows are strict, |t - t_hat| < delta, and a distance within
+    ``_TIE_STEPS`` grid steps of an edge or range end counts as on it.
+    Returns (alpha, beta, t_minval, t_maxval) on the scale of the given curve.
     """
     out = _on_one_row(_refine_alpha_beta, curve.t, curve.f1[None],
                       _row(t1_hat), _row(t2_hat), delta)
@@ -354,7 +360,8 @@ def refine_alpha_beta(curve: NormalizedCurve, t1_hat: float, t2_hat: float,
 
 def refine_crossing_linear(curve: NormalizedCurve, t_i: float,
                            window: float = 0.5, level: float = 0.5) -> float:
-    """Refine a crossing by fitting a line to the points with |t - t_i| <= window."""
+    """Refine a crossing by a line through the points with |t - t_i| <= window,
+    a distance within ``_TIE_STEPS`` grid steps of the edge counting as on it."""
     return float(_on_one_row(_refine_crossing_linear, curve.t, curve.f1[None],
                              _row(t_i), window, level)[0])
 
@@ -437,45 +444,43 @@ def estimate_pi(ds: Dataset, cfg: EstimateConfig = EstimateConfig()) -> Estimate
     )
 
 
-def fit_model(ds: Dataset, max_evals: int = 10_000) -> NoiseModel:
+def _fit_at_rates(t, f, c):
+    """RSS, alpha, beta and phi0 of the best valid curve at each rate in
+    ``c``: the least-squares k - u*cos(ct) - v*sin(ct), linear in (k, u, v),
+    with its levels k -/+ |(u, v)| clipped to [0, 1]."""
+    ct = np.multiply.outer(c, t)
+    basis = np.stack((np.ones_like(ct), -np.cos(ct), -np.sin(ct)), axis=-1)
+    k, u, v = np.moveaxis(np.linalg.pinv(basis) @ f, -1, 0)
+    beta = np.clip(k - np.hypot(u, v), 0.0, 1.0)
+    alpha = np.clip(k + np.hypot(u, v), 0.0, 1.0) - beta
+    phi0 = np.arctan2(-v, u)
+    pred = alpha[:, None] * (1 - np.cos(ct + phi0[:, None])) / 2 + beta[:, None]
+    return ((f - pred) ** 2).sum(axis=1), alpha, beta, phi0
+
+
+def fit_model(ds: Dataset) -> NoiseModel:
     """Least-squares fit of all four curve parameters to the fractions.
 
-    Derivative-free (Nelder-Mead) minimization of the residual sum of
-    squares, started from the rough amplitude/offset, a one-period rate
-    guess and the phase implied by the first half-crossing.
+    Variable projection (Golub & Pereyra 1973): amplitude, offset and phase
+    are closed-form at each of the < 2n rates c in quarter-period steps over
+    the span below the mean Nyquist rate pi (n - 1) / span; the best is then
+    refined within one step.  Raises ``PipelineError`` on constant data.
     """
-    t = ds.times()
-    f = ds.fractions()
-    alpha0, beta0 = rough_alpha_beta(ds)
-
-    # initial rate from the assumed ~one-period span; phase from the first
-    # crossing of the roughly normalized curve
-    c0 = 2 * math.pi / 6.28
-    try:
-        curve = normalize(ds, alpha0, beta0)
-        t1 = find_crossing(curve, float(t[0]) + (float(t[-1]) - float(t[0])) / 4)
-        phi0_0 = math.pi / 2 - c0 * t1
-    except PipelineError:
-        phi0_0 = 0.0
-
-    def residual(params):
-        a, b, phi, c = params
-        penalty = 0.0
-        for excess in (-a, -b, a + b - 1.0, 1e-6 - c):
-            if excess > 0:
-                penalty += 1e3 * excess * excess
-        pred = a * (1 - np.cos(c * t + phi)) / 2 + b
-        return float(np.sum((f - pred) ** 2)) + penalty
-
-    x0 = np.array([alpha0, beta0, phi0_0, c0])
-    res = optimize.minimize(
-        residual, x0, method="Nelder-Mead",
-        options={"maxfev": max_evals, "xatol": 1e-10, "fatol": 1e-15})
-    best = res.x if residual(res.x) <= residual(x0) else x0
-    a, b, phi, c = best
-    a = min(max(float(a), 0.0), 1.0)
-    b = min(max(float(b), 0.0), 1.0 - a)
-    return NoiseModel(alpha=a, beta=b, phi0=float(phi), c=max(float(c), 1e-6))
+    t, f = ds.times(), ds.fractions()
+    if f.min() == f.max():
+        raise PipelineError("fit_model", "all fractions are equal; no rate")
+    step = math.pi / (2 * (t[-1] - t[0]))
+    rates = step * np.arange(1, 2 * (len(t) - 1))
+    per = max(1, _SCAN_CELLS // len(t))
+    rss = np.concatenate([_fit_at_rates(t, f, rates[i:i + per])[0]
+                          for i in range(0, len(rates), per)])
+    best = rates[rss.argmin()]
+    res = optimize.minimize_scalar(
+        lambda c: _fit_at_rates(t, f, np.array([c]))[0][0], method="bounded",
+        bounds=(best - step, best + step), options={"xatol": 1e-10})
+    _, alpha, beta, phi0 = _fit_at_rates(t, f, np.array([res.x]))
+    return NoiseModel(alpha=float(alpha[0]), beta=float(beta[0]),
+                      phi0=float(phi0[0]), c=float(res.x))
 
 
 @dataclass(frozen=True)
@@ -494,25 +499,22 @@ def screen_dataset(ds: Dataset) -> ScreenVerdict:
     """Reject datasets whose fractions jump more than the model plus noise allow.
 
     Between adjacent times the model probability can change by at most
-    c*dt/2; on top of that we allow 5 binomial standard deviations at the
-    worst case p = 1/2.  A larger jump indicates a calibration step.
+    c*dt/2 (c from ``fit_model``, not run on data that never jumps); on top
+    of that we allow 5 binomial standard deviations at the worst case
+    p = 1/2.  A larger jump indicates a calibration step.
     """
-    try:
-        c_hat = fit_model(ds).c
-    except (PipelineError, ValueError):
-        c_hat = 2 * math.pi / 6.28  # fall back to the one-period assumption
     t = ds.times()
-    f = ds.fractions()
-    for i in range(len(t) - 1):
-        dt = t[i + 1] - t[i]
-        shots = min(ds.records[i].shots, ds.records[i + 1].shots)
-        threshold = c_hat * dt / 2 + 5 * math.sqrt(0.25 / shots)
-        jump = abs(f[i + 1] - f[i])
-        if jump > threshold:
+    jump = np.abs(np.diff(ds.fractions()))
+    if jump.any():  # constant fractions have no rate to fit
+        shots = np.array([r.shots for r in ds.records])
+        threshold = (fit_model(ds).c * np.diff(t) / 2
+                     + 5 * np.sqrt(0.25 / np.minimum(shots[:-1], shots[1:])))
+        i = np.argmax(jump > threshold)  # the first jump over, if any
+        if jump[i] > threshold[i]:
             return ScreenVerdict(
                 accepted=False,
-                reason=(f"fraction jump {jump:.4f} between t={t[i]} and "
-                        f"t={t[i + 1]} exceeds threshold {threshold:.4f}"),
+                reason=(f"fraction jump {jump[i]:.4f} between t={t[i]} and "
+                        f"t={t[i + 1]} exceeds threshold {threshold[i]:.4f}"),
                 location=float(t[i + 1]),
             )
     return ScreenVerdict(accepted=True)

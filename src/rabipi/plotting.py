@@ -11,7 +11,7 @@ from .estimate import EstimateResult
 from .model import NoiseModel, noisy_prob
 from .simulate import Dataset
 
-__all__ = ["render_svg", "save_svg"]
+__all__ = ["render_svg"]
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 20, 20, 50
@@ -83,8 +83,3 @@ def render_svg(ds: Dataset, model: NoiseModel | None = None,
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def save_svg(text: str, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)

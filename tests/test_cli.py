@@ -1,3 +1,5 @@
+import math
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from rabipi.cli import cli_main
 from rabipi.dataio import load_csv, save_csv
 from rabipi.estimate import estimate_pi
-from rabipi.model import IDEAL
+from rabipi.model import IDEAL, NoiseModel, noisy_prob
 from rabipi.simulate import DEFAULT_GRID, inject_step, sample_dataset
 
 
@@ -82,6 +84,25 @@ class TestFitScreenMc:
         save_csv(inject_step(load_csv(clean), 4.0, 0.15), jumped)
         assert run(["screen", str(jumped)]) == 0
         assert "reject" in capsys.readouterr().out
+
+    def test_fit_on_step_files(self, tmp_path, capsys):
+        # calibration steps as a screening run meets them: each pushes the
+        # curve toward its nearer bound, where the fit's constraints bind
+        rng = random.Random(0)
+        for k in range(12):
+            model = NoiseModel(rng.uniform(0.80, 0.95), rng.uniform(0.02, 0.05),
+                               0.0, 1.0)
+            ds = sample_dataset(model, DEFAULT_GRID, 8192,
+                                seed=rng.getrandbits(63))
+            t_jump = rng.uniform(1.0, 5.5)
+            sign = 1.0 if noisy_prob(model, t_jump) <= 0.5 else -1.0
+            path = tmp_path / f"step{k}.csv"
+            save_csv(inject_step(ds, t_jump, sign * rng.uniform(0.15, 0.25)),
+                     path)
+            assert run(["fit", str(path)]) == 0
+            values = [float(line.split("=")[1])
+                      for line in capsys.readouterr().out.splitlines()]
+            assert len(values) == 4 and all(map(math.isfinite, values))
 
     def test_mc(self, capsys):
         assert run(["mc", "--runs", "5", "--shots", "256", "--seed", "2"]) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rabipi.estimate
 from rabipi.estimate import (EstimateConfig, NormalizedCurve, PipelineError,
                              estimate_pi, estimate_rows, find_crossing,
                              fit_model, interpolate, normalize,
@@ -303,6 +304,30 @@ class TestEstimatePi:
         dt = r.t2_hat - r.t1_hat
         assert abs(dt - dt_ref) <= 0.005
 
+    def test_window_edges_do_not_depend_on_rounding(self):
+        # the rough crossings put t_maxval on the knot 2.45, with the knots
+        # 2.35 and 2.55 exactly delta away; float noise in the knot
+        # distances must not decide which of them the windows take
+        ds = sample_dataset(NoiseModel(0.6, 0.2, 0.5, 1.1),
+                            make_grid(0.0, 6.3, 0.05), 256, seed=126)
+        cfg = EstimateConfig()
+        alpha, beta = rough_alpha_beta(ds)
+        curve = normalize(ds, alpha, beta)
+        t1 = find_crossing(curve, cfg.root_start_1)
+        t2 = find_crossing(curve, cfg.root_start_2)
+
+        def pi_from(t1, t2):
+            a5, b5, _, _ = refine_alpha_beta(curve, t1, t2, cfg.delta)
+            refined = normalize(ds, alpha * a5, beta + alpha * b5)
+            u1 = refine_crossing_linear(refined, t1, cfg.refine_window)
+            u2 = refine_crossing_linear(refined, t2, cfg.refine_window)
+            return (u2 - u1) / trapezoid_integral(refined, u1, u2)
+
+        assert pi_from(t1, t2) == estimate_pi(ds, cfg).pi_hat
+        for shift in (-5e-11, 5e-11):
+            assert pi_from(t1 + shift, t2 + shift) == pytest.approx(
+                pi_from(t1, t2), abs=1e-12)
+
     def test_failure_identifies_step(self):
         with pytest.raises(PipelineError) as exc:
             estimate_pi(constant_dataset())
@@ -376,11 +401,72 @@ class TestFitModel:
         with pytest.raises(PipelineError):
             fit_model(constant_dataset())
 
+    def test_recovers_fast_rate(self):
+        # a local search started at one period over the span stops near
+        # c = 0.42 here
+        truth = NoiseModel(0.9, 0.05, 0.0, 2.0)
+        m = fit_model(sample_dataset(truth, DEFAULT_GRID, 8192, seed=100))
+        assert m.alpha == pytest.approx(truth.alpha, abs=0.02)
+        assert m.beta == pytest.approx(truth.beta, abs=0.02)
+        assert m.phi0 == pytest.approx(truth.phi0, abs=0.02)
+        assert m.c == pytest.approx(truth.c, abs=0.02)
+
+    def test_constraint_bound_residual(self):
+        # the best curve here has beta = 0; clamping the unconstrained
+        # optimum instead of searching the valid curves multiplies the RSS
+        # many times over.  Reference: the RSS of a soft-penalty
+        # Nelder-Mead fit of the same data.
+        ds = sample_dataset(NoiseModel(0.8, 0.1, 2.0, 0.3), DEFAULT_GRID, 256,
+                            seed=0)
+        m = fit_model(ds)
+        pred = m.alpha * (1 - np.cos(m.c * ds.times() + m.phi0)) / 2 + m.beta
+        assert float(np.sum((ds.fractions() - pred) ** 2)) \
+            <= 1.05 * 0.031033610539576272
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-9])
+    def test_scan_size_set_by_point_count(self, monkeypatch, gap):
+        # two samples ``gap`` apart, as a CSV may hold: a scan up to
+        # pi / min dt would evaluate 2 * span / gap rates
+        truth = NoiseModel(0.8, 0.1, 0.2, 1.05)
+        r = sample_dataset(truth, DEFAULT_GRID, 8192, seed=17).records
+        extra = ShotRecord(r[59].t + gap, r[59].shots, r[59].ones)
+        ds = Dataset(records=r[:60] + (extra,) + r[60:])
+        batches = []
+        fit_at_rates = rabipi.estimate._fit_at_rates
+
+        def counted(t, f, c):
+            batches.append(len(c))
+            return fit_at_rates(t, f, c)
+
+        monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", counted)
+        m = fit_model(ds)
+        assert max(batches) < 2 * len(ds.records)
+        assert m.alpha == pytest.approx(truth.alpha, abs=0.02)
+        assert m.beta == pytest.approx(truth.beta, abs=0.02)
+        assert m.phi0 == pytest.approx(truth.phi0, abs=0.02)
+        assert m.c == pytest.approx(truth.c, abs=0.02)
+
+    def test_scan_in_batches_matches_one_batch(self, monkeypatch):
+        # batches of three rates; the best one, c = 2, is in the third
+        ds = sample_dataset(NoiseModel(0.9, 0.05, 0.0, 2.0), DEFAULT_GRID,
+                            8192, seed=100)
+        whole = fit_model(ds)
+        monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", 3 * len(ds.records))
+        assert fit_model(ds) == whole
+
 
 class TestScreenDataset:
     def test_clean_accepted(self):
         ds = sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=0)
         assert screen_dataset(ds).accepted
+
+    def test_clean_fast_rate_accepted(self):
+        ds = sample_dataset(NoiseModel(0.9, 0.05, 0.0, 2.0), DEFAULT_GRID, 8192,
+                            seed=100)
+        assert screen_dataset(ds).accepted
+
+    def test_constant_accepted(self):
+        assert screen_dataset(constant_dataset()).accepted
 
     def test_large_step_rejected_near_injection(self):
         ds = sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=0)
