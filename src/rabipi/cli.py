@@ -13,13 +13,14 @@ Exit codes: 0 success, 1 runtime/data error, 2 usage error.
 """
 
 import argparse
+import functools
 import sys
 
 from .dataio import CsvFormatError, load_csv, save_text, write_csv
 from .estimate import EstimateConfig, PipelineError, estimate_pi, fit_model, \
     screen_dataset
 from .model import NoiseModel
-from .montecarlo import McConfig, aggregate, models_from_datasets, run_mc
+from .montecarlo import McConfig, aggregate, model_from_estimate, run_mc
 from .plotting import render_svg
 from .simulate import make_grid, sample_dataset
 
@@ -46,6 +47,7 @@ def _add_estimate_flags(p):
     p.add_argument("--window", type=float, default=0.5)
 
 
+@functools.cache  # one build per process; parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rabipi",
@@ -216,7 +218,7 @@ def _cmd_report(args) -> int:
 
     lines.append("")
     lines.append("=== Monte Carlo ===")
-    models = models_from_datasets(kept, cfg)
+    models = [model_from_estimate(r) for _, r in results]
     mc_cfg = McConfig(runs_per_model=args.runs, shots=args.shots,
                       base_seed=args.seed, estimate=cfg)
     s = run_mc(models, mc_cfg)

@@ -446,16 +446,37 @@ def estimate_pi(ds: Dataset, cfg: EstimateConfig = EstimateConfig()) -> Estimate
 
 def _fit_at_rates(t, f, c):
     """RSS, alpha, beta and phi0 of the best valid curve at each rate in
-    ``c``: the least-squares k - u*cos(ct) - v*sin(ct), linear in (k, u, v),
-    with its levels k -/+ |(u, v)| clipped to [0, 1]."""
+    ``c``: the least-squares k - u*cos(ct) - v*sin(ct), with its levels
+    k -/+ |(u, v)| clipped to [0, 1].
+
+    (u, v) solve the 2x2 normal equations of the mean-centred cos/sin
+    columns by Cramer's rule and k follows from the means.  A rate whose
+    centred columns are collinear gets RSS inf: below det = eps * (CC+SS)^2
+    the squared condition number exceeds 1/eps and the solve carries no
+    correct digits.
+    """
     ct = np.multiply.outer(c, t)
-    basis = np.stack((np.ones_like(ct), -np.cos(ct), -np.sin(ct)), axis=-1)
-    k, u, v = np.moveaxis(np.linalg.pinv(basis) @ f, -1, 0)
-    beta = np.clip(k - np.hypot(u, v), 0.0, 1.0)
-    alpha = np.clip(k + np.hypot(u, v), 0.0, 1.0) - beta
+    cos, sin = np.cos(ct), np.sin(ct)
+    mean_cos, mean_sin, mean_f = cos.mean(axis=1), sin.mean(axis=1), f.mean()
+    cc, ss = cos - mean_cos[:, None], sin - mean_sin[:, None]
+    y = f - mean_f
+    yc, ys = cc @ y, ss @ y
+    c2, s2, cs = (cc * cc).sum(axis=1), (ss * ss).sum(axis=1), (cc * ss).sum(axis=1)
+    det = c2 * s2 - cs * cs
+    collinear = det <= np.finfo(float).eps * (c2 + s2) ** 2
+    det = np.where(collinear, np.inf, det)  # u = v = 0 there, and no warning
+    u = (ys * cs - yc * s2) / det
+    v = (yc * cs - ys * c2) / det
+    k, r = mean_f + u * mean_cos + v * mean_sin, np.hypot(u, v)
+    beta = np.clip(k - r, 0.0, 1.0)
+    alpha = np.clip(k + r, 0.0, 1.0) - beta
     phi0 = np.arctan2(-v, u)
-    pred = alpha[:, None] * (1 - np.cos(ct + phi0[:, None])) / 2 + beta[:, None]
-    return ((f - pred) ** 2).sum(axis=1), alpha, beta, phi0
+    half = alpha / 2
+    # beta + half * (1 - cos(ct + phi0)), expanded
+    pred = ((beta + half)[:, None] - (half * np.cos(phi0))[:, None] * cos
+            + (half * np.sin(phi0))[:, None] * sin)
+    rss = np.where(collinear, np.inf, ((f - pred) ** 2).sum(axis=1))
+    return rss, alpha, beta, phi0
 
 
 def fit_model(ds: Dataset) -> NoiseModel:
@@ -464,9 +485,16 @@ def fit_model(ds: Dataset) -> NoiseModel:
     Variable projection (Golub & Pereyra 1973): amplitude, offset and phase
     are closed-form at each of the < 2n rates c in quarter-period steps over
     the span below the mean Nyquist rate pi (n - 1) / span; the best is then
-    refined within one step.  Raises ``PipelineError`` on constant data.
+    refined within one step.  At a fixed rate the offset-plus-sinusoid
+    least-squares problem is solved on mean-centred cos/sin columns, as in
+    the floating-mean periodogram (Zechmeister & Kuerster, A&A 496, 577,
+    2009).  Raises ``PipelineError`` on fewer than 4 times, where any of
+    many curves fits exactly, and on constant data.
     """
     t, f = ds.times(), ds.fractions()
+    if len(t) < 4:
+        raise PipelineError("fit_model", f"need >= 4 times to fit 4 parameters, "
+                                         f"got {len(t)}")
     if f.min() == f.max():
         raise PipelineError("fit_model", "all fractions are equal; no rate")
     step = math.pi / (2 * (t[-1] - t[0]))

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimate import EstimateConfig, PipelineError, estimate_pi, estimate_rows, \
-    screen_dataset
+from .estimate import EstimateConfig, EstimateResult, PipelineError, estimate_pi, \
+    estimate_rows, screen_dataset
 from .model import NoiseModel
 from .simulate import DEFAULT_GRID, DEFAULT_SHOTS, TimeGrid, sample_counts
 
@@ -24,6 +24,7 @@ __all__ = [
     "McSummary",
     "AggregateReport",
     "run_mc",
+    "model_from_estimate",
     "models_from_datasets",
     "aggregate",
 ]
@@ -117,13 +118,21 @@ def run_mc(models: list, cfg: McConfig = McConfig()) -> McSummary:
     )
 
 
-def models_from_datasets(datasets: list,
-                         cfg: EstimateConfig = EstimateConfig()) -> list:
-    """Recover one noise model per dataset from a full pipeline run.
+def model_from_estimate(r: EstimateResult) -> NoiseModel:
+    """The noise model one pipeline run recovers.
 
     Amplitude and offset come from the refined estimates, the rate from the
-    reciprocal integral, and the phase from the first crossing.  Datasets
-    failing the jump screen are rejected outright.
+    reciprocal integral, and the phase from the first crossing.
+    """
+    return NoiseModel(alpha=r.alpha_hat, beta=r.beta_hat,
+                      phi0=math.pi / 2 - r.c_hat * r.t1_hat, c=r.c_hat)
+
+
+def models_from_datasets(datasets: list,
+                         cfg: EstimateConfig = EstimateConfig()) -> list:
+    """Recover one noise model per dataset (``model_from_estimate``) from a
+    full pipeline run.  Datasets failing the jump screen are rejected
+    outright.
     """
     models = []
     for ds in datasets:
@@ -139,9 +148,7 @@ def models_from_datasets(datasets: list,
             raise PipelineError(
                 "models_from_datasets",
                 f"pipeline failed on dataset {ds.label or '<unlabeled>'}: {exc}")
-        c = r.c_hat
-        models.append(NoiseModel(alpha=r.alpha_hat, beta=r.beta_hat,
-                                 phi0=math.pi / 2 - c * r.t1_hat, c=c))
+        models.append(model_from_estimate(r))
     return models
 
 

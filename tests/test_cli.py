@@ -4,9 +4,12 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import rabipi.cli
+import rabipi.estimate
+import rabipi.montecarlo
 from rabipi.cli import cli_main
 from rabipi.dataio import load_csv, save_csv
-from rabipi.estimate import estimate_pi
+from rabipi.estimate import EstimateConfig, estimate_pi
 from rabipi.model import IDEAL, NoiseModel, noisy_prob
 from rabipi.simulate import DEFAULT_GRID, inject_step, sample_dataset
 
@@ -48,6 +51,19 @@ class TestEstimate:
     def test_missing_file(self, capsys):
         assert run(["estimate", "missing.csv"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_reused_parser_keeps_no_state(self, tmp_path, capsys):
+        out = tmp_path / "q.csv"
+        assert run(["simulate", "--seed", "7", "--out", str(out)]) == 0
+        assert run(["estimate", "--delta", "0.3", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["estimate", str(out)]) == 0
+        printed = capsys.readouterr().out
+        ds = load_csv(out)
+        expected = estimate_pi(ds)
+        assert estimate_pi(ds, EstimateConfig(delta=0.3)).pi_hat != expected.pi_hat
+        assert f"pi_hat     = {expected.pi_hat:.6f}" in printed
+        assert f"alpha_hat  = {expected.alpha_hat:.6f}" in printed
 
     def test_degenerate_data(self, tmp_path, capsys):
         p = tmp_path / "flat.csv"
@@ -104,6 +120,21 @@ class TestFitScreenMc:
                       for line in capsys.readouterr().out.splitlines()]
             assert len(values) == 4 and all(map(math.isfinite, values))
 
+    def test_three_records_too_few_to_fit(self, tmp_path, capsys):
+        # four parameters cannot be fitted through three points
+        p = tmp_path / "three.csv"
+        p.write_text("t,shots,ones\n0.0,100,10\n0.1,100,90\n0.2,100,20\n")
+        assert run(["fit", str(p)]) == 1
+        assert "fit_model" in capsys.readouterr().err
+        # the fractions jump, so screening needs the fit's rate
+        assert run(["screen", str(p)]) == 1
+        assert "fit_model" in capsys.readouterr().err
+        svg = tmp_path / "three.svg"
+        assert run(["plot", str(p), "--out", str(svg)]) == 0
+        root = ET.fromstring(svg.read_text())
+        tags = [el.tag.rsplit("}", 1)[-1] for el in root.iter()]
+        assert tags.count("circle") == 3 and "polyline" not in tags
+
     def test_mc(self, capsys):
         assert run(["mc", "--runs", "5", "--shots", "256", "--seed", "2"]) == 0
         text = capsys.readouterr().out
@@ -132,3 +163,38 @@ class TestPlotReport:
                         "Monte Carlo", "aggregate"):
             assert section in text
         assert "mean_pi" in text
+
+    def test_report_screens_and_estimates_each_file_once(self, tmp_path,
+                                                         monkeypatch, capsys):
+        paths = []
+        for i, seed in enumerate([1, 2, 3]):
+            p = tmp_path / f"q{i}.csv"
+            run(["simulate", "--alpha", "0.9", "--beta", "0.05",
+                 "--seed", str(seed), "--label", f"q{i}", "--out", str(p)])
+            paths.append(str(p))
+        argv = ["report", *paths, "--runs", "5", "--shots", "512", "--seed", "4"]
+        # reference: Monte Carlo on the models models_from_datasets recovers
+        run_mc = rabipi.cli.run_mc
+        datasets = [load_csv(p) for p in paths]
+        with monkeypatch.context() as m:
+            m.setattr(rabipi.cli, "run_mc", lambda models, cfg: run_mc(
+                rabipi.montecarlo.models_from_datasets(datasets, cfg.estimate),
+                cfg))
+            capsys.readouterr()
+            assert run(argv) == 0
+            expected = capsys.readouterr().out
+
+        calls = {}
+        for name in ("screen_dataset", "fit_model", "estimate_pi"):
+            fn = getattr(rabipi.estimate, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            for mod in (rabipi.estimate, rabipi.cli, rabipi.montecarlo):
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counted)
+        assert run(argv) == 0
+        assert calls == {"screen_dataset": 3, "fit_model": 3, "estimate_pi": 3}
+        assert capsys.readouterr().out == expected

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,19 @@ class TestEstimateRows:
         assert list(rows.ok) == [e is None for e in rows.errors]
 
 
+def pinv_fit_at_rates(t, f, c):
+    """Reference for ``_fit_at_rates``: (k, u, v) by a batched pseudo-inverse
+    of the uncentred basis (1, -cos ct, -sin ct) at each rate."""
+    ct = np.multiply.outer(c, t)
+    basis = np.stack((np.ones_like(ct), -np.cos(ct), -np.sin(ct)), axis=-1)
+    k, u, v = np.moveaxis(np.linalg.pinv(basis) @ f, -1, 0)
+    beta = np.clip(k - np.hypot(u, v), 0.0, 1.0)
+    alpha = np.clip(k + np.hypot(u, v), 0.0, 1.0) - beta
+    phi0 = np.arctan2(-v, u)
+    pred = alpha[:, None] * (1 - np.cos(ct + phi0[:, None])) / 2 + beta[:, None]
+    return ((f - pred) ** 2).sum(axis=1), alpha, beta, phi0
+
+
 class TestFitModel:
     def test_recovers_ideal_exactly(self):
         m = fit_model(exact_dataset(IDEAL, DEFAULT_GRID))
@@ -453,6 +467,60 @@ class TestFitModel:
         whole = fit_model(ds)
         monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", 3 * len(ds.records))
         assert fit_model(ds) == whole
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_underdetermined_rejected(self, n):
+        # four parameters through fewer than four points: any of many
+        # curves fits exactly, so no answer would mean anything
+        ds = Dataset(records=exact_dataset(IDEAL, DEFAULT_GRID).records[10:10 + n])
+        with pytest.raises(PipelineError, match="fit_model"):
+            fit_model(ds)
+
+    def test_collinear_rate_gets_infinite_residual(self):
+        # sin(ct) vanishes at every one of these times (up to rounding)
+        t = np.array([0.0, math.pi, 2 * math.pi, 3 * math.pi])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rss = rabipi.estimate._fit_at_rates(t, np.array([0.1, 0.9, 0.2, 0.8]),
+                                                np.array([1.0]))[0]
+        assert rss[0] == math.inf
+
+    def test_matches_pseudo_inverse_reference(self, monkeypatch):
+        # 400 datasets over c = 0.3..2.5, 256/8192 shots, phi0 in {0, 2} and
+        # 0.1/0.05 grids, every 5th with a calibration step.  Both reach the
+        # same residual to 1e-12; the parameters agree to 1e-6, not closer:
+        # on flat low-rate 256-shot data the residual changes by a few ulp
+        # over +-5e-8 in c, and where in that plateau either solver stops is
+        # rounding (differences up to 2.7e-7 in 1,600 such datasets)
+        closed_form = rabipi.estimate._fit_at_rates
+
+        def fit(kernel, ds):
+            monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", kernel)
+            return fit_model(ds)
+
+        for i in range(400):
+            c = 0.3 + 0.1 * (i % 23)
+            grid = make_grid(0.0, 6.3, (0.1, 0.05)[i // 92 % 2])
+            ds = sample_dataset(NoiseModel(0.8, 0.1, (0.0, 2.0)[i // 46 % 2], c),
+                                grid, (256, 8192)[i // 23 % 2], seed=i)
+            if i % 5 == 0:
+                ds = inject_step(ds, 3.0, 0.15 if ds.fractions()[35] < 0.5
+                                 else -0.15)
+            a, b = fit(closed_form, ds), fit(pinv_fit_at_rates, ds)
+            verdicts = []
+            for m in (a, b):  # the screen's only use of the fit is its rate
+                monkeypatch.setattr(rabipi.estimate, "fit_model", lambda _: m)
+                verdicts.append(screen_dataset(ds))
+            monkeypatch.undo()
+            t, f = ds.times(), ds.fractions()
+            rss_a, rss_b = (pinv_fit_at_rates(t, f, np.array([m.c]))[0][0]
+                            for m in (a, b))
+            assert rss_a == pytest.approx(rss_b, rel=1e-12), i
+            assert a.alpha == pytest.approx(b.alpha, abs=1e-6), i
+            assert a.beta == pytest.approx(b.beta, abs=1e-6), i
+            assert a.c == pytest.approx(b.c, abs=1e-6), i
+            assert abs(math.remainder(a.phi0 - b.phi0, 2 * math.pi)) <= 1e-6, i
+            assert verdicts[0] == verdicts[1], i
 
 
 class TestScreenDataset:
