@@ -16,6 +16,8 @@ import argparse
 import functools
 import sys
 
+import numpy as np
+
 from .dataio import CsvFormatError, load_csv, save_text, write_csv
 from .estimate import EstimateConfig, PipelineError, estimate_pi, fit_model, \
     screen_dataset
@@ -88,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="multi-dataset screening/estimate/MC report")
     p.add_argument("datasets", nargs="+")
     _add_estimate_flags(p)
-    p.add_argument("--shots", type=int, default=8192)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--runs", type=int, default=50)
     p.add_argument("--out", help="output report path (default: stdout)")
@@ -121,6 +122,26 @@ def _format_result(r) -> str:
         f"c_hat      = {r.c_hat:.6f}",
         f"pi_hat     = {r.pi_hat:.6f}",
     ]) + "\n"
+
+
+def _format_failures(s) -> str:
+    """``failures N``, then the runs failed at each step when N > 0."""
+    steps = ", ".join(f"{step} {n}" for step, n in s.failures_by_step.items())
+    return f"failures {s.failures}" + (f": {steps}" if steps else "")
+
+
+def _experiment(ds) -> tuple:
+    """The uniform time grid and the shot count ``ds`` was taken with."""
+    t = ds.times()
+    start, stop = float(t[0]), float(t[-1])
+    grid = make_grid(start, stop, (stop - start) / (len(t) - 1))
+    if not np.array_equal(grid.times(), t):
+        raise PipelineError("report", f"{ds.label}: times are not a uniform grid")
+    shots = {r.shots for r in ds.records}
+    if len(shots) > 1:
+        raise PipelineError("report", f"{ds.label}: shots vary by row "
+                                      f"({min(shots)} to {max(shots)})")
+    return grid, shots.pop()
 
 
 def _cmd_simulate(args) -> int:
@@ -164,7 +185,7 @@ def _cmd_mc(args) -> int:
                    grid=make_grid(args.grid_start, args.grid_stop, args.grid_step),
                    base_seed=args.seed, estimate=_estimate_config(args))
     s = run_mc([model], cfg)
-    print(f"n_runs   = {s.n_runs} (failures {s.failures}, seed {args.seed})")
+    print(f"n_runs   = {s.n_runs} ({_format_failures(s)}; seed {args.seed})")
     print(f"mean_pi  = {s.mean_pi:.4f}")
     print(f"std_pi   = {s.std_pi:.4f}")
     print(f"std_dt   = {s.std_dt:.4f}")
@@ -218,11 +239,19 @@ def _cmd_report(args) -> int:
 
     lines.append("")
     lines.append("=== Monte Carlo ===")
+    # the error bar must describe the experiment that was run
+    experiments = [_experiment(ds) for ds in kept]
+    if len(set(experiments)) > 1:
+        raise PipelineError("report", "datasets differ in time grid or shots: " +
+                            ", ".join(f"{ds.label} {n} shots on t = {g.start:g}:"
+                                      f"{g.step:.6g}:{g.stop:g}"
+                                      for ds, (g, n) in zip(kept, experiments)))
+    grid, shots = experiments[0]
     models = [model_from_estimate(r) for _, r in results]
-    mc_cfg = McConfig(runs_per_model=args.runs, shots=args.shots,
+    mc_cfg = McConfig(runs_per_model=args.runs, shots=shots, grid=grid,
                       base_seed=args.seed, estimate=cfg)
     s = run_mc(models, mc_cfg)
-    lines.append(f"{s.n_runs} runs ({s.failures} failures, base seed {args.seed}): "
+    lines.append(f"{s.n_runs} runs ({_format_failures(s)}; base seed {args.seed}): "
                  f"std_pi={s.std_pi:.4f} std_dt={s.std_dt:.4f} std_I={s.std_I:.4f}")
 
     lines.append("")

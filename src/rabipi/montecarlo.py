@@ -77,31 +77,27 @@ def _run_seed(base_seed: int, model: NoiseModel, run: int) -> int:
 def run_mc(models: list, cfg: McConfig = McConfig()) -> McSummary:
     """Sample and estimate ``runs_per_model`` times for each model.
 
-    Run r of a model is the dataset ``sample_dataset(model, cfg.grid,
-    cfg.shots, seed=_run_seed(cfg.base_seed, model, r))``; all runs of a
-    model are sampled as one count matrix and estimated as one batch.
-    Failed pipeline runs are counted, by step, and excluded from the pooled
+    Each model gets one generator: run r of a model is row r of
+    ``sample_counts(model, cfg.grid, cfg.shots, _run_seed(cfg.base_seed,
+    model, 0), cfg.runs_per_model)``, so run 0 is ``sample_dataset`` with
+    that seed.  The runs of every model are estimated as one batch.  Failed
+    pipeline runs are counted, by step, and excluded from the pooled
     statistics; an error is raised only if every run fails.
     """
     if not models:
         raise ValueError("need at least one model")
-    times = cfg.grid.times()
-    pis, dts, integrals = [], [], []
-    failed = Counter()
-    for model in models:
-        seeds = [_run_seed(cfg.base_seed, model, run)
-                 for run in range(cfg.runs_per_model)]
-        ones = sample_counts(model, cfg.grid, cfg.shots, seeds)
-        rows = estimate_rows(times, ones / cfg.shots, cfg.estimate)
-        ok = rows.ok
-        pis.append(rows.pi_hat[ok])
-        dts.append((rows.t2_hat - rows.t1_hat)[ok])
-        integrals.append(rows.integral_I[ok])
-        failed.update(e.step for e in rows.errors if e is not None)
-    n_runs = len(models) * cfg.runs_per_model
+    ones = np.concatenate([
+        sample_counts(model, cfg.grid, cfg.shots, _run_seed(cfg.base_seed, model, 0),
+                      cfg.runs_per_model)
+        for model in models])
+    rows = estimate_rows(cfg.grid.times(), ones / cfg.shots, cfg.estimate)
+    ok = rows.ok
+    failed = Counter(e.step for e in rows.errors if e is not None)
+    n_runs = len(ones)
     # canonical (sorted) order makes the pooled statistics bitwise invariant
     # under permutation of the model list
-    pis, dts, integrals = (np.sort(np.concatenate(v)) for v in (pis, dts, integrals))
+    pis, dts, integrals = (np.sort(v[ok]) for v in (
+        rows.pi_hat, rows.t2_hat - rows.t1_hat, rows.integral_I))
     if not len(pis):
         raise PipelineError("run_mc", f"all {n_runs} runs failed")
     if len(pis) < 2:

@@ -4,8 +4,9 @@ Each dataset mimics one qubit: a grid of rotation times, a fixed number of
 measurement shots per time, and the count of |1> outcomes drawn from a
 binomial distribution with the model probability.  Sampling is reproducible:
 one seed drives one generator, which draws every record of the dataset in
-grid order with a single binomial call.  A record's count therefore depends
-on the whole grid, not only on its own time; identical inputs still give
+grid order with a single binomial call; a block of datasets is the same
+stream continued row after row.  A record's count therefore depends on the
+whole grid, not only on its own time; identical inputs still give
 bit-identical datasets.
 """
 
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .model import NoiseModel, noisy_prob
 
@@ -119,33 +121,31 @@ def _dataset(times: np.ndarray, shots: int, ones: np.ndarray, label: str) -> Dat
         for t, k in zip(times.tolist(), ones.tolist())), label=label)
 
 
-def sample_counts(model: NoiseModel, grid: TimeGrid, shots: int,
-                  seeds) -> np.ndarray:
-    """Binomial |1> counts on ``grid``, one row per seed.
+def sample_counts(model: NoiseModel, grid: TimeGrid, shots: int, seed: int,
+                  runs: int) -> np.ndarray:
+    """Binomial |1> counts on ``grid``: ``runs`` rows from one generator.
 
-    Row r comes from one generator, ``default_rng(seeds[r] mod 2**64)``,
-    drawing the whole grid in a single binomial call, so it equals the
-    counts of ``sample_dataset(model, grid, shots, seed=seeds[r])``.
+    One generator, ``default_rng(seed mod 2**64)``, draws the whole
+    (runs, len(grid)) matrix in a single binomial call.  It fills the rows in
+    C order, so row r does not depend on ``runs``, and row 0 equals the
+    counts of ``sample_dataset(model, grid, shots, seed=seed)``.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     p = np.clip(noisy_prob(model, grid.times()), 0.0, 1.0)
-    counts = np.empty((len(seeds), len(p)), dtype=np.int64)
-    for r, seed in enumerate(seeds):
-        counts[r] = np.random.default_rng(int(seed) & (2**64 - 1)).binomial(shots, p)
-    return counts
+    return default_rng(int(seed) & (2**64 - 1)).binomial(shots, p, size=(runs, len(p)))
 
 
 def sample_dataset(model: NoiseModel, grid: TimeGrid, shots: int = DEFAULT_SHOTS,
                    seed: int = 0, label: str = "") -> Dataset:
     """Draw a binomial shot count at every grid time.
 
-    One generator seeded with ``seed`` draws all counts in grid order (see
-    ``sample_counts``), so identical inputs always give bit-identical
-    datasets.  Records are not independent of the grid they are drawn on:
-    sampling a sub-grid gives different counts.
+    The counts are ``sample_counts(model, grid, shots, seed, 1)[0]``: one
+    generator seeded with ``seed`` draws them all in grid order, so identical
+    inputs always give bit-identical datasets.  Records are not independent
+    of the grid they are drawn on: sampling a sub-grid gives different counts.
     """
-    ones = sample_counts(model, grid, shots, [seed])[0]
+    ones = sample_counts(model, grid, shots, seed, 1)[0]
     return _dataset(grid.times(), shots, ones, label)
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -11,7 +12,9 @@ from rabipi.cli import cli_main
 from rabipi.dataio import load_csv, save_csv
 from rabipi.estimate import EstimateConfig, estimate_pi
 from rabipi.model import IDEAL, NoiseModel, noisy_prob
-from rabipi.simulate import DEFAULT_GRID, inject_step, sample_dataset
+from rabipi.montecarlo import McConfig, run_mc
+from rabipi.simulate import DEFAULT_GRID, Dataset, ShotRecord, inject_step, \
+    make_grid, sample_dataset
 
 
 def run(args):
@@ -140,6 +143,18 @@ class TestFitScreenMc:
         text = capsys.readouterr().out
         assert "std_I" in text and "n_runs   = 5" in text
 
+    def test_mc_prints_failures_by_step(self, capsys):
+        assert run(["mc", "--runs", "5", "--seed", "2"]) == 0
+        assert "n_runs   = 5 (failures 0; seed 2)" in capsys.readouterr().out
+        assert run(["mc", "--alpha", "0.9", "--beta", "0.05", "--phi0", "1.5",
+                    "--shots", "256", "--grid-step", "0.05", "--runs", "100"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        s = run_mc([NoiseModel(0.9, 0.05, 1.5, 1.0)], McConfig(
+            runs_per_model=100, shots=256, grid=make_grid(0.0, 6.3, 0.05)))
+        assert s.failures > 0
+        steps = ", ".join(f"{k} {n}" for k, n in s.failures_by_step.items())
+        assert first == f"n_runs   = 100 (failures {s.failures}: {steps}; seed 0)"
+
 
 class TestPlotReport:
     def test_plot_svg(self, tmp_path):
@@ -157,12 +172,52 @@ class TestPlotReport:
                  "--seed", str(seed), "--label", f"q{i}", "--out", str(p)])
             paths.append(str(p))
         capsys.readouterr()
-        assert run(["report", *paths, "--runs", "5", "--shots", "512"]) == 0
+        assert run(["report", *paths, "--runs", "5"]) == 0
         text = capsys.readouterr().out
         for section in ("input summary", "screening", "per-qubit estimates",
                         "Monte Carlo", "aggregate"):
             assert section in text
         assert "mean_pi" in text
+
+    def test_report_sigma_describes_the_files(self, tmp_path, capsys):
+        # 512 shots on a 0.05 grid: the error bar must come from those
+        # settings, not from the default grid at 8192 shots
+        model = ["--alpha", "0.9", "--beta", "0.05", "--phi0", "0", "--c", "1",
+                 "--shots", "512", "--grid-step", "0.05"]
+        paths = []
+        for seed in (0, 1):
+            p = tmp_path / f"q{seed}.csv"
+            run(["simulate", *model, "--seed", str(seed), "--out", str(p)])
+            paths.append(str(p))
+        capsys.readouterr()
+        assert run(["report", *paths, "--runs", "150"]) == 0
+        report_sigma = float(re.search(r"sigma = (\S+),",
+                                       capsys.readouterr().out).group(1))
+        assert run(["mc", *model, "--runs", "300"]) == 0
+        mc_sigma = float(re.search(r"std_pi   = (\S+)",
+                                   capsys.readouterr().out).group(1))
+        assert abs(report_sigma / mc_sigma - 1) <= 0.25
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda ds: ds, "differ in time grid or shots"),
+        (lambda ds: Dataset(ds.records[:10] + ds.records[11:], ds.label),
+         "not a uniform grid"),
+        (lambda ds: Dataset((ShotRecord(0.0, 8192, 2 * ds.records[0].ones),)
+                            + ds.records[1:], ds.label),
+         "shots vary by row"),
+    ], ids=["other_shots", "gap_in_times", "shots_by_row"])
+    def test_report_refuses_mixed_experiments(self, tmp_path, capsys, edit,
+                                              message):
+        model = NoiseModel(0.9, 0.05, 0.0, 1.0)
+        first = sample_dataset(model, DEFAULT_GRID, 8192, seed=1, label="q0")
+        second = edit(sample_dataset(model, DEFAULT_GRID, 4096, seed=2,
+                                     label="q1"))
+        paths = [tmp_path / "q0.csv", tmp_path / "q1.csv"]
+        for ds, p in zip((first, second), paths):
+            save_csv(ds, p)
+        assert run(["report", *map(str, paths)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: report: ") and message in err
 
     def test_report_screens_and_estimates_each_file_once(self, tmp_path,
                                                          monkeypatch, capsys):
@@ -172,7 +227,7 @@ class TestPlotReport:
             run(["simulate", "--alpha", "0.9", "--beta", "0.05",
                  "--seed", str(seed), "--label", f"q{i}", "--out", str(p)])
             paths.append(str(p))
-        argv = ["report", *paths, "--runs", "5", "--shots", "512", "--seed", "4"]
+        argv = ["report", *paths, "--runs", "5", "--seed", "4"]
         # reference: Monte Carlo on the models models_from_datasets recovers
         run_mc = rabipi.cli.run_mc
         datasets = [load_csv(p) for p in paths]

@@ -1,15 +1,19 @@
+import dataclasses
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from rabipi.estimate import EstimateResult, PipelineError, estimate_pi
+import rabipi.montecarlo
+import rabipi.simulate
+from rabipi.estimate import EstimateResult, PipelineError, RowEstimates, \
+    estimate_pi, estimate_rows
 from rabipi.model import IDEAL, NoiseModel
 from rabipi.montecarlo import (McConfig, McSummary, _run_seed, aggregate,
                                models_from_datasets, run_mc)
-from rabipi.simulate import DEFAULT_GRID, exact_dataset, inject_step, \
-    make_grid, sample_dataset
+from rabipi.simulate import DEFAULT_GRID, Dataset, ShotRecord, exact_dataset, \
+    inject_step, make_grid, sample_counts, sample_dataset
 
 THREE_MODELS = [
     NoiseModel(0.90, 0.05, 0.0, 1.0),
@@ -30,13 +34,21 @@ LOWSHOT = dict(shots=256, grid=make_grid(0.0, 6.3, 0.05))
 
 
 def reference_mc(models, cfg):
-    """run_mc as a plain loop: one dataset and one estimate_pi per run."""
+    """run_mc as a plain loop: one dataset and one estimate_pi per run.
+
+    Run r of a model is the dataset made of row r of the model's block of
+    counts, the one-generator stream of ``_run_seed(base_seed, model, 0)``.
+    """
+    times = cfg.grid.times().tolist()
     pis, dts, integrals = [], [], []
     failed = Counter()
     for model in models:
-        for run in range(cfg.runs_per_model):
-            ds = sample_dataset(model, cfg.grid, cfg.shots,
-                                seed=_run_seed(cfg.base_seed, model, run))
+        block = sample_counts(model, cfg.grid, cfg.shots,
+                              _run_seed(cfg.base_seed, model, 0),
+                              cfg.runs_per_model)
+        for ones in block.tolist():
+            ds = Dataset(tuple(ShotRecord(t, cfg.shots, k)
+                               for t, k in zip(times, ones)))
             try:
                 r = estimate_pi(ds, cfg.estimate)
             except PipelineError as exc:
@@ -112,6 +124,64 @@ class TestRunMc:
         batch = run_mc(models, cfg)
         assert batch == reference_mc(models, cfg)
         assert batch.failures >= min_failures
+
+    @pytest.fixture
+    def spied_run_mc(self, monkeypatch):
+        """run_mc with its generators and estimate batches recorded."""
+        seeds, batches = [], []
+
+        def counted_rng(seed):
+            seeds.append(seed)
+            return np.random.default_rng(seed)
+
+        def counted_rows(times, fractions, cfg):
+            batches.append(fractions)
+            return estimate_rows(times, fractions, cfg)
+
+        def spied(models, cfg):
+            with monkeypatch.context() as m:
+                m.setattr(rabipi.simulate, "default_rng", counted_rng)
+                m.setattr(rabipi.montecarlo, "estimate_rows", counted_rows)
+                run_mc(models, cfg)
+            return seeds, batches
+
+        return spied
+
+    def test_one_generator_per_model_and_one_batch(self, spied_run_mc):
+        cfg = McConfig(runs_per_model=7, base_seed=11)
+        seeds, batches = spied_run_mc(DEMO_QUBITS, cfg)
+        assert seeds == [_run_seed(11, m, 0) for m in DEMO_QUBITS]
+        assert len(batches) == 1
+        assert batches[0].shape == (3 * 7, len(cfg.grid))
+
+    def test_run_0_is_the_first_per_run_seed_dataset(self, spied_run_mc):
+        # run 0 of each model is the dataset the stream of one seed per run
+        # drew first, so only runs 1.. changed with one generator per model
+        cfg = McConfig(runs_per_model=7, base_seed=11)
+        _, (fractions,) = spied_run_mc(DEMO_QUBITS, cfg)
+        for m, model in enumerate(DEMO_QUBITS):
+            ds = sample_dataset(model, cfg.grid, cfg.shots,
+                                seed=_run_seed(11, model, 0))
+            assert np.array_equal(fractions[7 * m], ds.fractions())
+
+    def test_batch_equals_one_batch_per_model(self):
+        # run_mc estimates all models in one batch; rows must not interact
+        cfg = McConfig(runs_per_model=100, base_seed=0, **LOWSHOT)
+        times = cfg.grid.times()
+        blocks = [sample_counts(m, cfg.grid, cfg.shots, _run_seed(0, m, 0), 100)
+                  / cfg.shots for m in [FAILING, *DEMO_QUBITS[:2]]]
+        whole = estimate_rows(times, np.concatenate(blocks), cfg.estimate)
+        parts = [estimate_rows(times, b, cfg.estimate) for b in blocks]
+        for f in dataclasses.fields(RowEstimates):
+            if f.name == "errors":
+                continue
+            assert np.array_equal(
+                getattr(whole, f.name),
+                np.concatenate([getattr(p, f.name) for p in parts]),
+                equal_nan=True)
+        steps = [e and (e.step, str(e)) for e in whole.errors]
+        assert steps == [e and (e.step, str(e)) for p in parts for e in p.errors]
+        assert any(steps)
 
     def test_failures_by_step(self):
         s = run_mc([FAILING], McConfig(runs_per_model=300, base_seed=0, **LOWSHOT))

@@ -100,17 +100,35 @@ class TestSampleDataset:
 
 class TestSampleCounts:
     def test_rows_equal_sample_dataset(self):
+        # row 0 of a block is the one-dataset stream of the same seed
         m = NoiseModel(0.85, 0.08, 0.0, 1.0)
-        seeds = [3, 99, 2**63 + 1]
-        counts = sample_counts(m, DEFAULT_GRID, 512, seeds)
-        assert counts.shape == (3, len(DEFAULT_GRID))
-        for row, seed in zip(counts, seeds):
+        for seed in [0, 7, -3, 2**64 + 5]:
+            counts = sample_counts(m, DEFAULT_GRID, 512, seed, 4)
+            assert counts.shape == (4, len(DEFAULT_GRID))
             ds = sample_dataset(m, DEFAULT_GRID, 512, seed=seed)
-            assert row.tolist() == [r.ones for r in ds.records]
+            assert counts[0].tolist() == [r.ones for r in ds.records]
+
+    def test_one_generator_per_block(self):
+        # stream contract: one default_rng(seed mod 2**64) draws the whole
+        # block with a single binomial call
+        m = NoiseModel(0.9, 0.05, 0.1, 1.02)
+        p = noisy_prob(m, DEFAULT_GRID.times())
+        expected = np.random.default_rng(2**63 + 1).binomial(
+            256, p, size=(50, len(p)))
+        assert np.array_equal(
+            sample_counts(m, DEFAULT_GRID, 256, 2**63 + 1, 50), expected)
+
+    def test_rows_do_not_depend_on_runs(self):
+        m = NoiseModel(0.9, 0.05, 0.0, 1.0)
+        grid = make_grid(0.0, 6.3, 0.05)
+        longest = sample_counts(m, grid, 256, 11, 30)
+        for runs in (1, 2, 7, 29):
+            assert np.array_equal(sample_counts(m, grid, 256, 11, runs),
+                                  longest[:runs])
 
     def test_invalid_shots(self):
         with pytest.raises(ValueError):
-            sample_counts(IDEAL, DEFAULT_GRID, 0, [1])
+            sample_counts(IDEAL, DEFAULT_GRID, 0, 1, 2)
 
 
 class TestExactDataset:
