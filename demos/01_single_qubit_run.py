@@ -18,7 +18,7 @@ grid = make_grid(0, 6.3, 0.1)
 
 dataset = sample_dataset(model, grid, shots=8192, seed=42, label="demo-qubit")
 save_csv(dataset, "demo_qubit.csv")
-print(f"sampled {len(dataset)} time instants x {dataset.records[0].shots} shots")
+print(f"sampled {len(dataset)} time instants x {dataset.shots[0]} shots")
 
 result = estimate_pi(dataset, EstimateConfig())
 print(f"rough->refined amplitude  alpha_hat = {result.alpha_hat:.4f}")

@@ -132,16 +132,15 @@ def _format_failures(s) -> str:
 
 def _experiment(ds) -> tuple:
     """The uniform time grid and the shot count ``ds`` was taken with."""
-    t = ds.times()
+    t = ds.t
     start, stop = float(t[0]), float(t[-1])
     grid = make_grid(start, stop, (stop - start) / (len(t) - 1))
     if not np.array_equal(grid.times(), t):
         raise PipelineError("report", f"{ds.label}: times are not a uniform grid")
-    shots = {r.shots for r in ds.records}
-    if len(shots) > 1:
-        raise PipelineError("report", f"{ds.label}: shots vary by row "
-                                      f"({min(shots)} to {max(shots)})")
-    return grid, shots.pop()
+    lo, hi = ds.shots.min(), ds.shots.max()
+    if lo != hi:
+        raise PipelineError("report", f"{ds.label}: shots vary by row ({lo} to {hi})")
+    return grid, int(lo)
 
 
 def _cmd_simulate(args) -> int:
@@ -210,9 +209,8 @@ def _cmd_report(args) -> int:
     datasets = [load_csv(p) for p in args.datasets]
     lines = ["=== input summary ==="]
     for ds in datasets:
-        shots = ds.records[0].shots
-        lines.append(f"{ds.label}: {len(ds)} records, {shots} shots, "
-                     f"t in [{ds.times()[0]:.4g}, {ds.times()[-1]:.4g}]")
+        lines.append(f"{ds.label}: {len(ds)} records, {ds.shots[0]} shots, "
+                     f"t in [{ds.t[0]:.4g}, {ds.t[-1]:.4g}]")
 
     lines.append("")
     lines.append("=== screening ===")

@@ -12,9 +12,10 @@ Times are written as their shortest exact decimal representation so that
 parse(write(ds)) reproduces the dataset bit for bit.
 """
 
+import math
 import os
 
-from .simulate import Dataset, ShotRecord
+from .simulate import Dataset
 
 __all__ = ["CsvFormatError", "parse_csv", "write_csv", "load_csv", "save_csv", "save_text"]
 
@@ -46,8 +47,7 @@ def parse_csv(text: str, default_label: str = "") -> Dataset:
             f"got {lines[lineno].strip() if lineno < len(lines) else '<eof>'!r}")
     lineno += 1
 
-    records = []
-    prev_t = None
+    rows = []
     for raw in lines[lineno:]:
         lineno += 1
         line = raw.strip()
@@ -66,13 +66,15 @@ def parse_csv(text: str, default_label: str = "") -> Dataset:
             raise CsvFormatError(f"line {lineno}: shots must be >= 1, got {shots}")
         if not 0 <= ones <= shots:
             raise CsvFormatError(f"line {lineno}: ones={ones} outside [0, {shots}]")
-        if prev_t is not None and t <= prev_t:
-            raise CsvFormatError(f"line {lineno}: non-increasing time {t} after {prev_t}")
-        prev_t = t
-        records.append(ShotRecord(t=t, shots=shots, ones=ones))
-    if len(records) < 2:
+        if not math.isfinite(t):
+            raise CsvFormatError(f"line {lineno}: time {t} is not finite")
+        if rows and t <= rows[-1][0]:
+            raise CsvFormatError(
+                f"line {lineno}: non-increasing time {t} after {rows[-1][0]}")
+        rows.append((t, shots, ones))
+    if len(rows) < 2:
         raise CsvFormatError(f"line {lineno}: need at least 2 data rows")
-    return Dataset(records=tuple(records), label=label)
+    return Dataset(*zip(*rows), label=label)
 
 
 def _format_time(t: float) -> str:
@@ -86,8 +88,8 @@ def write_csv(ds: Dataset) -> str:
     if ds.label:
         lines.append(f"# label: {ds.label}")
     lines.append(HEADER)
-    for r in ds.records:
-        lines.append(f"{_format_time(r.t)},{r.shots},{r.ones}")
+    for t, shots, ones in zip(ds.t.tolist(), ds.shots.tolist(), ds.ones.tolist()):
+        lines.append(f"{_format_time(t)},{shots},{ones}")
     return "\n".join(lines) + "\n"
 
 

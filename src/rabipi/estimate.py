@@ -13,7 +13,8 @@ crossings of the normalized curve and I is the trapezoidal integral of
      solved exactly on its segment
   5. refine amplitude/offset from plateau averages near the extrema
   6. re-normalize with the refined constants
-  7. refine each crossing with a local least-squares line
+  7. refine each crossing with a local least-squares line; a refined
+     crossing outside the data range fails here
   8. trapezoidal integral of the normalized curve minus 1/2
   9. pi_hat = (t2 - t1) / I
 
@@ -72,15 +73,12 @@ class EstimateConfig:
     root_start_1: float = 1.5   # root search start for the first crossing
     root_start_2: float = 4.5   # root search start for the second crossing
     refine_window: float = 0.5  # half-width of the linear-fit window
-    level: float = 0.5          # crossing level
 
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
         if self.refine_window <= 0:
             raise ValueError(f"refine_window must be > 0, got {self.refine_window}")
-        if not 0 < self.level < 1:
-            raise ValueError(f"level must be in (0, 1), got {self.level}")
         if self.root_start_1 >= self.root_start_2:
             raise ValueError("root_start_1 must be below root_start_2")
 
@@ -264,7 +262,11 @@ def _refine_crossing_linear(t, f1, t_i, window, level, fails):
     slope = (dt * (f1 - f_mean[:, None])).sum(axis=1) / (dt * dt).sum(axis=1)
     fails.check(np.abs(slope) >= 1e-12, "refine_crossing_linear",
                 lambda r: f"fitted slope {slope[r]} too small; no crossing defined")
-    return t_mean + (level - f_mean) / slope
+    t_hat = t_mean + (level - f_mean) / slope
+    fails.check((t[0] <= t_hat) & (t_hat <= t[-1]), "refine_crossing_linear",
+                lambda r: f"refined crossing {t_hat[r]} outside data range "
+                          f"[{t[0]}, {t[-1]}]")
+    return t_hat
 
 
 def _trapezoid_integral(t, f1, t1, t2, level, fails):
@@ -361,7 +363,8 @@ def refine_alpha_beta(curve: NormalizedCurve, t1_hat: float, t2_hat: float,
 def refine_crossing_linear(curve: NormalizedCurve, t_i: float,
                            window: float = 0.5, level: float = 0.5) -> float:
     """Refine a crossing by a line through the points with |t - t_i| <= window,
-    a distance within ``_TIE_STEPS`` grid steps of the edge counting as on it."""
+    a distance within ``_TIE_STEPS`` grid steps of the edge counting as on it.
+    Raises when the line meets ``level`` outside the data range."""
     return float(_on_one_row(_refine_crossing_linear, curve.t, curve.f1[None],
                              _row(t_i), window, level)[0])
 
@@ -393,12 +396,13 @@ def estimate_rows(times, fractions,
     if t.ndim != 1 or len(t) < 2 or f.ndim != 2 or f.shape[1] != len(t):
         raise ValueError(f"need >= 2 times and one column of fractions per "
                          f"time, got times {t.shape} and fractions {f.shape}")
+    level = 0.5  # pi = (t2 - t1) / I holds between half-level crossings only
     fails = _Failures(len(f))
     with np.errstate(all="ignore"):
         alpha1, beta1 = _rough_alpha_beta(f, fails)
         f1 = _normalize(f, alpha1, beta1, fails)
-        t1_rough = _find_crossing(t, f1, cfg.root_start_1, cfg.level, fails)
-        t2_rough = _find_crossing(t, f1, cfg.root_start_2, cfg.level, fails)
+        t1_rough = _find_crossing(t, f1, cfg.root_start_1, level, fails)
+        t2_rough = _find_crossing(t, f1, cfg.root_start_2, level, fails)
         alpha5, beta5, t_minval, t_maxval = _refine_alpha_beta(
             t, f1, t1_rough, t2_rough, cfg.delta, fails)
         fails.check(alpha5 > 0, "refine_alpha_beta",
@@ -409,13 +413,13 @@ def estimate_rows(times, fractions,
         beta_hat = beta1 + alpha1 * beta5
         f1 = _normalize(f, alpha_hat, beta_hat, fails)
         t1_hat = _refine_crossing_linear(t, f1, t1_rough, cfg.refine_window,
-                                         cfg.level, fails)
+                                         level, fails)
         t2_hat = _refine_crossing_linear(t, f1, t2_rough, cfg.refine_window,
-                                         cfg.level, fails)
+                                         level, fails)
         fails.check(t1_hat < t2_hat, "refine_crossing_linear",
                     lambda r: f"refined crossings out of order: "
                               f"{t1_hat[r]} >= {t2_hat[r]}")
-        integral = _trapezoid_integral(t, f1, t1_hat, t2_hat, cfg.level, fails)
+        integral = _trapezoid_integral(t, f1, t1_hat, t2_hat, level, fails)
         fails.check(integral > 0, "trapezoid_integral",
                     lambda r: f"integral {integral[r]} is not positive")
         pi_hat = (t2_hat - t1_hat) / integral
@@ -534,9 +538,8 @@ def screen_dataset(ds: Dataset) -> ScreenVerdict:
     t = ds.times()
     jump = np.abs(np.diff(ds.fractions()))
     if jump.any():  # constant fractions have no rate to fit
-        shots = np.array([r.shots for r in ds.records])
         threshold = (fit_model(ds).c * np.diff(t) / 2
-                     + 5 * np.sqrt(0.25 / np.minimum(shots[:-1], shots[1:])))
+                     + 5 * np.sqrt(0.25 / np.minimum(ds.shots[:-1], ds.shots[1:])))
         i = np.argmax(jump > threshold)  # the first jump over, if any
         if jump[i] > threshold[i]:
             return ScreenVerdict(

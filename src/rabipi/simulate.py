@@ -3,9 +3,9 @@
 Each dataset mimics one qubit: a grid of rotation times, a fixed number of
 measurement shots per time, and the count of |1> outcomes drawn from a
 binomial distribution with the model probability.  Sampling is reproducible:
-one seed drives one generator, which draws every record of the dataset in
+one seed drives one generator, which draws every row of the dataset in
 grid order with a single binomial call; a block of datasets is the same
-stream continued row after row.  A record's count therefore depends on the
+stream continued row after row.  A row's count therefore depends on the
 whole grid, not only on its own time; identical inputs still give
 bit-identical datasets.
 """
@@ -20,7 +20,6 @@ from .model import NoiseModel, noisy_prob
 
 __all__ = [
     "TimeGrid",
-    "ShotRecord",
     "Dataset",
     "DEFAULT_GRID",
     "DEFAULT_SHOTS",
@@ -62,49 +61,58 @@ class TimeGrid:
         return len(self.times())
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """Measurement tally at one time instant."""
-
-    t: float
-    shots: int
-    ones: int
-
-    def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if not 0 <= self.ones <= self.shots:
-            raise ValueError(f"ones must be in [0, {self.shots}], got {self.ones}")
-
-    @property
-    def fraction(self) -> float:
-        return self.ones / self.shots
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Ordered shot records for one qubit."""
+    """Shot counts for one qubit: ``ones[i]`` of ``shots[i]`` measurements at
+    time ``t[i]`` gave |1>.  The columns are read-only float64 (``t``) and int64
+    arrays; a scalar ``shots`` applies to every row.  ``==`` compares the label
+    and the columns by value; a dataset is not hashable."""
 
-    records: tuple
+    t: np.ndarray
+    shots: np.ndarray
+    ones: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        recs = tuple(self.records)
-        object.__setattr__(self, "records", recs)
-        if len(recs) < 2:
+        t = np.array(self.t, dtype=np.float64)
+        try:
+            shots = np.array(np.broadcast_to(self.shots, t.shape), dtype=np.int64)
+            ones = np.array(self.ones, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("shots and ones must fit in int64") from None
+        if t.ndim != 1 or ones.shape != t.shape:
+            raise ValueError(f"columns must be 1-d and of equal length, got t {t.shape}, "
+                             f"shots {np.shape(self.shots)}, ones {ones.shape}")
+        for name, col in (("t", t), ("shots", shots), ("ones", ones)):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        if (shots < 1).any():
+            raise ValueError(f"shots must be >= 1, got {shots[shots < 1][0]}")
+        bad = np.flatnonzero((ones < 0) | (ones > shots))
+        if len(bad):
+            raise ValueError(f"ones must be in [0, {shots[bad[0]]}], got {ones[bad[0]]}")
+        if len(t) < 2:
             raise ValueError("dataset needs at least 2 records")
-        ts = [r.t for r in recs]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        if not np.isfinite(t).all():
+            raise ValueError("record times must be finite")
+        if (np.diff(t) <= 0).any():
             raise ValueError("record times must be strictly increasing")
 
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.label == other.label and all(
+            np.array_equal(getattr(self, c), getattr(other, c))
+            for c in ("t", "shots", "ones"))
+
     def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
+        return self.t
 
     def fractions(self) -> np.ndarray:
-        return np.array([r.fraction for r in self.records])
+        return self.ones / self.shots
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.t)
 
 
 def make_grid(start: float = 0.0, stop: float = 6.3, step: float = 0.1) -> TimeGrid:
@@ -113,12 +121,6 @@ def make_grid(start: float = 0.0, stop: float = 6.3, step: float = 0.1) -> TimeG
 
 
 DEFAULT_GRID = make_grid()
-
-
-def _dataset(times: np.ndarray, shots: int, ones: np.ndarray, label: str) -> Dataset:
-    return Dataset(records=tuple(
-        ShotRecord(t=t, shots=shots, ones=k)
-        for t, k in zip(times.tolist(), ones.tolist())), label=label)
 
 
 def sample_counts(model: NoiseModel, grid: TimeGrid, shots: int, seed: int,
@@ -142,11 +144,11 @@ def sample_dataset(model: NoiseModel, grid: TimeGrid, shots: int = DEFAULT_SHOTS
 
     The counts are ``sample_counts(model, grid, shots, seed, 1)[0]``: one
     generator seeded with ``seed`` draws them all in grid order, so identical
-    inputs always give bit-identical datasets.  Records are not independent
+    inputs always give bit-identical datasets.  Rows are not independent
     of the grid they are drawn on: sampling a sub-grid gives different counts.
     """
-    ones = sample_counts(model, grid, shots, seed, 1)[0]
-    return _dataset(grid.times(), shots, ones, label)
+    return Dataset(grid.times(), shots, sample_counts(model, grid, shots, seed, 1)[0],
+                   label)
 
 
 def exact_dataset(model: NoiseModel, grid: TimeGrid, shots: int = 2**40,
@@ -157,8 +159,7 @@ def exact_dataset(model: NoiseModel, grid: TimeGrid, shots: int = 2**40,
     probability; convenient for checking the deterministic pipeline bias.
     """
     times = grid.times()
-    ones = np.round(noisy_prob(model, times) * shots).astype(np.int64)
-    return _dataset(times, shots, ones, label)
+    return Dataset(times, shots, np.round(noisy_prob(model, times) * shots), label)
 
 
 def inject_step(ds: Dataset, t_jump: float, offset: float) -> Dataset:
@@ -167,14 +168,8 @@ def inject_step(ds: Dataset, t_jump: float, offset: float) -> Dataset:
     Models an abrupt calibration change between hardware jobs; used to
     exercise dataset screening.
     """
-    ts = ds.times()
-    if not ts[0] <= t_jump <= ts[-1]:
-        raise ValueError(f"t_jump {t_jump} outside data range [{ts[0]}, {ts[-1]}]")
-    records = []
-    for r in ds.records:
-        if r.t >= t_jump:
-            ones = int(min(max(round(r.ones + offset * r.shots), 0), r.shots))
-            records.append(ShotRecord(t=r.t, shots=r.shots, ones=ones))
-        else:
-            records.append(r)
-    return Dataset(records=tuple(records), label=ds.label)
+    t = ds.t
+    if not t[0] <= t_jump <= t[-1]:
+        raise ValueError(f"t_jump {t_jump} outside data range [{t[0]}, {t[-1]}]")
+    shifted = np.clip(np.round(ds.ones + offset * ds.shots), 0, ds.shots)
+    return Dataset(t, ds.shots, np.where(t >= t_jump, shifted, ds.ones), ds.label)

@@ -3,18 +3,19 @@ import random
 import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import rabipi.cli
 import rabipi.estimate
 import rabipi.montecarlo
 from rabipi.cli import cli_main
-from rabipi.dataio import load_csv, save_csv
+from rabipi.dataio import load_csv, save_csv, write_csv
 from rabipi.estimate import EstimateConfig, estimate_pi
 from rabipi.model import IDEAL, NoiseModel, noisy_prob
 from rabipi.montecarlo import McConfig, run_mc
-from rabipi.simulate import DEFAULT_GRID, Dataset, ShotRecord, inject_step, \
-    make_grid, sample_dataset
+from rabipi.simulate import DEFAULT_GRID, Dataset, inject_step, make_grid, \
+    sample_dataset
 
 
 def run(args):
@@ -48,8 +49,8 @@ class TestEstimate:
         assert f"pi_hat     = {expected.pi_hat:.6f}" in printed
         # the parsed dataset itself is bit-identical (label comes from the file)
         parsed = load_csv(out)
-        assert parsed.records == sample_dataset(IDEAL, DEFAULT_GRID, 8192,
-                                                seed=7).records
+        expected = sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=7, label="q.csv")
+        assert parsed == expected
 
     def test_missing_file(self, capsys):
         assert run(["estimate", "missing.csv"]) == 1
@@ -122,6 +123,20 @@ class TestFitScreenMc:
             values = [float(line.split("=")[1])
                       for line in capsys.readouterr().out.splitlines()]
             assert len(values) == 4 and all(map(math.isfinite, values))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_time_named_by_line(self, tmp_path, capsys, bad):
+        # a 64-row file whose last time is not finite fails at parsing, not
+        # at a later step that cannot say where the bad value came from
+        ds = sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=7)
+        lines = write_csv(ds).splitlines()
+        lines[-1] = f"{bad}," + lines[-1].split(",", 1)[1]
+        p = tmp_path / "bad.csv"
+        p.write_text("\n".join(lines) + "\n")
+        for cmd in ("estimate", "fit", "screen"):
+            assert run([cmd, str(p)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: line 65: time {bad} is not finite\n", cmd
 
     def test_three_records_too_few_to_fit(self, tmp_path, capsys):
         # four parameters cannot be fitted through three points
@@ -200,10 +215,11 @@ class TestPlotReport:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda ds: ds, "differ in time grid or shots"),
-        (lambda ds: Dataset(ds.records[:10] + ds.records[11:], ds.label),
+        (lambda ds: Dataset(np.delete(ds.t, 10), ds.shots[1:],
+                            np.delete(ds.ones, 10), ds.label),
          "not a uniform grid"),
-        (lambda ds: Dataset((ShotRecord(0.0, 8192, 2 * ds.records[0].ones),)
-                            + ds.records[1:], ds.label),
+        (lambda ds: Dataset(ds.t, [8192, *ds.shots[1:]],
+                            [2 * ds.ones[0], *ds.ones[1:]], ds.label),
          "shots vary by row"),
     ], ids=["other_shots", "gap_in_times", "shots_by_row"])
     def test_report_refuses_mixed_experiments(self, tmp_path, capsys, edit,

@@ -3,8 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from rabipi.dataio import CsvFormatError, parse_csv, write_csv
 from rabipi.model import IDEAL, NoiseModel
-from rabipi.simulate import DEFAULT_GRID, Dataset, ShotRecord, make_grid, \
-    sample_dataset
+from rabipi.simulate import DEFAULT_GRID, Dataset, make_grid, sample_dataset
 
 HEADER = "t,shots,ones\n"
 
@@ -12,7 +11,8 @@ HEADER = "t,shots,ones\n"
 class TestParseCsv:
     def test_single_row(self):
         ds = parse_csv(HEADER + "0.0,8192,12\n0.1,8192,95\n")
-        assert ds.records[0] == ShotRecord(t=0.0, shots=8192, ones=12)
+        assert (ds.t[0], ds.shots[0], ds.ones[0]) == (0.0, 8192, 12)
+        assert ds == Dataset([0.0, 0.1], 8192, [12, 95])
         assert ds.label == ""
 
     def test_label_comment(self):
@@ -38,6 +38,18 @@ class TestParseCsv:
     def test_non_numeric_field_rejected(self):
         with pytest.raises(CsvFormatError, match="line 2"):
             parse_csv(HEADER + "abc,8,1\n")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(CsvFormatError, match=f"line 4: time {bad} is not finite"):
+            parse_csv(HEADER + f"0.0,8,1\n0.1,8,1\n{bad},8,1\n")
+        with pytest.raises(CsvFormatError, match=f"line 2: time {bad} is not finite"):
+            parse_csv(HEADER + f"{bad},8,1\n0.1,8,1\n")
+
+    def test_counts_beyond_int64_rejected(self):
+        big = 10**20
+        with pytest.raises(ValueError, match="int64"):
+            parse_csv(HEADER + f"0.0,{big},1\n0.1,{big},2\n")
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(CsvFormatError):
@@ -73,8 +85,6 @@ class TestWriteCsv:
         label = label.strip()
         if label.lower().startswith("label:"):
             label = "x" + label
-        records = tuple(
-            ShotRecord(t=t, shots=shots, ones=int(f * shots))
-            for t, f in zip(sorted(times), fracs))
-        ds = Dataset(records=records, label=label)
+        times = sorted(times)
+        ds = Dataset(times, shots, [int(f * shots) for f in fracs[:len(times)]], label)
         assert parse_csv(write_csv(ds)) == ds

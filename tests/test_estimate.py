@@ -13,7 +13,7 @@ from rabipi.estimate import (EstimateConfig, NormalizedCurve, PipelineError,
                              rough_alpha_beta, screen_dataset,
                              trapezoid_integral)
 from rabipi.model import IDEAL, NoiseModel, noisy_prob
-from rabipi.simulate import (DEFAULT_GRID, Dataset, ShotRecord, exact_dataset,
+from rabipi.simulate import (DEFAULT_GRID, Dataset, exact_dataset,
                              inject_step, make_grid, sample_dataset)
 
 GRID_TIMES = DEFAULT_GRID.times()
@@ -25,16 +25,12 @@ def ideal_curve() -> NormalizedCurve:
 
 
 def constant_dataset(frac=0.7, shots=1000):
-    recs = tuple(ShotRecord(t=float(t), shots=shots, ones=int(frac * shots))
-                 for t in GRID_TIMES)
-    return Dataset(records=recs)
+    return Dataset(GRID_TIMES, shots, np.full(len(GRID_TIMES), int(frac * shots)))
 
 
 class TestRoughAlphaBeta:
     def test_from_span(self):
-        recs = (ShotRecord(0.0, 1000, 100), ShotRecord(1.0, 1000, 900),
-                ShotRecord(2.0, 1000, 500))
-        a, b = rough_alpha_beta(Dataset(records=recs))
+        a, b = rough_alpha_beta(Dataset([0.0, 1.0, 2.0], 1000, [100, 900, 500]))
         assert (a, b) == pytest.approx((0.8, 0.1))
 
     def test_exact_ideal_on_grid(self):
@@ -52,15 +48,12 @@ class TestRoughAlphaBeta:
 
 class TestNormalize:
     def test_fixed_points(self):
-        recs = (ShotRecord(0.0, 1000, 100), ShotRecord(1.0, 1000, 900))
-        curve = normalize(Dataset(records=recs), 0.8, 0.1)
+        curve = normalize(Dataset([0.0, 1.0], 1000, [100, 900]), 0.8, 0.1)
         assert curve.f1[0] == pytest.approx(0.0)
         assert curve.f1[1] == pytest.approx(1.0)
 
     def test_midpoint_affine_invariant(self):
-        recs = (ShotRecord(0.0, 1000, 500), ShotRecord(1.0, 1000, 500),
-                ShotRecord(2.0, 1000, 100))
-        curve = normalize(Dataset(records=recs), 0.8, 0.1)
+        curve = normalize(Dataset([0.0, 1.0, 2.0], 1000, [500, 500, 100]), 0.8, 0.1)
         assert curve.f1[0] == pytest.approx(0.5)
 
     def test_nonpositive_alpha_rejected(self):
@@ -216,6 +209,18 @@ class TestRefineCrossingLinear:
         with pytest.raises(PipelineError):
             refine_crossing_linear(curve, 0.0, 0.5)
 
+    @pytest.mark.parametrize("f1,t_i,beyond", [
+        (0.4 * np.linspace(0, 1, 11), 0.9, 1.25),   # past the last time
+        (0.6 + 0.4 * np.linspace(0, 1, 11), 0.1, -0.25),  # before the first
+    ])
+    def test_extrapolation_past_data_rejected(self, f1, t_i, beyond):
+        # the windowed line reaches the level only outside [0, 1]
+        curve = NormalizedCurve(np.linspace(0, 1, 11), f1)
+        with pytest.raises(PipelineError, match="outside data range") as exc:
+            refine_crossing_linear(curve, t_i, 0.5)
+        assert exc.value.step == "refine_crossing_linear"
+        assert float(str(exc.value).split()[3]) == pytest.approx(beyond)
+
 
 class TestTrapezoidIntegral:
     def test_paper_benchmark(self):
@@ -334,6 +339,11 @@ class TestEstimatePi:
             estimate_pi(constant_dataset())
         assert exc.value.step == "rough_alpha_beta"
 
+    def test_crossing_level_is_not_configurable(self):
+        # the unit-area identity holds between half-level crossings only
+        with pytest.raises(TypeError):
+            EstimateConfig(level=0.3)
+
 
 class TestEstimateRows:
     def test_rows_match_single_dataset_calls(self):
@@ -442,9 +452,9 @@ class TestFitModel:
         # two samples ``gap`` apart, as a CSV may hold: a scan up to
         # pi / min dt would evaluate 2 * span / gap rates
         truth = NoiseModel(0.8, 0.1, 0.2, 1.05)
-        r = sample_dataset(truth, DEFAULT_GRID, 8192, seed=17).records
-        extra = ShotRecord(r[59].t + gap, r[59].shots, r[59].ones)
-        ds = Dataset(records=r[:60] + (extra,) + r[60:])
+        r = sample_dataset(truth, DEFAULT_GRID, 8192, seed=17)
+        ds = Dataset(np.insert(r.t, 60, r.t[59] + gap), 8192,
+                     np.insert(r.ones, 60, r.ones[59]))
         batches = []
         fit_at_rates = rabipi.estimate._fit_at_rates
 
@@ -454,7 +464,7 @@ class TestFitModel:
 
         monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", counted)
         m = fit_model(ds)
-        assert max(batches) < 2 * len(ds.records)
+        assert max(batches) < 2 * len(ds)
         assert m.alpha == pytest.approx(truth.alpha, abs=0.02)
         assert m.beta == pytest.approx(truth.beta, abs=0.02)
         assert m.phi0 == pytest.approx(truth.phi0, abs=0.02)
@@ -465,14 +475,15 @@ class TestFitModel:
         ds = sample_dataset(NoiseModel(0.9, 0.05, 0.0, 2.0), DEFAULT_GRID,
                             8192, seed=100)
         whole = fit_model(ds)
-        monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", 3 * len(ds.records))
+        monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", 3 * len(ds))
         assert fit_model(ds) == whole
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_underdetermined_rejected(self, n):
         # four parameters through fewer than four points: any of many
         # curves fits exactly, so no answer would mean anything
-        ds = Dataset(records=exact_dataset(IDEAL, DEFAULT_GRID).records[10:10 + n])
+        full = exact_dataset(IDEAL, DEFAULT_GRID)
+        ds = Dataset(full.t[10:10 + n], full.shots[10:10 + n], full.ones[10:10 + n])
         with pytest.raises(PipelineError, match="fit_model"):
             fit_model(ds)
 

@@ -13,19 +13,19 @@ def _elements(svg, tag):
     return root.findall(f".//{SVG_NS}{tag}")
 
 
-def _dataset():
+def _sampled():
     return sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=21)
 
 
 class TestRenderSvg:
     def test_points_only(self):
-        ds = _dataset()
+        ds = _sampled()
         svg = render_svg(ds)
         assert len(_elements(svg, "circle")) == len(ds)
         assert len(_elements(svg, "polyline")) == 0
 
     def test_fitted_curve_polyline(self):
-        ds = _dataset()
+        ds = _sampled()
         svg = render_svg(ds, model=fit_model(ds))
         polylines = [e for e in _elements(svg, "polyline")
                      if e.get("class") == "fit"]
@@ -33,7 +33,7 @@ class TestRenderSvg:
         assert len(polylines[0].get("points").split()) == 200
 
     def test_crossing_markers(self):
-        ds = _dataset()
+        ds = _sampled()
         svg = render_svg(ds, model=fit_model(ds), result=estimate_pi(ds))
         crossings = [e for e in _elements(svg, "line")
                      if e.get("class") == "crossing"]
@@ -42,13 +42,13 @@ class TestRenderSvg:
         assert len(levels) == 1
 
     def test_axis_labels(self):
-        svg = render_svg(_dataset())
+        svg = render_svg(_sampled())
         texts = [e.text for e in _elements(svg, "text")]
         assert "rotation angle t" in texts
         assert "fraction of |1⟩" in texts
 
     def test_well_formed_xml(self):
-        ds = _dataset()
+        ds = _sampled()
         for svg in (render_svg(ds),
                     render_svg(ds, model=IDEAL),
                     render_svg(ds, model=IDEAL, result=estimate_pi(ds))):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from rabipi.model import IDEAL, NoiseModel, noisy_prob
-from rabipi.simulate import (DEFAULT_GRID, Dataset, ShotRecord, exact_dataset,
-                             inject_step, make_grid, sample_counts,
-                             sample_dataset)
+from rabipi.simulate import (DEFAULT_GRID, Dataset, exact_dataset, inject_step,
+                             make_grid, sample_counts, sample_dataset)
 
 
 class TestMakeGrid:
@@ -30,19 +29,67 @@ class TestMakeGrid:
 
 class TestRecordsAndDataset:
     def test_ones_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            ShotRecord(t=0.0, shots=10, ones=11)
-        with pytest.raises(ValueError):
-            ShotRecord(t=0.0, shots=0, ones=0)
+        with pytest.raises(ValueError, match=r"ones must be in \[0, 10\], got 11"):
+            Dataset([0.0, 1.0], 10, [5, 11])
+        with pytest.raises(ValueError, match=r"ones must be in \[0, 10\], got -1"):
+            Dataset([0.0, 1.0], 10, [-1, 5])
+        with pytest.raises(ValueError, match="shots must be >= 1, got 0"):
+            Dataset([0.0, 1.0], [8, 0], [0, 0])
 
     def test_times_must_increase(self):
-        r = ShotRecord(t=0.2, shots=8, ones=1)
-        with pytest.raises(ValueError):
-            Dataset(records=(r, ShotRecord(t=0.1, shots=8, ones=1)))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Dataset([0.2, 0.1], 8, [1, 1])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Dataset([0.1, 0.1], 8, [1, 1])
 
     def test_needs_two_records(self):
+        with pytest.raises(ValueError, match="at least 2 records"):
+            Dataset([0.0], 8, [1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_times_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset([0.0, 1.0, bad], 8, [1, 1, 1])
+
+    def test_columns_must_match(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Dataset([0.0, 1.0, 2.0], 8, [1, 1])
         with pytest.raises(ValueError):
-            Dataset(records=(ShotRecord(t=0.0, shots=8, ones=1),))
+            Dataset([0.0, 1.0, 2.0], [8, 8], [1, 1, 1])
+
+    def test_columns(self):
+        ds = Dataset([0.0, 1.0], 1000, [100, 900], "q")
+        assert ds.t.dtype == np.float64 and ds.t.tolist() == [0.0, 1.0]
+        assert ds.shots.dtype == np.int64 and ds.shots.tolist() == [1000, 1000]
+        assert ds.ones.dtype == np.int64 and ds.ones.tolist() == [100, 900]
+        assert ds.times() is ds.t
+        assert ds.fractions().tolist() == [0.1, 0.9]
+        assert len(ds) == 2
+
+    def test_columns_are_read_only(self):
+        t, ones = np.array([0.0, 1.0]), np.array([100, 900])
+        ds = Dataset(t, 1000, ones)
+        for col in (ds.t, ds.shots, ds.ones):
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 1
+        with pytest.raises(AttributeError):
+            ds.ones = ones
+        # the caller's arrays are copied, so changing them leaves ds as it was
+        t[0], ones[0] = -1.0, 0
+        assert ds == Dataset([0.0, 1.0], 1000, [100, 900])
+
+    def test_equality_by_value(self):
+        ds = Dataset([0.0, 1.0], 1000, [100, 900], "q")
+        assert ds == Dataset(np.array([0.0, 1.0]), [1000, 1000], (100, 900), "q")
+        assert ds != Dataset([0.0, 1.0], 1000, [100, 900], "r")
+        assert ds != Dataset([0.0, 1.0], 1000, [100, 901], "q")
+        assert ds != Dataset([0.0, 1.0], [1000, 1001], [100, 900], "q")
+        assert ds != Dataset([0.0, 1.5], 1000, [100, 900], "q")
+        assert ds != Dataset([0.0, 1.0, 2.0], 1000, [100, 900, 0], "q")
+        assert ds != "q"
+        with pytest.raises(TypeError):
+            hash(ds)
 
 
 class TestSampleDataset:
@@ -61,26 +108,25 @@ class TestSampleDataset:
     def test_p_zero_is_deterministic(self):
         for seed in (0, 1, 999):
             ds = sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=seed)
-            assert ds.records[0].ones == 0  # ideal p(0) = 0
+            assert ds.ones[0] == 0  # ideal p(0) = 0
 
     def test_near_pi_fraction_close_to_one(self):
         # grid point 3.1 has p > 0.999; f > 0.99 except with prob < 1e-3
         ds = sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=3)
         i = int(np.argmin(np.abs(ds.times() - 3.1)))
-        assert ds.records[i].fraction > 0.99
+        assert ds.fractions()[i] > 0.99
 
     def test_binomial_mean_and_std_at_half(self):
         # p(0) = 0.5 when phi0 = pi/2; binomial mean 4096, sigma 45.25
         m = NoiseModel(1, 0, math.pi / 2, 1)
         grid = make_grid(0, 0.1, 0.1)
-        ones = [sample_dataset(m, grid, 8192, seed=s).records[0].ones
-                for s in range(1000)]
+        ones = [sample_dataset(m, grid, 8192, seed=s).ones[0] for s in range(1000)]
         assert abs(np.mean(ones) - 4096) < 5
         assert abs(np.std(ones, ddof=1) - 45.25) < 3
 
     def test_law_of_large_numbers(self):
         ds = sample_dataset(IDEAL, DEFAULT_GRID, 10**6, seed=11)
-        probs = np.array([noisy_prob(IDEAL, r.t) for r in ds.records])
+        probs = np.array([noisy_prob(IDEAL, t) for t in ds.t])
         assert np.max(np.abs(ds.fractions() - probs)) < 0.005
 
     def test_invalid_shots(self):
@@ -95,7 +141,8 @@ class TestSampleDataset:
         ds = sample_dataset(m, DEFAULT_GRID, 8192, seed=seed)
         p = noisy_prob(m, DEFAULT_GRID.times())
         expected = np.random.default_rng(seed % 2**64).binomial(8192, p)
-        assert [r.ones for r in ds.records] == expected.tolist()
+        assert ds.ones.tolist() == expected.tolist()
+        assert ds.shots.tolist() == [8192] * len(DEFAULT_GRID)
 
 
 class TestSampleCounts:
@@ -106,7 +153,7 @@ class TestSampleCounts:
             counts = sample_counts(m, DEFAULT_GRID, 512, seed, 4)
             assert counts.shape == (4, len(DEFAULT_GRID))
             ds = sample_dataset(m, DEFAULT_GRID, 512, seed=seed)
-            assert counts[0].tolist() == [r.ones for r in ds.records]
+            assert counts[0].tolist() == ds.ones.tolist()
 
     def test_one_generator_per_block(self):
         # stream contract: one default_rng(seed mod 2**64) draws the whole
@@ -134,14 +181,13 @@ class TestSampleCounts:
 class TestExactDataset:
     def test_fractions_match_probabilities(self):
         ds = exact_dataset(IDEAL, DEFAULT_GRID)
-        probs = np.array([noisy_prob(IDEAL, r.t) for r in ds.records])
+        probs = np.array([noisy_prob(IDEAL, t) for t in ds.t])
         assert np.max(np.abs(ds.fractions() - probs)) < 1e-12
 
     def test_counts_are_rounded_scalar_probabilities(self):
         m = NoiseModel(0.8, 0.1, 0.2, 1.05)
         ds = exact_dataset(m, DEFAULT_GRID, shots=10**6)
-        assert [r.ones for r in ds.records] == [
-            round(noisy_prob(m, r.t) * 10**6) for r in ds.records]
+        assert ds.ones.tolist() == [round(noisy_prob(m, t) * 10**6) for t in ds.t]
 
 
 class TestInjectStep:
@@ -152,17 +198,37 @@ class TestInjectStep:
     def test_fractions_shift_after_jump(self):
         ds = exact_dataset(IDEAL, DEFAULT_GRID, shots=10**6)
         shifted = inject_step(ds, 4.0, 0.15)
-        for old, new in zip(ds.records, shifted.records):
-            if old.t >= 4.0 and old.fraction + 0.15 <= 1.0:
-                assert new.fraction == pytest.approx(old.fraction + 0.15, abs=1e-6)
-            elif old.t < 4.0:
-                assert new == old
+        assert np.array_equal(shifted.t, ds.t) and np.array_equal(shifted.shots, ds.shots)
+        for t, old, new, k_old, k_new in zip(ds.t, ds.fractions(), shifted.fractions(),
+                                             ds.ones, shifted.ones):
+            if t >= 4.0 and old + 0.15 <= 1.0:
+                assert new == pytest.approx(old + 0.15, abs=1e-6)
+            elif t < 4.0:
+                assert k_new == k_old
 
     def test_clamped_at_shots(self):
-        recs = (ShotRecord(t=0.0, shots=100, ones=10),
-                ShotRecord(t=1.0, shots=100, ones=90))
-        out = inject_step(Dataset(records=recs), 1.0, 1.0)
-        assert out.records[1].ones == 100
+        out = inject_step(Dataset([0.0, 1.0], 100, [10, 90]), 1.0, 1.0)
+        assert out.ones.tolist() == [10, 100]
+        out = inject_step(Dataset([0.0, 1.0], 100, [10, 90]), 0.0, -1.0)
+        assert out.ones.tolist() == [0, 0]
+
+    def test_rounds_half_to_even(self):
+        # ones + offset * shots lands on k + 1/2 at every shifted row; the
+        # counts are those Python's round() gave row by row
+        ds = Dataset([0.0, 1.0, 2.0, 3.0, 4.0], 4, [3, 0, 1, 2, 3], "q")
+        assert inject_step(ds, 1.0, 0.125).ones.tolist() == [3, 0, 2, 2, 4]
+        assert inject_step(ds, 1.0, -0.125).ones.tolist() == [3, 0, 0, 2, 2]
+        assert inject_step(ds, 1.0, 0.125).label == "q"
+
+    @pytest.mark.parametrize("offset", [0.15, -0.2, 0.005, 0.5 / 8192, 1.0, -1.0])
+    def test_matches_row_by_row_rounding(self, offset):
+        # reference: Python's round() and clamp, one row at a time
+        for ds in (sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=5),
+                   exact_dataset(NoiseModel(0.8, 0.1, 0.2, 1.05), DEFAULT_GRID)):
+            expected = [int(min(max(round(k + offset * n), 0), n)) if t >= 4.0 else k
+                        for t, n, k in zip(ds.t.tolist(), ds.shots.tolist(),
+                                           ds.ones.tolist())]
+            assert inject_step(ds, 4.0, offset).ones.tolist() == expected
 
     def test_jump_outside_range_rejected(self):
         ds = sample_dataset(IDEAL, DEFAULT_GRID, 128, seed=0)
