@@ -24,20 +24,18 @@ for truth, rec in zip(models, recovered):
     print(f"true (a={truth.alpha:.2f}, b={truth.beta:.2f})  ->  "
           f"recovered (a={rec.alpha:.3f}, b={rec.beta:.3f}, c={rec.c:.3f})")
 
-# regenerate with the recovered amplitude/offset but the nominal rate and
-# phase: pooling (t2 - t1) across models is only meaningful when the true
-# crossing spacing pi/c is the same for all of them
-mc_models = [NoiseModel(m.alpha, m.beta, 0.0, 1.0) for m in recovered]
-summary = run_mc(mc_models, McConfig(runs_per_model=50, shots=8192, base_seed=7))
+# regenerate from the recovered models; the spacing and the integral are
+# pooled in units of each model's rate, c * (t2 - t1) and c * I
+summary = run_mc(recovered, McConfig(runs_per_model=50, shots=8192, base_seed=7))
 print(f"\n{summary.n_runs} Monte Carlo runs ({summary.failures} failures)")
-print(f"std of pi_hat      = {summary.std_pi:.4f}")
-print(f"std of (t2 - t1)   = {summary.std_dt:.4f}")
-print(f"std of integral I  = {summary.std_I:.4f}")
+print(f"std of pi_hat          = {summary.std_pi:.4f}")
+print(f"std of c * (t2 - t1)   = {summary.std_dt:.4f}")
+print(f"std of c * integral I  = {summary.std_I:.4f}")
 
 # ideal-case reference: no amplitude/offset distortion at all
 ideal = run_mc([NoiseModel(1, 0, 0, 1)],
                McConfig(runs_per_model=150, shots=8192, base_seed=7))
-print(f"ideal-case std_I   = {ideal.std_I:.4f} (shot noise alone)")
+print(f"ideal-case std_I       = {ideal.std_I:.4f} (shot noise alone)")
 
 results = [(ds.label, estimate_pi(ds)) for ds in datasets]
 report = aggregate(results, sigma=summary.std_pi)

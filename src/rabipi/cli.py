@@ -44,8 +44,6 @@ def _add_model_flags(p):
 
 def _add_estimate_flags(p):
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--root-start1", type=float, default=1.5)
-    p.add_argument("--root-start2", type=float, default=4.5)
     p.add_argument("--window", type=float, default=0.5)
 
 
@@ -98,9 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _estimate_config(args) -> EstimateConfig:
-    return EstimateConfig(delta=args.delta, root_start_1=args.root_start1,
-                          root_start_2=args.root_start2,
-                          refine_window=args.window)
+    return EstimateConfig(delta=args.delta, refine_window=args.window)
 
 
 def _emit(text: str, out_path):

@@ -8,9 +8,9 @@ crossings of the normalized curve and I is the trapezoidal integral of
   1. rough amplitude/offset from min/max of f
   2. normalize f to [0, 1]
   3. linear interpolation between grid points
-  4. for each crossing, the sign change of the interpolant nearest the
-     search start (counted in whole grid steps, right side first on a tie),
-     solved exactly on its segment
+  4. t1 and t2 are the rising and the falling end of the longest run of
+     the interpolant at or above 1/2, each solved exactly on its segment; a
+     row fails here when that run is cut off by either end of the data
   5. refine amplitude/offset from plateau averages near the extrema
   6. re-normalize with the refined constants
   7. refine each crossing with a local least-squares line; a refined
@@ -67,11 +67,15 @@ class PipelineError(ValueError):
 
 @dataclass(frozen=True)
 class EstimateConfig:
-    """Tuning knobs of the pipeline; defaults follow the reference protocol."""
+    """Tuning knobs of the pipeline; defaults follow the reference protocol.
+
+    The crossings need no search start: t1 and t2 bound the longest run of
+    the normalized curve at or above 1/2, one half-period on a sinusoid,
+    and an estimate fails at ``find_crossing`` when that run is cut off by
+    either end of the data (so also when no run lies wholly inside it).
+    """
 
     delta: float = 0.1          # half-width of the extremum averaging window
-    root_start_1: float = 1.5   # root search start for the first crossing
-    root_start_2: float = 4.5   # root search start for the second crossing
     refine_window: float = 0.5  # half-width of the linear-fit window
 
     def __post_init__(self):
@@ -79,8 +83,6 @@ class EstimateConfig:
             raise ValueError(f"delta must be > 0, got {self.delta}")
         if self.refine_window <= 0:
             raise ValueError(f"refine_window must be > 0, got {self.refine_window}")
-        if self.root_start_1 >= self.root_start_2:
-            raise ValueError("root_start_1 must be below root_start_2")
 
 
 @dataclass(frozen=True)
@@ -201,18 +203,24 @@ def _interpolate(t, f1, x):
     return f1[rows, k] * (1 - w) + f1[rows, k + 1] * w
 
 
+def _segment_zeros(t, g):
+    """Where each segment's interpolant of ``g`` (rows, n) meets 0, kept
+    inside the segment against rounding; meaningful on segments whose ends
+    lie on opposite sides of 0 or whose left end is on it."""
+    ga, gb = g[:, :-1], g[:, 1:]
+    return np.minimum(t[:-1] + np.diff(t) * (ga / (ga - gb)), t[1:])
+
+
 def _find_crossing(t, f1, start, level, fails):
     start = min(max(start, t[0]), t[-1])
     g = f1 - level
     ga, gb = g[:, :-1], g[:, 1:]
     dt = np.diff(t)
     # candidates: knots on the level, and the exact crossing of each segment
-    # whose ends lie strictly on opposite sides of it (kept inside the
-    # segment against rounding); inf marks none
-    inside = np.minimum(t[:-1] + dt * (ga / (ga - gb)), t[1:])
+    # whose ends lie strictly on opposite sides of it; inf marks none
     x = np.concatenate((
         np.where(g == 0, t, np.inf),
-        np.where(ga * gb < 0, inside, np.inf),
+        np.where(ga * gb < 0, _segment_zeros(t, g), np.inf),
     ), axis=1)
     dist = np.abs(x - start)
     # the search widens one grid step per side and round, right side first;
@@ -224,6 +232,43 @@ def _find_crossing(t, f1, start, level, fails):
                           f"[{t[0]}, {t[-1]}] near t={start}")
     pick = np.where(order == first[:, None], dist, np.inf).argmin(axis=1)
     return x[np.arange(len(x)), pick]
+
+
+def _find_half_period(t, f1, level, fails):
+    """The rising and the falling end of each row's longest run of the
+    interpolant at or above ``level``; a knot on the level counts as above.
+
+    On a sinusoid every such run is one half-period long and a run cut off
+    by the data is shorter, so the longest run skips the short runs that
+    noise makes near a crossing and never pairs two rising crossings.  A
+    row whose longest run touches either end of the data fails.
+    """
+    g = f1 - level
+    above = g >= 0
+    rows, knots = np.arange(len(g)), np.arange(len(t))
+    x = _segment_zeros(t, g)
+    # run ends by knot: a run starting at knot i > 0 rises on segment i - 1,
+    # exactly at t[i] when that knot is on the level; one ending at knot
+    # j < n - 1 falls on segment j.  The data's ends stand in at its edges.
+    rise = np.concatenate((np.full((len(g), 1), t[0]),
+                           np.where(g[:, 1:] == 0, t[1:], x)), axis=1)
+    fall = np.concatenate((x, np.full((len(g), 1), t[-1])), axis=1)
+    starts = above.copy()
+    starts[:, 1:] &= ~above[:, :-1]
+    ends = above.copy()
+    ends[:, :-1] &= ~above[:, 1:]
+    # the first knot of the run that holds each knot
+    first = np.maximum.accumulate(np.where(starts, knots, 0), axis=1)
+    length = np.where(ends, fall - np.take_along_axis(rise, first, axis=1),
+                      -np.inf)
+    j = length.argmax(axis=1)
+    i = first[rows, j]
+    t1, t2 = rise[rows, i], fall[rows, j]
+    fails.check((i > 0) & (j < len(t) - 1), "find_crossing",
+                lambda r: f"the longest run at or above level {level}, "
+                          f"[{t1[r]}, {t2[r]}], is cut off by the data range "
+                          f"[{t[0]}, {t[-1]}]; no complete half-period")
+    return t1, t2
 
 
 def _window_mean(t, f1, center, delta):
@@ -338,6 +383,10 @@ def find_crossing(curve: NormalizedCurve, start: float, level: float = 0.5) -> f
     step counts as whole), and on a tie the right side wins: the order of a
     search that widens one grid step at a time, right then left.  The
     crossing is solved exactly on its segment.
+
+    The pipeline no longer uses this search: ``estimate_pi`` takes t1 and
+    t2 from the ends of the longest run of the curve at or above 1/2, which
+    needs no start.
     """
     return float(_on_one_row(_find_crossing, curve.t, curve.f1[None],
                              start, level)[0])
@@ -401,8 +450,7 @@ def estimate_rows(times, fractions,
     with np.errstate(all="ignore"):
         alpha1, beta1 = _rough_alpha_beta(f, fails)
         f1 = _normalize(f, alpha1, beta1, fails)
-        t1_rough = _find_crossing(t, f1, cfg.root_start_1, level, fails)
-        t2_rough = _find_crossing(t, f1, cfg.root_start_2, level, fails)
+        t1_rough, t2_rough = _find_half_period(t, f1, level, fails)
         alpha5, beta5, t_minval, t_maxval = _refine_alpha_beta(
             t, f1, t1_rough, t2_rough, cfg.delta, fails)
         fails.check(alpha5 > 0, "refine_alpha_beta",

@@ -50,8 +50,10 @@ class McSummary:
     n_runs: int
     mean_pi: float
     std_pi: float
-    std_dt: float    # std of (t2_hat - t1_hat)
-    std_I: float
+    # the spreads pool rate-free quantities, each run scaled by its own
+    # model's rate c, so models whose c differ pool into one spread
+    std_dt: float    # std of (t2_hat - t1_hat) * c, which is near pi
+    std_I: float     # std of integral_I * c, which is near 1
     failures: int
     #: PipelineError.step -> number of runs that failed there; sums to failures
     failures_by_step: dict = field(default_factory=dict, hash=False)
@@ -82,7 +84,9 @@ def run_mc(models: list, cfg: McConfig = McConfig()) -> McSummary:
     model, 0), cfg.runs_per_model)``, so run 0 is ``sample_dataset`` with
     that seed.  The runs of every model are estimated as one batch.  Failed
     pipeline runs are counted, by step, and excluded from the pooled
-    statistics; an error is raised only if every run fails.
+    statistics; an error is raised only if every run fails.  The crossing
+    spacing and the integral are pooled in units of the run's model rate
+    (see ``McSummary``); pi_hat needs no scaling.
     """
     if not models:
         raise ValueError("need at least one model")
@@ -94,10 +98,11 @@ def run_mc(models: list, cfg: McConfig = McConfig()) -> McSummary:
     ok = rows.ok
     failed = Counter(e.step for e in rows.errors if e is not None)
     n_runs = len(ones)
+    rates = np.repeat([model.c for model in models], cfg.runs_per_model)
     # canonical (sorted) order makes the pooled statistics bitwise invariant
     # under permutation of the model list
     pis, dts, integrals = (np.sort(v[ok]) for v in (
-        rows.pi_hat, rows.t2_hat - rows.t1_hat, rows.integral_I))
+        rows.pi_hat, (rows.t2_hat - rows.t1_hat) * rates, rows.integral_I * rates))
     if not len(pis):
         raise PipelineError("run_mc", f"all {n_runs} runs failed")
     if len(pis) < 2:

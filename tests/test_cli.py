@@ -52,6 +52,17 @@ class TestEstimate:
         expected = sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=7, label="q.csv")
         assert parsed == expected
 
+    def test_fast_rate_file(self, tmp_path, capsys):
+        # a fixed crossing search from 1.5 and 4.5 printed pi_hat = 2.0047
+        out = tmp_path / "q.csv"
+        assert run(["simulate", "--alpha", "0.9", "--beta", "0.05", "--c", "1.6",
+                    "--seed", "7", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["estimate", str(out)]) == 0
+        pi_hat = float(re.search(r"pi_hat\s+= (\S+)",
+                                 capsys.readouterr().out).group(1))
+        assert abs(pi_hat - math.pi) <= 0.1
+
     def test_missing_file(self, capsys):
         assert run(["estimate", "missing.csv"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -82,6 +93,15 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert run(["simulate", "--bogus", "1"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--root-start1", "--root-start2"])
+    @pytest.mark.parametrize("argv", [["estimate", "q.csv"], ["mc"],
+                                      ["plot", "q.csv"], ["report", "q.csv"]],
+                             ids=lambda argv: argv[0])
+    def test_crossing_search_starts_are_gone(self, capsys, argv, flag):
+        # the half-period is read off the data, so there is no start to set
+        assert run([*argv, flag, "1.5"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestFitScreenMc:

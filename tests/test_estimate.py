@@ -14,7 +14,8 @@ from rabipi.estimate import (EstimateConfig, NormalizedCurve, PipelineError,
                              trapezoid_integral)
 from rabipi.model import IDEAL, NoiseModel, noisy_prob
 from rabipi.simulate import (DEFAULT_GRID, Dataset, exact_dataset,
-                             inject_step, make_grid, sample_dataset)
+                             inject_step, make_grid, sample_counts,
+                             sample_dataset)
 
 GRID_TIMES = DEFAULT_GRID.times()
 
@@ -152,6 +153,66 @@ class TestFindCrossing:
         x = find_crossing(curve, start, level)
         assert t[0] <= x <= t[-1]
         assert abs(np.interp(x, t, f1) - level) <= 1e-12
+
+
+def half_period(t, f1):
+    """The pipeline's rough (t1, t2) for one normalized curve."""
+    t1, t2 = rabipi.estimate._on_one_row(rabipi.estimate._find_half_period,
+                                         np.asarray(t, float),
+                                         np.asarray(f1, float)[None], 0.5)
+    return float(t1[0]), float(t2[0])
+
+
+class TestHalfPeriod:
+    @pytest.mark.parametrize("f1,expected", [
+        # a short run at t = 0.83..1.5 from noise near the rising crossing
+        ([0, 0.6, 0.4, 0.7, 0.9, 1, 0.8, 0.3, 0.1, 0], (2 + 1 / 3, 6.6)),
+        # knots on the level count as above: the run is t = 1..7 exactly
+        ([0, 0.5, 0.7, 0.9, 1, 0.9, 0.8, 0.5, 0.1, 0], (1.0, 7.0)),
+    ], ids=["noise_run_skipped", "knots_on_level"])
+    def test_longest_run_above_half(self, f1, expected):
+        t1, t2 = half_period(np.arange(10.0), f1)
+        assert (t1, t2) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("f1", [
+        [0.8, 0.9, 0.8, 0.2, 0.1, 0.6, 0.3, 0.2],  # longest run from t = 0
+        [0.2, 0.1, 0.6, 0.3, 0.2, 0.8, 0.9, 0.8],  # longest run to the end
+        [0.8, 0.9, 0.8, 0.2, 0.1, 0.3, 0.9, 0.8],  # no run inside the data
+    ], ids=["cut_at_start", "cut_at_end", "no_complete_run"])
+    def test_cut_off_run_rejected(self, f1):
+        with pytest.raises(PipelineError, match="cut off") as exc:
+            half_period(np.arange(8.0), f1)
+        assert exc.value.step == "find_crossing"
+
+    def test_data_starting_near_the_maximum_rejected(self):
+        # the half-period above 1/2 begins before the data; the one below it
+        # (the trough) would be complete, but the pipeline uses only the first
+        ds = exact_dataset(NoiseModel(1, 0, 2.5, 1), DEFAULT_GRID)
+        with pytest.raises(PipelineError) as exc:
+            estimate_pi(ds)
+        assert exc.value.step == "find_crossing"
+
+    @pytest.mark.parametrize("shots", [256, 8192])
+    @pytest.mark.parametrize("c", [0.75, 1.0, 1.3, 1.45, 1.6, 1.9, 2.2])
+    def test_every_phase_gives_pi_or_fails_at_a_step(self, c, shots):
+        # 20 runs at each of 12 phases in (-pi, pi]: pi_hat is never silently
+        # wrong, though a half-period cut off by the data fails
+        phases = np.linspace(-math.pi, math.pi, 13)[1:]
+        fractions = np.concatenate([
+            sample_counts(NoiseModel(0.9, 0.05, phi0, c), DEFAULT_GRID, shots,
+                          seed, 20) / shots
+            for seed, phi0 in enumerate(phases)])
+        rows = estimate_rows(GRID_TIMES, fractions)
+        steps = {"rough_alpha_beta", "normalize", "find_crossing",
+                 "refine_alpha_beta", "refine_crossing_linear",
+                 "trapezoid_integral"}
+        for r, err in enumerate(rows.errors):
+            where = f"phi0={phases[r // 20]:.3f}, run {r % 20}"
+            if err is None:
+                assert abs(rows.pi_hat[r] - math.pi) <= 0.5, where
+            else:
+                assert isinstance(err, PipelineError) and err.step in steps, where
+        assert rows.ok.any()
 
 
 class TestRefineAlphaBeta:
@@ -319,8 +380,10 @@ class TestEstimatePi:
         cfg = EstimateConfig()
         alpha, beta = rough_alpha_beta(ds)
         curve = normalize(ds, alpha, beta)
-        t1 = find_crossing(curve, cfg.root_start_1)
-        t2 = find_crossing(curve, cfg.root_start_2)
+        # here the crossings nearest 1.5 and 4.5 bound the longest run above
+        # 1/2, the half-period the pipeline takes
+        t1 = find_crossing(curve, 1.5)
+        t2 = find_crossing(curve, 4.5)
 
         def pi_from(t1, t2):
             a5, b5, _, _ = refine_alpha_beta(curve, t1, t2, cfg.delta)

@@ -11,7 +11,7 @@ from rabipi.estimate import EstimateResult, PipelineError, RowEstimates, \
     estimate_pi, estimate_rows
 from rabipi.model import IDEAL, NoiseModel
 from rabipi.montecarlo import (McConfig, McSummary, _run_seed, aggregate,
-                               models_from_datasets, run_mc)
+                               model_from_estimate, models_from_datasets, run_mc)
 from rabipi.simulate import DEFAULT_GRID, Dataset, exact_dataset, \
     inject_step, make_grid, sample_counts, sample_dataset
 
@@ -28,6 +28,13 @@ DEMO_QUBITS = [
     NoiseModel(0.85, 0.08, 0.0, 1.0),
     NoiseModel(0.95, 0.02, 0.0, 1.0),
 ]
+#: Faster rates and another phase, where a crossing search from fixed starts
+#: paired two rising crossings (pi_hat near 2) or no half-period at all.
+OFF_RATE = [
+    NoiseModel(0.9, 0.05, 0.0, 1.6),
+    NoiseModel(0.9, 0.05, 0.0, 1.45),
+    NoiseModel(0.9, 0.05, 2.0, 2.0),
+]
 #: Off-protocol model whose runs fail about 6% of the time at 256 shots.
 FAILING = NoiseModel(0.9, 0.05, 1.5, 1.0)
 LOWSHOT = dict(shots=256, grid=make_grid(0.0, 6.3, 0.05))
@@ -38,6 +45,7 @@ def reference_mc(models, cfg):
 
     Run r of a model is the dataset made of row r of the model's block of
     counts, the one-generator stream of ``_run_seed(base_seed, model, 0)``.
+    The spacing and the integral are pooled times the model's rate.
     """
     times = cfg.grid.times()
     pis, dts, integrals = [], [], []
@@ -54,8 +62,8 @@ def reference_mc(models, cfg):
                 failed[exc.step] += 1
                 continue
             pis.append(r.pi_hat)
-            dts.append(r.t2_hat - r.t1_hat)
-            integrals.append(r.integral_I)
+            dts.append((r.t2_hat - r.t1_hat) * model.c)
+            integrals.append(r.integral_I * model.c)
     pis, dts, integrals = sorted(pis), sorted(dts), sorted(integrals)
     return McSummary(
         n_runs=len(models) * cfg.runs_per_model,
@@ -118,7 +126,8 @@ class TestRunMc:
     @pytest.mark.parametrize("models,cfg,min_failures", [
         (DEMO_QUBITS, McConfig(runs_per_model=50, base_seed=11), 0),
         ([FAILING], McConfig(runs_per_model=100, base_seed=0, **LOWSHOT), 1),
-    ], ids=["demo_qubits", "lowshot_failing"])
+        (OFF_RATE, McConfig(runs_per_model=50, base_seed=11), 0),
+    ], ids=["demo_qubits", "lowshot_failing", "off_rate"])
     def test_matches_reference_loop(self, models, cfg, min_failures):
         batch = run_mc(models, cfg)
         assert batch == reference_mc(models, cfg)
@@ -185,11 +194,28 @@ class TestRunMc:
     def test_failures_by_step(self):
         s = run_mc([FAILING], McConfig(runs_per_model=300, base_seed=0, **LOWSHOT))
         assert sum(s.failures_by_step.values()) == s.failures
-        # a refined crossing past the data fails where it is refined, so no
-        # run gets as far as the integral's limits
-        assert set(s.failures_by_step) == {"refine_alpha_beta", "refine_crossing_linear"}
+        # a half-period above 1/2 cut off by the data fails where the
+        # half-period is picked, and a refined crossing past the data where
+        # it is refined, so no run gets as far as the integral's limits
+        assert set(s.failures_by_step) == {"find_crossing", "refine_crossing_linear"}
         # ~6% failure rate; the band is about 3 binomial sigma either way
         assert 0.02 <= s.failures / s.n_runs <= 0.10
+
+    @pytest.mark.parametrize("model", OFF_RATE, ids=["c1.6", "c1.45", "c2_phi2"])
+    def test_off_protocol_rates_are_unbiased(self, model):
+        s = run_mc([model], McConfig(runs_per_model=200, shots=8192, base_seed=0))
+        assert s.failures == 0
+        assert abs(s.mean_pi - math.pi) <= 0.05
+
+    def test_spreads_pool_across_rates(self):
+        # the crossing spacing pi/c differs by 0.29 between these models; in
+        # units of each model's rate it does not, so pooling adds no spread
+        models = [NoiseModel(0.9, 0.05, 0.0, 1.0), NoiseModel(0.9, 0.05, 0.0, 1.1)]
+        cfg = McConfig(runs_per_model=100, base_seed=3)
+        alone = [run_mc([m], cfg) for m in models]
+        pooled = run_mc(models, cfg)
+        assert pooled.std_dt <= 1.5 * max(a.std_dt for a in alone)
+        assert pooled.std_I <= 1.5 * max(a.std_I for a in alone)
 
     def test_no_failures_gives_empty_breakdown(self):
         s = run_mc(DEMO_QUBITS, McConfig(runs_per_model=10))
@@ -220,6 +246,19 @@ class TestModelsFromDatasets:
                          4.0, 0.15)
         with pytest.raises(PipelineError, match="screening"):
             models_from_datasets([ds])
+
+
+class TestModelFromEstimate:
+    @pytest.mark.parametrize("phi0", [0.0, 2.0])
+    @pytest.mark.parametrize("c", [1.45, 1.6, 2.0])
+    def test_recovers_rate_and_phase(self, c, phi0):
+        # the phase pi/2 - c*t1 holds because t1 is a rising crossing
+        truth = NoiseModel(0.9, 0.05, phi0, c)
+        for seed in range(20):
+            ds = sample_dataset(truth, DEFAULT_GRID, 8192, seed=seed)
+            m = model_from_estimate(estimate_pi(ds))
+            assert m.c == pytest.approx(c, abs=0.05), seed
+            assert abs(math.remainder(m.phi0 - phi0, 2 * math.pi)) <= 0.2, seed
 
 
 class TestAggregate:
