@@ -118,11 +118,7 @@ class RowEstimates:
     t_minval: np.ndarray
     t_maxval: np.ndarray
     errors: tuple
-
-    @property
-    def ok(self) -> np.ndarray:
-        """Boolean mask of the rows that passed every step."""
-        return np.array([e is None for e in self.errors], dtype=bool)
+    ok: np.ndarray  # the rows that passed every step, errors[r] is None
 
 
 @dataclass(frozen=True)
@@ -149,8 +145,10 @@ class NormalizedCurve:
 #
 # Each takes the shared times ``t`` (n,), a 2-D array ``f``/``f1`` (rows, n)
 # and per-row parameters of shape (rows,), and reports rows that fail
-# through ``fails``.  Failed rows run on with meaningless values, so callers
-# silence floating-point warnings around them.
+# through ``fails``.  A step that works near k points of each row takes them
+# as one (k, rows) array and reads only a fixed-width slab of knots around
+# each (see ``_slab``).  Failed rows run on with meaningless values, so
+# callers silence floating-point warnings around them.
 
 
 class _Failures:
@@ -194,6 +192,11 @@ _TIE_STEPS = 1e-8
 _SCAN_CELLS = 1 << 18  # most (rate, time) pairs fit_model's scan evaluates at once
 
 
+def _min_step(t):
+    """The smallest step between the knots ``t``."""
+    return (t[1:] - t[:-1]).min()
+
+
 def _interpolate(t, f1, x):
     """Each row's piecewise-linear interpolant at that row's points x
     (rows, q); exact at the knots."""
@@ -203,12 +206,40 @@ def _interpolate(t, f1, x):
     return f1[rows, k] * (1 - w) + f1[rows, k + 1] * w
 
 
-def _segment_zeros(t, g):
-    """Where each segment's interpolant of ``g`` (rows, n) meets 0, kept
-    inside the segment against rounding; meaningful on segments whose ends
-    lie on opposite sides of 0 or whose left end is on it."""
-    ga, gb = g[:, :-1], g[:, 1:]
-    return np.minimum(t[:-1] + np.diff(t) * (ga / (ga - gb)), t[1:])
+def _segment_zeros(ta, tb, ga, gb):
+    """Where the line through (ta, ga) and (tb, gb) meets 0, kept at or
+    below tb against rounding; meaningful on segments whose ends lie on
+    opposite sides of 0 or whose left end is on it."""
+    return np.minimum(ta + (tb - ta) * (ga / (ga - gb)), tb)
+
+
+def _slab(t, f1, centers, half, step):
+    """The times and values of a run of knots around each of ``centers``
+    (k, rows), both (k, rows, width), holding every knot within ``half``
+    of its centre (and a tie more, against rounding).
+
+    ``width`` follows from ``half`` and the smallest step of ``t`` alone, so
+    a row reads the same slab in any batch.  Masked to its window and summed
+    along its last axis, a slab gives the full-row masked sum bit for bit on
+    rows of up to 128 knots: a window of at most two knots sums exactly in
+    any order, and a wider one gets a run that starts on a multiple of 8
+    knots and ends n mod 8 knots past one, as the row does, so NumPy's
+    pairwise sum groups its values as over the whole row (blocks of 8, then
+    the row's last n mod 8 one by one).
+    """
+    n = len(t)
+    reach = half + _TIE_STEPS * step
+    most = int(2 * reach / step) + 1  # knots within reach of a centre
+    first = t.searchsorted(centers - reach)
+    if int(2 * half / step) < 2:  # at most two knots in a window
+        width = min(n, most)
+    else:
+        # whole blocks of 8 for the window and up to 7 knots before it,
+        # then the row's last n mod 8
+        width = min(n, (most + 14) // 8 * 8 + n % 8)
+        first &= -8  # the multiple of 8 at or below the first knot
+    knots = np.minimum(first, n - width)[..., None] + np.arange(width)
+    return t.take(knots), f1.take(knots + n * np.arange(len(f1))[:, None])
 
 
 def _find_crossing(t, f1, start, level, fails):
@@ -220,7 +251,7 @@ def _find_crossing(t, f1, start, level, fails):
     # whose ends lie strictly on opposite sides of it; inf marks none
     x = np.concatenate((
         np.where(g == 0, t, np.inf),
-        np.where(ga * gb < 0, _segment_zeros(t, g), np.inf),
+        np.where(ga * gb < 0, _segment_zeros(t[:-1], t[1:], ga, gb), np.inf),
     ), axis=1)
     dist = np.abs(x - start)
     # the search widens one grid step per side and round, right side first;
@@ -243,74 +274,91 @@ def _find_half_period(t, f1, level, fails):
     noise makes near a crossing and never pairs two rising crossings.  A
     row whose longest run touches either end of the data fails.
     """
-    g = f1 - level
-    above = g >= 0
-    rows, knots = np.arange(len(g)), np.arange(len(t))
-    x = _segment_zeros(t, g)
-    # run ends by knot: a run starting at knot i > 0 rises on segment i - 1,
-    # exactly at t[i] when that knot is on the level; one ending at knot
-    # j < n - 1 falls on segment j.  The data's ends stand in at its edges.
-    rise = np.concatenate((np.full((len(g), 1), t[0]),
-                           np.where(g[:, 1:] == 0, t[1:], x)), axis=1)
-    fall = np.concatenate((x, np.full((len(g), 1), t[-1])), axis=1)
-    starts = above.copy()
-    starts[:, 1:] &= ~above[:, :-1]
-    ends = above.copy()
-    ends[:, :-1] &= ~above[:, 1:]
-    # the first knot of the run that holds each knot
-    first = np.maximum.accumulate(np.where(starts, knots, 0), axis=1)
-    length = np.where(ends, fall - np.take_along_axis(rise, first, axis=1),
-                      -np.inf)
-    j = length.argmax(axis=1)
-    i = first[rows, j]
-    t1, t2 = rise[rows, i], fall[rows, j]
-    fails.check((i > 0) & (j < len(t) - 1), "find_crossing",
+    n, rows = len(t), len(f1)
+    # with a knot below the level padded on at each end, a row's flag flips
+    # at p = i and p = j + 1 for each run of knots i..j, in pairs
+    above = np.zeros((rows, n + 2), dtype=bool)
+    np.greater_equal(f1, level, out=above[:, 1:-1])
+    flips = np.flatnonzero(above[:, 1:] != above[:, :-1])
+    # every row also gets the run of knot 0 alone, standing in for the row
+    # when it has no run
+    flips = np.concatenate(
+        (flips, ((n + 1) * np.arange(rows)[:, None] + (0, 1)).ravel()))
+    row, p = np.divmod(flips, n + 1)
+    # the run ends where the segment from knot p - 1 to knot p meets the
+    # level, exactly at t[p] when knot p is on it; the data's ends stand in
+    # at p = 0 and p = n, where the clipped reads below are not used
+    at = flips - row - 1  # knot p - 1 of the row, flat
+    ga = f1.take(at, mode="clip") - level
+    gb = f1.take(at + 1, mode="clip") - level
+    ta, tb = t.take(p - 1, mode="clip"), t.take(p, mode="clip")
+    ends = np.where((p % n == 0) | (gb == 0), tb,
+                    _segment_zeros(ta, tb, ga, gb)).reshape(-1, 2)
+    row, length = row[::2], ends[:, 1] - ends[:, 0]
+    length[-rows:] = -np.inf
+    longest = np.full(rows, -np.inf)
+    np.maximum.at(longest, row, length)
+    # each row's first longest run; the stand-in, its last, only when the
+    # row has no other
+    win = np.flatnonzero(length == longest[row])
+    first = np.arange(len(length) - rows, len(length))
+    np.minimum.at(first, row[win], win)
+    (t1, t2), (start, stop) = ends[first].T, p.reshape(-1, 2)[first].T
+    fails.check((start > 0) & (stop < n), "find_crossing",
                 lambda r: f"the longest run at or above level {level}, "
                           f"[{t1[r]}, {t2[r]}], is cut off by the data range "
                           f"[{t[0]}, {t[-1]}]; no complete half-period")
     return t1, t2
 
 
-def _window_mean(t, f1, center, delta):
-    """Mean of each row over |t - center| < delta, and the point count."""
-    inside = np.abs(t - center[:, None]) < delta
-    n = inside.sum(axis=1)
-    return (f1 * inside).sum(axis=1) / n, n
-
-
 def _refine_alpha_beta(t, f1, t1, t2, delta, fails):
     t_lo, t_hi = t[0], t[-1]
     t_maxval = (t1 + t2) / 2
     below, above = (3 * t1 - t2) / 2, (3 * t2 - t1) / 2
-    tie = _TIE_STEPS * np.diff(t).min()
+    step = _min_step(t)
+    tie = _TIE_STEPS * step
     t_minval = np.where(below >= t_lo - tie, below, np.where(
         above <= t_hi + tie, above, np.clip(below, t_lo, t_hi)))
-    beta, n_min = _window_mean(t, f1, t_minval, delta - tie)
-    top, n_max = _window_mean(t, f1, t_maxval, delta - tie)
-    fails.check(n_min > 0, "refine_alpha_beta",
-                lambda r: f"no grid points within {delta} of t_minval={t_minval[r]}")
-    fails.check(n_max > 0, "refine_alpha_beta",
-                lambda r: f"no grid points within {delta} of t_maxval={t_maxval[r]}")
+    # both plateau means in one pass over the knots near either centre
+    centers = np.array((t_minval, t_maxval))
+    tk, fk = _slab(t, f1, centers, delta - tie, step)
+    inside = np.abs(tk - centers[..., None]) < delta - tie
+    n_min, n_max = n = inside.sum(axis=2)
+    beta, top = (fk * inside).sum(axis=2) / n
+    fails.check((n_min > 0) & (n_max > 0), "refine_alpha_beta",
+                lambda r: f"no grid points within {delta} of " + (
+                    f"t_minval={t_minval[r]}" if n_min[r] == 0
+                    else f"t_maxval={t_maxval[r]}"))
     return top - beta, beta, t_minval, t_maxval
 
 
 def _refine_crossing_linear(t, f1, t_i, window, level, fails):
-    w = np.abs(t - t_i[:, None]) <= window + _TIE_STEPS * np.diff(t).min()
-    n = w.sum(axis=1)
-    fails.check(n >= 2, "refine_crossing_linear",
-                lambda r: f"need >= 2 points within {window} of t={t_i[r]}, "
-                          f"got {n[r]}")
+    """Refine each of the crossings ``t_i`` (k, rows) of every row at once;
+    a row fails at its first crossing that fails, for the first reason."""
+    step = _min_step(t)
+    half = window + _TIE_STEPS * step
+    tk, fk = _slab(t, f1, t_i, half, step)
+    w = np.abs(tk - t_i[..., None]) <= half
+    n = w.sum(axis=2)
     # closed-form least-squares line through the windowed points
-    t_mean = (w * t).sum(axis=1) / n
-    f_mean = (w * f1).sum(axis=1) / n
-    dt = w * (t - t_mean[:, None])
-    slope = (dt * (f1 - f_mean[:, None])).sum(axis=1) / (dt * dt).sum(axis=1)
-    fails.check(np.abs(slope) >= 1e-12, "refine_crossing_linear",
-                lambda r: f"fitted slope {slope[r]} too small; no crossing defined")
+    t_mean = (w * tk).sum(axis=2) / n
+    f_mean = (w * fk).sum(axis=2) / n
+    dt = w * (tk - t_mean[..., None])
+    slope = (dt * (fk - f_mean[..., None])).sum(axis=2) / (dt * dt).sum(axis=2)
     t_hat = t_mean + (level - f_mean) / slope
-    fails.check((t[0] <= t_hat) & (t_hat <= t[-1]), "refine_crossing_linear",
-                lambda r: f"refined crossing {t_hat[r]} outside data range "
-                          f"[{t[0]}, {t[-1]}]")
+    fit = (n >= 2) & (np.abs(slope) >= 1e-12)
+    good = fit & (t[0] <= t_hat) & (t_hat <= t[-1])
+
+    def describe(r):
+        c = good[:, r].argmin()  # the row's first crossing that fails
+        if n[c, r] < 2:
+            return f"need >= 2 points within {window} of t={t_i[c, r]}, got {n[c, r]}"
+        if not fit[c, r]:
+            return f"fitted slope {slope[c, r]} too small; no crossing defined"
+        return (f"refined crossing {t_hat[c, r]} outside data range "
+                f"[{t[0]}, {t[-1]}]")
+
+    fails.check(good.all(axis=0), "refine_crossing_linear", describe)
     return t_hat
 
 
@@ -318,20 +366,25 @@ def _trapezoid_integral(t, f1, t1, t2, level, fails):
     fails.check((t[0] <= t1) & (t1 < t2) & (t2 <= t[-1]), "trapezoid_integral",
                 lambda r: f"limits [{t1[r]}, {t2[r]}] invalid for range "
                           f"[{t[0]}, {t[-1]}]")
-    g = f1 - level
-    rows = np.arange(len(g))
-    # integral of the interpolant from t[0] to each knot
-    panels = (g[:, :-1] + g[:, 1:]) / 2 * np.diff(t)
-    to_knot = np.concatenate((np.zeros((len(g), 1)), np.cumsum(panels, axis=1)),
-                             axis=1)
-
-    def to(x):
-        """Integral from t[0] to x: whole panels plus a partial end panel."""
-        k = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
-        gx = _interpolate(t, g, x[:, None])[:, 0]
-        return to_knot[rows, k] + (g[rows, k] + gx) / 2 * (x - t[k])
-
-    return to(t2) - to(t1)
+    rows, n = f1.shape
+    g = (f1 - level).ravel()
+    # running sums of each row's panels: column k is the integral of the
+    # interpolant from t[0] to knot k + 1.  The panels are taken over the
+    # flat rows, so each row's last column joins it to the next row and is
+    # never read.
+    panels = np.zeros((rows, n))
+    np.add(g[:-1], g[1:], out=panels.ravel()[:-1])
+    to_next = np.cumsum(panels / 2 * np.append(t[1:] - t[:-1], 0), axis=1)
+    # both limits in one pass: whole panels to the knot k at or left of the
+    # limit, plus a partial panel from it
+    x = np.array((t1, t2))
+    k = np.minimum(np.maximum(t.searchsorted(x, side="right") - 1, 0), n - 2)
+    at = k + n * np.arange(rows)
+    gk, tk = g.take(at), t.take(k)
+    w = (x - tk) / (t.take(k + 1) - tk)
+    to = (np.where(k > 0, to_next.take(at - 1), 0)
+          + (gk + (gk * (1 - w) + g.take(at + 1) * w)) / 2 * (x - tk))
+    return to[1] - to[0]
 
 
 def _on_one_row(step, *args):
@@ -415,7 +468,7 @@ def refine_crossing_linear(curve: NormalizedCurve, t_i: float,
     a distance within ``_TIE_STEPS`` grid steps of the edge counting as on it.
     Raises when the line meets ``level`` outside the data range."""
     return float(_on_one_row(_refine_crossing_linear, curve.t, curve.f1[None],
-                             _row(t_i), window, level)[0])
+                             _row(t_i)[None], window, level)[0, 0])
 
 
 def trapezoid_integral(curve: NormalizedCurve, t1: float, t2: float,
@@ -438,13 +491,24 @@ def estimate_rows(times, fractions,
 
     ``times`` holds the strictly increasing sample times shared by all rows,
     ``fractions`` one row of |1> fractions per dataset.  A failing row does
-    not stop the batch; ``errors`` names the first step it failed.
+    not stop the batch; ``errors`` names the first step it failed and ``ok``
+    marks the rows that passed every step.
+
+    Cost per row of n knots: O(n) for the minimum and maximum, the two
+    normalizations, the flags of the knots at or above 1/2 and the running
+    sum of the integral's panels.  The half-period solves a crossing only
+    at each run boundary (2 to 4 per row), and the plateau and crossing
+    windows read only a slab of the knots they hold, whose width depends on
+    the times and the window alone.  A row's results do not depend on the
+    batch it is in.
     """
     t = np.asarray(times, dtype=float)
     f = np.asarray(fractions, dtype=float)
     if t.ndim != 1 or len(t) < 2 or f.ndim != 2 or f.shape[1] != len(t):
         raise ValueError(f"need >= 2 times and one column of fractions per "
                          f"time, got times {t.shape} and fractions {f.shape}")
+    if not np.all(t[1:] > t[:-1]):  # the slab widths divide by the least step
+        raise ValueError("times must be strictly increasing")
     level = 0.5  # pi = (t2 - t1) / I holds between half-level crossings only
     fails = _Failures(len(f))
     with np.errstate(all="ignore"):
@@ -460,10 +524,9 @@ def estimate_rows(times, fractions,
         alpha_hat = alpha1 * alpha5
         beta_hat = beta1 + alpha1 * beta5
         f1 = _normalize(f, alpha_hat, beta_hat, fails)
-        t1_hat = _refine_crossing_linear(t, f1, t1_rough, cfg.refine_window,
-                                         level, fails)
-        t2_hat = _refine_crossing_linear(t, f1, t2_rough, cfg.refine_window,
-                                         level, fails)
+        t1_hat, t2_hat = _refine_crossing_linear(
+            t, f1, np.array((t1_rough, t2_rough)), cfg.refine_window, level,
+            fails)
         fails.check(t1_hat < t2_hat, "refine_crossing_linear",
                     lambda r: f"refined crossings out of order: "
                               f"{t1_hat[r]} >= {t2_hat[r]}")
@@ -474,7 +537,7 @@ def estimate_rows(times, fractions,
     return RowEstimates(alpha_hat=alpha_hat, beta_hat=beta_hat, t1_hat=t1_hat,
                         t2_hat=t2_hat, integral_I=integral, pi_hat=pi_hat,
                         t_minval=t_minval, t_maxval=t_maxval,
-                        errors=tuple(fails.errors))
+                        errors=tuple(fails.errors), ok=fails.ok)
 
 
 def estimate_pi(ds: Dataset, cfg: EstimateConfig = EstimateConfig()) -> EstimateResult:

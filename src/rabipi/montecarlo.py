@@ -96,7 +96,7 @@ def run_mc(models: list, cfg: McConfig = McConfig()) -> McSummary:
         for model in models])
     rows = estimate_rows(cfg.grid.times(), ones / cfg.shots, cfg.estimate)
     ok = rows.ok
-    failed = Counter(e.step for e in rows.errors if e is not None)
+    failed = Counter(rows.errors[r].step for r in np.flatnonzero(~ok))
     n_runs = len(ones)
     rates = np.repeat([model.c for model in models], cfg.runs_per_model)
     # canonical (sorted) order makes the pooled statistics bitwise invariant

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -436,6 +437,296 @@ class TestEstimateRows:
         assert rows.errors[-1].step == "rough_alpha_beta"
         assert steps  # the batch covered failing rows
         assert list(rows.ok) == [e is None for e in rows.errors]
+
+    @pytest.mark.parametrize("times", [[0.0, 0.1, 0.1, 0.3], [0.0, 0.2, 0.1, 0.3],
+                                       [0.0, np.nan, 0.2, 0.3]])
+    def test_times_not_increasing_rejected(self, times):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            estimate_rows(times, np.full((2, 4), 0.5))
+
+
+# -- reference: the full-row masked steps ------------------------------------
+#
+# The pipeline's row-wise steps read only the knots they use.  These are the
+# steps as they were before, masking or scanning every knot of every row.
+# The tests below require the same failures and messages and bit-identical
+# values: on rows of up to 128 knots a slab's sums round as the full row's
+# do (see ``rabipi.estimate._slab``).
+
+
+def ref_segment_zeros(t, g):
+    ga, gb = g[:, :-1], g[:, 1:]
+    return np.minimum(t[:-1] + np.diff(t) * (ga / (ga - gb)), t[1:])
+
+
+def ref_find_half_period(t, f1, level, fails):
+    g = f1 - level
+    above = g >= 0
+    rows, knots = np.arange(len(g)), np.arange(len(t))
+    x = ref_segment_zeros(t, g)
+    rise = np.concatenate((np.full((len(g), 1), t[0]),
+                           np.where(g[:, 1:] == 0, t[1:], x)), axis=1)
+    fall = np.concatenate((x, np.full((len(g), 1), t[-1])), axis=1)
+    starts = above.copy()
+    starts[:, 1:] &= ~above[:, :-1]
+    ends = above.copy()
+    ends[:, :-1] &= ~above[:, 1:]
+    first = np.maximum.accumulate(np.where(starts, knots, 0), axis=1)
+    length = np.where(ends, fall - np.take_along_axis(rise, first, axis=1),
+                      -np.inf)
+    j = length.argmax(axis=1)
+    i = first[rows, j]
+    t1, t2 = rise[rows, i], fall[rows, j]
+    fails.check((i > 0) & (j < len(t) - 1), "find_crossing",
+                lambda r: f"the longest run at or above level {level}, "
+                          f"[{t1[r]}, {t2[r]}], is cut off by the data range "
+                          f"[{t[0]}, {t[-1]}]; no complete half-period")
+    return t1, t2
+
+
+def ref_window_mean(t, f1, center, delta):
+    inside = np.abs(t - center[:, None]) < delta
+    n = inside.sum(axis=1)
+    return (f1 * inside).sum(axis=1) / n, n
+
+
+def ref_refine_alpha_beta(t, f1, t1, t2, delta, fails):
+    t_lo, t_hi = t[0], t[-1]
+    t_maxval = (t1 + t2) / 2
+    below, above = (3 * t1 - t2) / 2, (3 * t2 - t1) / 2
+    tie = rabipi.estimate._TIE_STEPS * np.diff(t).min()
+    t_minval = np.where(below >= t_lo - tie, below, np.where(
+        above <= t_hi + tie, above, np.clip(below, t_lo, t_hi)))
+    beta, n_min = ref_window_mean(t, f1, t_minval, delta - tie)
+    top, n_max = ref_window_mean(t, f1, t_maxval, delta - tie)
+    fails.check(n_min > 0, "refine_alpha_beta",
+                lambda r: f"no grid points within {delta} of t_minval={t_minval[r]}")
+    fails.check(n_max > 0, "refine_alpha_beta",
+                lambda r: f"no grid points within {delta} of t_maxval={t_maxval[r]}")
+    return top - beta, beta, t_minval, t_maxval
+
+
+def ref_refine_crossing_linear(t, f1, t_i, window, level, fails):
+    tie = rabipi.estimate._TIE_STEPS * np.diff(t).min()
+    w = np.abs(t - t_i[:, None]) <= window + tie
+    n = w.sum(axis=1)
+    fails.check(n >= 2, "refine_crossing_linear",
+                lambda r: f"need >= 2 points within {window} of t={t_i[r]}, "
+                          f"got {n[r]}")
+    t_mean = (w * t).sum(axis=1) / n
+    f_mean = (w * f1).sum(axis=1) / n
+    dt = w * (t - t_mean[:, None])
+    slope = (dt * (f1 - f_mean[:, None])).sum(axis=1) / (dt * dt).sum(axis=1)
+    fails.check(np.abs(slope) >= 1e-12, "refine_crossing_linear",
+                lambda r: f"fitted slope {slope[r]} too small; no crossing defined")
+    t_hat = t_mean + (level - f_mean) / slope
+    fails.check((t[0] <= t_hat) & (t_hat <= t[-1]), "refine_crossing_linear",
+                lambda r: f"refined crossing {t_hat[r]} outside data range "
+                          f"[{t[0]}, {t[-1]}]")
+    return t_hat
+
+
+def ref_trapezoid_integral(t, f1, t1, t2, level, fails):
+    fails.check((t[0] <= t1) & (t1 < t2) & (t2 <= t[-1]), "trapezoid_integral",
+                lambda r: f"limits [{t1[r]}, {t2[r]}] invalid for range "
+                          f"[{t[0]}, {t[-1]}]")
+    g = f1 - level
+    rows = np.arange(len(g))
+    panels = (g[:, :-1] + g[:, 1:]) / 2 * np.diff(t)
+    to_knot = np.concatenate((np.zeros((len(g), 1)), np.cumsum(panels, axis=1)),
+                             axis=1)
+
+    def to(x):
+        k = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
+        gx = rabipi.estimate._interpolate(t, g, x[:, None])[:, 0]
+        return to_knot[rows, k] + (g[rows, k] + gx) / 2 * (x - t[k])
+
+    return to(t2) - to(t1)
+
+
+def run_step(step, *args):
+    """A row-wise step's outputs and its failures as (step, message) pairs."""
+    fails = rabipi.estimate._Failures(len(args[1]))
+    with np.errstate(all="ignore"):
+        out = step(*args, fails)
+    return out, [e and (e.step, str(e)) for e in fails.errors], fails.ok
+
+
+def sampled_rows(t, rng, rows):
+    """Normalized sampled fractions on times ``t``: c 0.75-2.2, any phase,
+    16 to 8192 shots, with some knots moved onto the level."""
+    f = np.empty((rows, len(t)))
+    for r in range(rows):
+        m = NoiseModel(rng.uniform(0.5, 0.8), rng.uniform(0, 0.2),
+                       rng.uniform(-math.pi, math.pi), rng.uniform(0.75, 2.2))
+        shots = int(rng.choice([16, 256, 8192]))
+        f[r] = rng.binomial(shots, np.clip(noisy_prob(m, t), 0, 1)) / shots
+    lo, hi = f.min(axis=1, keepdims=True), f.max(axis=1, keepdims=True)
+    f1 = (f - lo) / np.where(hi > lo, hi - lo, 1.0)
+    on_level = rng.random(f1.shape) < 0.05
+    f1[on_level] = 0.5
+    return f1
+
+
+REF_TIMES = {
+    "grid_0.05": make_grid(0.0, 6.3, 0.05).times(),
+    "grid_0.1": GRID_TIMES,
+    "grid_0.2": make_grid(0.0, 6.4, 0.2).times(),
+    "non_uniform": np.cumsum(np.random.default_rng(7).uniform(0.02, 0.25, 60)),
+}
+
+
+def edge_centers(t, rng, rows, half):
+    """Window centres on random knots, moved by exactly ``half`` and by a
+    tie or two either way, or random in and just outside the data."""
+    tie = rabipi.estimate._TIE_STEPS * np.diff(t).min()
+    knots = t[rng.integers(0, len(t), rows)]
+    shift = rng.choice([-1, 1], rows) * (
+        half + tie * rng.choice([-2, -1, -0.5, 0, 0.5, 1, 2], rows))
+    anywhere = rng.uniform(t[0] - 0.3, t[-1] + 0.3, rows)
+    return np.where(rng.random(rows) < 0.7, knots + shift, anywhere)
+
+
+@pytest.mark.parametrize("times", REF_TIMES.values(), ids=REF_TIMES.keys())
+class TestMatchesFullRowReference:
+    def test_half_period_bit_identical(self, times):
+        rng = np.random.default_rng(1)
+        f1 = sampled_rows(times, rng, 300)
+        f1[:3] = [np.full(len(times), 0.2), np.full(len(times), 0.5),
+                  np.where(np.arange(len(times)) % 2, 0.9, 0.1)]
+        new = run_step(rabipi.estimate._find_half_period, times, f1, 0.5)
+        ref = run_step(ref_find_half_period, times, f1, 0.5)
+        for a, b in zip(new[0], ref[0]):
+            np.testing.assert_array_equal(a, b)
+        assert new[1] == ref[1]
+        assert any(new[1]) and not all(new[1])
+
+    @pytest.mark.parametrize("delta", [0.1, 0.23])
+    def test_refine_alpha_beta(self, times, delta):
+        rng = np.random.default_rng(2)
+        f1 = sampled_rows(times, rng, 400)
+        # t_maxval on a window edge for most rows, t_minval anywhere
+        t_maxval = edge_centers(times, rng, len(f1), delta)
+        spread = rng.uniform(1.0, 4.0, len(f1))
+        t1, t2 = t_maxval - spread / 2, t_maxval + spread / 2
+        new = run_step(rabipi.estimate._refine_alpha_beta, times, f1, t1, t2,
+                       delta)
+        ref = run_step(ref_refine_alpha_beta, times, f1, t1, t2, delta)
+        assert new[1] == ref[1]
+        ok = new[2]
+        assert ok.any() and not ok.all()
+        for a, b in zip(new[0][2:], ref[0][2:]):  # t_minval, t_maxval
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(new[0][:2], ref[0][:2]):
+            np.testing.assert_array_equal(a[ok], b[ok])
+
+    @pytest.mark.parametrize("window", [0.5, 0.31])
+    def test_refine_crossing_linear(self, times, window):
+        rng = np.random.default_rng(3)
+        f1 = sampled_rows(times, rng, 400)
+        f1[:2] = 0.5  # a flat row: no slope
+        t_i = np.array([edge_centers(times, rng, len(f1), window)
+                        for _ in range(2)])
+        new = run_step(rabipi.estimate._refine_crossing_linear, times, f1,
+                       t_i, window, 0.5)
+        fails = rabipi.estimate._Failures(len(f1))
+        with np.errstate(all="ignore"):
+            ref = [ref_refine_crossing_linear(times, f1, x, window, 0.5, fails)
+                   for x in t_i]
+        assert new[1] == [e and (e.step, str(e)) for e in fails.errors]
+        messages = {m.split(" ")[1] for _, m in filter(None, new[1])}
+        assert messages == {"need", "fitted", "refined"}
+        ok = new[2]
+        np.testing.assert_array_equal(new[0][:, ok], np.array(ref)[:, ok])
+
+    def test_trapezoid_integral(self, times):
+        rng = np.random.default_rng(4)
+        f1 = sampled_rows(times, rng, 400)
+        n = len(f1)
+        on_knots = times[rng.integers(0, len(times), (2, n))]
+        anywhere = rng.uniform(times[0] - 0.2, times[-1] + 0.2, (2, n))
+        t1, t2 = np.where(rng.random((2, n)) < 0.3, on_knots, anywhere)
+        t2[:5] = np.nextafter(t1[:5], np.inf)  # both limits on one panel
+        new = run_step(rabipi.estimate._trapezoid_integral, times, f1, t1, t2,
+                       0.5)
+        ref = run_step(ref_trapezoid_integral, times, f1, t1, t2, 0.5)
+        assert new[1] == ref[1]
+        ok = new[2]
+        assert ok.any() and not ok.all()
+        np.testing.assert_array_equal(new[0][ok], ref[0][ok])
+
+
+def ref_estimate_rows(t, f, cfg=EstimateConfig()):
+    """``estimate_rows`` composed of the reference steps."""
+    est = rabipi.estimate
+    fails = est._Failures(len(f))
+    with np.errstate(all="ignore"):
+        alpha1, beta1 = est._rough_alpha_beta(f, fails)
+        f1 = est._normalize(f, alpha1, beta1, fails)
+        t1, t2 = ref_find_half_period(t, f1, 0.5, fails)
+        alpha5, beta5, t_minval, t_maxval = ref_refine_alpha_beta(
+            t, f1, t1, t2, cfg.delta, fails)
+        fails.check(alpha5 > 0, "refine_alpha_beta",
+                    lambda r: f"refined amplitude {alpha5[r]} is not positive")
+        alpha_hat, beta_hat = alpha1 * alpha5, beta1 + alpha1 * beta5
+        f1 = est._normalize(f, alpha_hat, beta_hat, fails)
+        u1 = ref_refine_crossing_linear(t, f1, t1, cfg.refine_window, 0.5, fails)
+        u2 = ref_refine_crossing_linear(t, f1, t2, cfg.refine_window, 0.5, fails)
+        fails.check(u1 < u2, "refine_crossing_linear",
+                    lambda r: f"refined crossings out of order: "
+                              f"{u1[r]} >= {u2[r]}")
+        integral = ref_trapezoid_integral(t, f1, u1, u2, 0.5, fails)
+        fails.check(integral > 0, "trapezoid_integral",
+                    lambda r: f"integral {integral[r]} is not positive")
+        pi_hat = (u2 - u1) / integral
+    return dict(alpha_hat=alpha_hat, beta_hat=beta_hat, t1_hat=u1, t2_hat=u2,
+                integral_I=integral, pi_hat=pi_hat,
+                t_minval=t_minval, t_maxval=t_maxval,
+                errors=[e and (e.step, str(e)) for e in fails.errors])
+
+
+@pytest.mark.parametrize("grid,shots,c", [
+    (DEFAULT_GRID, 8192, 1.0), (make_grid(0.0, 6.3, 0.05), 256, 1.1),
+    (make_grid(0.0, 6.4, 0.2), 512, 0.75), (DEFAULT_GRID, 64, 2.2),
+    (make_grid(0.0, 6.5, 0.25), 1024, 1.3),  # plateau windows go empty
+])
+def test_pipeline_matches_full_row_reference(grid, shots, c):
+    # every phase at one rate, with the steps' failures among the rows
+    t = grid.times()
+    phases = np.linspace(-math.pi, math.pi, 25)[1:]
+    f = np.concatenate([
+        sample_counts(NoiseModel(0.9, 0.05, phi0, c), grid, shots, seed, 20)
+        for seed, phi0 in enumerate(phases)]) / shots
+    f[:2] = [np.full(len(t), 0.5), np.where(np.arange(len(t)) == 3, np.nan, 0.5)]
+    rows, ref = estimate_rows(t, f), ref_estimate_rows(t, f)
+    assert [e and (e.step, str(e)) for e in rows.errors] == ref["errors"]
+    for name in ("alpha_hat", "beta_hat", "t1_hat", "t2_hat", "integral_I",
+                 "pi_hat", "t_minval", "t_maxval"):
+        np.testing.assert_array_equal(getattr(rows, name)[rows.ok],
+                                      ref[name][rows.ok])
+    assert {"rough_alpha_beta", "normalize"} <= {e[0] for e in filter(None, ref["errors"])}
+
+
+def test_row_does_not_depend_on_its_batch():
+    # dense knots early and sparse ones late, so the windows hold from a few
+    # knots to dozens; a flat row fails among 149 sampled ones
+    t = np.concatenate((np.arange(0.0, 2.4, 0.03), np.arange(2.4, 9.0, 0.15)))
+    rng = np.random.default_rng(5)
+    f = np.array([rng.binomial(512, noisy_prob(NoiseModel(0.9, 0.05, phi0, 0.7), t))
+                  / 512 for phi0 in rng.uniform(-math.pi, math.pi, 149)])
+    f = np.insert(f, 75, 0.3, axis=0)
+    batch = estimate_rows(t, f)
+    assert batch.errors[75].step == "rough_alpha_beta"
+    assert batch.ok.sum() > 50
+    for r in range(len(f)):
+        alone = estimate_rows(t, f[r:r + 1])
+        assert [e and str(e) for e in alone.errors] == [
+            batch.errors[r] and str(batch.errors[r])]
+        for field in dataclasses.fields(alone):
+            if field.name != "errors":
+                assert np.array_equal(getattr(alone, field.name),
+                                      getattr(batch, field.name)[r:r + 1],
+                                      equal_nan=True), (r, field.name)
 
 
 def pinv_fit_at_rates(t, f, c):
