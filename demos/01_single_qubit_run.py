@@ -8,8 +8,8 @@ curve between them.
 
 import math
 
-from rabipi import (EstimateConfig, NoiseModel, estimate_pi, fit_model,
-                    make_grid, render_svg, sample_dataset, save_csv, save_text)
+from rabipi import (NoiseModel, estimate_pi, fit_model, make_grid, render_svg,
+                    sample_dataset, save_csv, save_text)
 
 # a plausible hardware-like distortion: 90% visibility, 5% dark counts,
 # small phase offset, rate slightly off unity
@@ -20,7 +20,7 @@ dataset = sample_dataset(model, grid, shots=8192, seed=42, label="demo-qubit")
 save_csv(dataset, "demo_qubit.csv")
 print(f"sampled {len(dataset)} time instants x {dataset.shots[0]} shots")
 
-result = estimate_pi(dataset, EstimateConfig())
+result = estimate_pi(dataset)
 print(f"rough->refined amplitude  alpha_hat = {result.alpha_hat:.4f}")
 print(f"rough->refined offset     beta_hat  = {result.beta_hat:.4f}")
 print(f"half-level crossings      t1 = {result.t1_hat:.4f}, t2 = {result.t2_hat:.4f}")

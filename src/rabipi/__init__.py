@@ -6,8 +6,8 @@ under the normalized curve between them yields pi; a Monte Carlo harness
 characterizes the estimator's statistical error.
 """
 
-from .estimate import (EstimateConfig, EstimateResult, PipelineError,
-                       ScreenVerdict, estimate_pi, fit_model, screen_dataset)
+from .estimate import (EstimateResult, PipelineError, ScreenVerdict,
+                       estimate_pi, fit_model, screen_dataset)
 from .model import (IDEAL, NoiseModel, analytic_half_crossings,
                     analytic_integral_reciprocal_c, ideal_prob, noisy_prob)
 from .montecarlo import (AggregateReport, McConfig, McSummary, aggregate,

@@ -19,8 +19,7 @@ import sys
 import numpy as np
 
 from .dataio import CsvFormatError, load_csv, save_text, write_csv
-from .estimate import EstimateConfig, PipelineError, estimate_pi, fit_model, \
-    screen_dataset
+from .estimate import PipelineError, estimate_pi, fit_model, screen_dataset
 from .model import NoiseModel
 from .montecarlo import McConfig, aggregate, model_from_estimate, run_mc
 from .plotting import render_svg
@@ -42,11 +41,6 @@ def _add_model_flags(p):
     p.add_argument("--c", type=float, default=1.0)
 
 
-def _add_estimate_flags(p):
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--window", type=float, default=0.5)
-
-
 @functools.cache  # one build per process; parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -64,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="run the estimation pipeline on a CSV")
     p.add_argument("dataset")
-    _add_estimate_flags(p)
 
     p = sub.add_parser("fit", help="fit the noise model to a CSV")
     p.add_argument("dataset")
@@ -75,28 +68,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Monte Carlo error characterization")
     _add_model_flags(p)
     _add_grid_flags(p)
-    _add_estimate_flags(p)
     p.add_argument("--shots", type=int, default=8192)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--runs", type=int, default=50)
 
     p = sub.add_parser("plot", help="render a dataset as SVG")
     p.add_argument("dataset")
-    _add_estimate_flags(p)
     p.add_argument("--out", help="output SVG path (default: stdout)")
 
     p = sub.add_parser("report", help="multi-dataset screening/estimate/MC report")
     p.add_argument("datasets", nargs="+")
-    _add_estimate_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--runs", type=int, default=50)
     p.add_argument("--out", help="output report path (default: stdout)")
 
     return parser
-
-
-def _estimate_config(args) -> EstimateConfig:
-    return EstimateConfig(delta=args.delta, refine_window=args.window)
 
 
 def _emit(text: str, out_path):
@@ -151,7 +137,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     ds = load_csv(args.dataset)
-    r = estimate_pi(ds, _estimate_config(args))
+    r = estimate_pi(ds)
     sys.stdout.write(_format_result(r))
     return 0
 
@@ -178,7 +164,7 @@ def _cmd_mc(args) -> int:
     model = NoiseModel(args.alpha, args.beta, args.phi0, args.c)
     cfg = McConfig(runs_per_model=args.runs, shots=args.shots,
                    grid=make_grid(args.grid_start, args.grid_stop, args.grid_step),
-                   base_seed=args.seed, estimate=_estimate_config(args))
+                   base_seed=args.seed)
     s = run_mc([model], cfg)
     print(f"n_runs   = {s.n_runs} ({_format_failures(s)}; seed {args.seed})")
     print(f"mean_pi  = {s.mean_pi:.4f}")
@@ -193,7 +179,7 @@ def _cmd_plot(args) -> int:
     model = result = None
     try:
         model = fit_model(ds)
-        result = estimate_pi(ds, _estimate_config(args))
+        result = estimate_pi(ds)
     except (PipelineError, ValueError):
         pass  # plot the points alone when fitting fails
     _emit(render_svg(ds, model, result), args.out)
@@ -201,7 +187,6 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cfg = _estimate_config(args)
     datasets = [load_csv(p) for p in args.datasets]
     lines = ["=== input summary ==="]
     for ds in datasets:
@@ -225,7 +210,7 @@ def _cmd_report(args) -> int:
     lines.append("=== per-qubit estimates ===")
     results = []
     for ds in kept:
-        r = estimate_pi(ds, cfg)
+        r = estimate_pi(ds)
         results.append((ds.label, r))
         lines.append(f"{ds.label}: pi_hat={r.pi_hat:.4f} "
                      f"t1={r.t1_hat:.4f} t2={r.t2_hat:.4f} I={r.integral_I:.4f} "
@@ -242,9 +227,8 @@ def _cmd_report(args) -> int:
                                       for ds, (g, n) in zip(kept, experiments)))
     grid, shots = experiments[0]
     models = [model_from_estimate(r) for _, r in results]
-    mc_cfg = McConfig(runs_per_model=args.runs, shots=shots, grid=grid,
-                      base_seed=args.seed, estimate=cfg)
-    s = run_mc(models, mc_cfg)
+    s = run_mc(models, McConfig(runs_per_model=args.runs, shots=shots, grid=grid,
+                                base_seed=args.seed))
     lines.append(f"{s.n_runs} runs ({_format_failures(s)}; base seed {args.seed}): "
                  f"std_pi={s.std_pi:.4f} std_dt={s.std_dt:.4f} std_I={s.std_I:.4f}")
 

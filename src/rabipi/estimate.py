@@ -11,12 +11,17 @@ crossings of the normalized curve and I is the trapezoidal integral of
   4. t1 and t2 are the rising and the falling end of the longest run of
      the interpolant at or above 1/2, each solved exactly on its segment; a
      row fails here when that run is cut off by either end of the data
-  5. refine amplitude/offset from plateau averages near the extrema
+  5. refine amplitude/offset from plateau averages within DELTA of the
+     extrema
   6. re-normalize with the refined constants
-  7. refine each crossing with a local least-squares line; a refined
-     crossing outside the data range fails here
+  7. refine each crossing with a least-squares line through the knots
+     within REFINE_WINDOW of it; a refined crossing outside the data range
+     fails here
   8. trapezoidal integral of the normalized curve minus 1/2
   9. pi_hat = (t2 - t1) / I
+
+LEVEL = 1/2, DELTA and REFINE_WINDOW are constants, not options, so the
+Monte Carlo error bar of ``run_mc`` always describes the printed estimator.
 
 Every step works row-wise on a 2-D array of fractions, one row per dataset.
 ``estimate_rows`` runs the pipeline on such a batch and records, per row,
@@ -37,7 +42,9 @@ from .model import NoiseModel
 from .simulate import Dataset
 
 __all__ = [
-    "EstimateConfig",
+    "LEVEL",
+    "DELTA",
+    "REFINE_WINDOW",
     "EstimateResult",
     "RowEstimates",
     "NormalizedCurve",
@@ -65,24 +72,12 @@ class PipelineError(ValueError):
         self.step = step
 
 
-@dataclass(frozen=True)
-class EstimateConfig:
-    """Tuning knobs of the pipeline; defaults follow the reference protocol.
-
-    The crossings need no search start: t1 and t2 bound the longest run of
-    the normalized curve at or above 1/2, one half-period on a sinusoid,
-    and an estimate fails at ``find_crossing`` when that run is cut off by
-    either end of the data (so also when no run lies wholly inside it).
-    """
-
-    delta: float = 0.1          # half-width of the extremum averaging window
-    refine_window: float = 0.5  # half-width of the linear-fit window
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
-        if self.refine_window <= 0:
-            raise ValueError(f"refine_window must be > 0, got {self.refine_window}")
+#: The level of the crossings t1 and t2, on the normalized scale.
+LEVEL = 0.5
+#: Half-width, in time units, of the plateau windows around the extrema.
+DELTA = 0.1
+#: Half-width, in time units, of the line-fit window around each crossing.
+REFINE_WINDOW = 0.5
 
 
 @dataclass(frozen=True)
@@ -95,9 +90,13 @@ class EstimateResult:
     t2_hat: float
     integral_I: float
     pi_hat: float
-    c_hat: float
     t_minval: float
     t_maxval: float
+
+    @property
+    def c_hat(self) -> float:
+        """The rate the integral gives, 1 / I."""
+        return 1.0 / self.integral_I
 
 
 @dataclass(frozen=True)
@@ -427,8 +426,8 @@ def interpolate(curve: NormalizedCurve, t) -> float | np.ndarray:
     return float(out) if np.isscalar(t) or tq.ndim == 0 else out
 
 
-def find_crossing(curve: NormalizedCurve, start: float, level: float = 0.5) -> float:
-    """Locate a crossing of the interpolated curve with ``level`` near ``start``.
+def find_crossing(curve: NormalizedCurve, start: float) -> float:
+    """Locate a crossing of the interpolated curve with ``LEVEL`` near ``start``.
 
     Among the knots on the level and the segments whose ends straddle it,
     the one nearest ``start`` (clamped to the data range) wins.  Distance is
@@ -442,51 +441,49 @@ def find_crossing(curve: NormalizedCurve, start: float, level: float = 0.5) -> f
     needs no start.
     """
     return float(_on_one_row(_find_crossing, curve.t, curve.f1[None],
-                             start, level)[0])
+                             start, LEVEL)[0])
 
 
-def refine_alpha_beta(curve: NormalizedCurve, t1_hat: float, t2_hat: float,
-                      delta: float = 0.1) -> tuple[float, float, float, float]:
+def refine_alpha_beta(curve: NormalizedCurve, t1_hat: float,
+                      t2_hat: float) -> tuple[float, float, float, float]:
     """Refine amplitude/offset from plateau averages near the extrema.
 
     The maximum of the curve sits midway between the crossings; the minimum
     a half-period below the first crossing or, when that falls outside the
     data range, a half-period above the second (clamping to the range edge
     would average over a window that misses the true minimum and bias the
-    offset).  Windows are strict, |t - t_hat| < delta, and a distance within
+    offset).  Windows are strict, |t - t_hat| < DELTA, and a distance within
     ``_TIE_STEPS`` grid steps of an edge or range end counts as on it.
     Returns (alpha, beta, t_minval, t_maxval) on the scale of the given curve.
     """
     out = _on_one_row(_refine_alpha_beta, curve.t, curve.f1[None],
-                      _row(t1_hat), _row(t2_hat), delta)
+                      _row(t1_hat), _row(t2_hat), DELTA)
     return tuple(float(v[0]) for v in out)
 
 
-def refine_crossing_linear(curve: NormalizedCurve, t_i: float,
-                           window: float = 0.5, level: float = 0.5) -> float:
-    """Refine a crossing by a line through the points with |t - t_i| <= window,
-    a distance within ``_TIE_STEPS`` grid steps of the edge counting as on it.
-    Raises when the line meets ``level`` outside the data range."""
+def refine_crossing_linear(curve: NormalizedCurve, t_i: float) -> float:
+    """Refine a crossing by a line through the points with
+    |t - t_i| <= REFINE_WINDOW, a distance within ``_TIE_STEPS`` grid steps
+    of the edge counting as on it.  Raises when the line meets ``LEVEL``
+    outside the data range."""
     return float(_on_one_row(_refine_crossing_linear, curve.t, curve.f1[None],
-                             _row(t_i)[None], window, level)[0, 0])
+                             _row(t_i)[None], REFINE_WINDOW, LEVEL)[0, 0])
 
 
-def trapezoid_integral(curve: NormalizedCurve, t1: float, t2: float,
-                       level: float = 0.5) -> float:
-    """Integral of (f1~(t) - level) over [t1, t2], exact for the interpolant.
+def trapezoid_integral(curve: NormalizedCurve, t1: float, t2: float) -> float:
+    """Integral of (f1~(t) - LEVEL) over [t1, t2], exact for the interpolant.
 
     A running sum of whole trapezoid panels from the first grid point,
     plus partial panels at both ends using interpolated endpoint values.
     """
     return float(_on_one_row(_trapezoid_integral, curve.t, curve.f1[None],
-                             _row(t1), _row(t2), level)[0])
+                             _row(t1), _row(t2), LEVEL)[0])
 
 
 # -- the pipeline -----------------------------------------------------------
 
 
-def estimate_rows(times, fractions,
-                  cfg: EstimateConfig = EstimateConfig()) -> RowEstimates:
+def estimate_rows(times, fractions) -> RowEstimates:
     """Run the nine-step pipeline on every row of ``fractions``.
 
     ``times`` holds the strictly increasing sample times shared by all rows,
@@ -509,14 +506,13 @@ def estimate_rows(times, fractions,
                          f"time, got times {t.shape} and fractions {f.shape}")
     if not np.all(t[1:] > t[:-1]):  # the slab widths divide by the least step
         raise ValueError("times must be strictly increasing")
-    level = 0.5  # pi = (t2 - t1) / I holds between half-level crossings only
     fails = _Failures(len(f))
     with np.errstate(all="ignore"):
         alpha1, beta1 = _rough_alpha_beta(f, fails)
         f1 = _normalize(f, alpha1, beta1, fails)
-        t1_rough, t2_rough = _find_half_period(t, f1, level, fails)
+        t1_rough, t2_rough = _find_half_period(t, f1, LEVEL, fails)
         alpha5, beta5, t_minval, t_maxval = _refine_alpha_beta(
-            t, f1, t1_rough, t2_rough, cfg.delta, fails)
+            t, f1, t1_rough, t2_rough, DELTA, fails)
         fails.check(alpha5 > 0, "refine_alpha_beta",
                     lambda r: f"refined amplitude {alpha5[r]} is not positive")
         # compose the normalized-scale refinement with the rough estimates so
@@ -525,12 +521,11 @@ def estimate_rows(times, fractions,
         beta_hat = beta1 + alpha1 * beta5
         f1 = _normalize(f, alpha_hat, beta_hat, fails)
         t1_hat, t2_hat = _refine_crossing_linear(
-            t, f1, np.array((t1_rough, t2_rough)), cfg.refine_window, level,
-            fails)
+            t, f1, np.array((t1_rough, t2_rough)), REFINE_WINDOW, LEVEL, fails)
         fails.check(t1_hat < t2_hat, "refine_crossing_linear",
                     lambda r: f"refined crossings out of order: "
                               f"{t1_hat[r]} >= {t2_hat[r]}")
-        integral = _trapezoid_integral(t, f1, t1_hat, t2_hat, level, fails)
+        integral = _trapezoid_integral(t, f1, t1_hat, t2_hat, LEVEL, fails)
         fails.check(integral > 0, "trapezoid_integral",
                     lambda r: f"integral {integral[r]} is not positive")
         pi_hat = (t2_hat - t1_hat) / integral
@@ -540,20 +535,18 @@ def estimate_rows(times, fractions,
                         errors=tuple(fails.errors), ok=fails.ok)
 
 
-def estimate_pi(ds: Dataset, cfg: EstimateConfig = EstimateConfig()) -> EstimateResult:
+def estimate_pi(ds: Dataset) -> EstimateResult:
     """Run the full nine-step pipeline on one dataset."""
-    rows = estimate_rows(ds.times(), ds.fractions()[None], cfg)
+    rows = estimate_rows(ds.times(), ds.fractions()[None])
     if rows.errors[0] is not None:
         raise rows.errors[0]
-    integral = float(rows.integral_I[0])
     return EstimateResult(
         alpha_hat=float(rows.alpha_hat[0]),
         beta_hat=float(rows.beta_hat[0]),
         t1_hat=float(rows.t1_hat[0]),
         t2_hat=float(rows.t2_hat[0]),
-        integral_I=integral,
+        integral_I=float(rows.integral_I[0]),
         pi_hat=float(rows.pi_hat[0]),
-        c_hat=1.0 / integral,
         t_minval=float(rows.t_minval[0]),
         t_maxval=float(rows.t_maxval[0]),
     )

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimate import EstimateConfig, EstimateResult, PipelineError, estimate_pi, \
-    estimate_rows, screen_dataset
+from .estimate import EstimateResult, PipelineError, estimate_pi, estimate_rows, \
+    screen_dataset
 from .model import NoiseModel
 from .simulate import DEFAULT_GRID, DEFAULT_SHOTS, TimeGrid, sample_counts
 
@@ -36,13 +36,15 @@ class McConfig:
     shots: int = DEFAULT_SHOTS
     grid: TimeGrid = DEFAULT_GRID
     base_seed: int = 0
-    estimate: EstimateConfig = field(default_factory=EstimateConfig)
 
     def __post_init__(self):
         if self.runs_per_model < 2:
             raise ValueError("runs_per_model must be >= 2 for a standard deviation")
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if not -2**63 <= self.base_seed < 2**63:  # _run_seed packs it as int64
+            raise ValueError(f"base_seed must be a signed 64-bit integer, "
+                             f"got {self.base_seed}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ def run_mc(models: list, cfg: McConfig = McConfig()) -> McSummary:
         sample_counts(model, cfg.grid, cfg.shots, _run_seed(cfg.base_seed, model, 0),
                       cfg.runs_per_model)
         for model in models])
-    rows = estimate_rows(cfg.grid.times(), ones / cfg.shots, cfg.estimate)
+    rows = estimate_rows(cfg.grid.times(), ones / cfg.shots)
     ok = rows.ok
     failed = Counter(rows.errors[r].step for r in np.flatnonzero(~ok))
     n_runs = len(ones)
@@ -129,8 +131,7 @@ def model_from_estimate(r: EstimateResult) -> NoiseModel:
                       phi0=math.pi / 2 - r.c_hat * r.t1_hat, c=r.c_hat)
 
 
-def models_from_datasets(datasets: list,
-                         cfg: EstimateConfig = EstimateConfig()) -> list:
+def models_from_datasets(datasets: list) -> list:
     """Recover one noise model per dataset (``model_from_estimate``) from a
     full pipeline run.  Datasets failing the jump screen are rejected
     outright.
@@ -144,7 +145,7 @@ def models_from_datasets(datasets: list,
                 f"dataset {ds.label or '<unlabeled>'} rejected by screening: "
                 f"{verdict.reason}")
         try:
-            r = estimate_pi(ds, cfg)
+            r = estimate_pi(ds)
         except PipelineError as exc:
             raise PipelineError(
                 "models_from_datasets",

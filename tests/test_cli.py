@@ -11,7 +11,7 @@ import rabipi.estimate
 import rabipi.montecarlo
 from rabipi.cli import cli_main
 from rabipi.dataio import load_csv, save_csv, write_csv
-from rabipi.estimate import EstimateConfig, estimate_pi
+from rabipi.estimate import estimate_pi
 from rabipi.model import IDEAL, NoiseModel, noisy_prob
 from rabipi.montecarlo import McConfig, run_mc
 from rabipi.simulate import DEFAULT_GRID, Dataset, inject_step, make_grid, \
@@ -67,18 +67,13 @@ class TestEstimate:
         assert run(["estimate", "missing.csv"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_reused_parser_keeps_no_state(self, tmp_path, capsys):
-        out = tmp_path / "q.csv"
-        assert run(["simulate", "--seed", "7", "--out", str(out)]) == 0
-        assert run(["estimate", "--delta", "0.3", str(out)]) == 0
+    def test_reused_parser_keeps_no_state(self, capsys):
+        # the second run must not see the first run's seed or label
+        assert run(["simulate", "--seed", "8", "--label", "x"]) == 0
         capsys.readouterr()
-        assert run(["estimate", str(out)]) == 0
-        printed = capsys.readouterr().out
-        ds = load_csv(out)
-        expected = estimate_pi(ds)
-        assert estimate_pi(ds, EstimateConfig(delta=0.3)).pi_hat != expected.pi_hat
-        assert f"pi_hat     = {expected.pi_hat:.6f}" in printed
-        assert f"alpha_hat  = {expected.alpha_hat:.6f}" in printed
+        assert run(["simulate", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == write_csv(
+            sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=7))
 
     def test_degenerate_data(self, tmp_path, capsys):
         p = tmp_path / "flat.csv"
@@ -101,6 +96,16 @@ class TestUsageErrors:
     def test_crossing_search_starts_are_gone(self, capsys, argv, flag):
         # the half-period is read off the data, so there is no start to set
         assert run([*argv, flag, "1.5"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--delta", "0.3"], ["--window", "0.4"]],
+                             ids=lambda flag: flag[0])
+    @pytest.mark.parametrize("argv", [["estimate", "q.csv"], ["mc"],
+                                      ["plot", "q.csv"], ["report", "q.csv"]],
+                             ids=lambda argv: argv[0])
+    def test_estimator_widths_are_not_options(self, capsys, argv, flag):
+        # the Monte Carlo error bar re-runs the estimator that was printed
+        assert run([*argv, *flag]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
@@ -190,6 +195,20 @@ class TestFitScreenMc:
         steps = ", ".join(f"{k} {n}" for k, n in s.failures_by_step.items())
         assert first == f"n_runs   = 100 (failures {s.failures}: {steps}; seed 0)"
 
+    @pytest.mark.parametrize("command", ["mc", "report"])
+    @pytest.mark.parametrize("seed", [2**63, -2**63 - 1])
+    def test_seed_outside_int64_is_an_error(self, tmp_path, capsys, command,
+                                            seed):
+        argv = [command]
+        if command == "report":
+            argv.append(str(tmp_path / "q.csv"))
+            assert run(["simulate", "--seed", "7", "--out", argv[1]]) == 0
+            capsys.readouterr()
+        assert run([*argv, "--runs", "5", "--seed", str(seed)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: base_seed") and str(seed) in err
+        assert "Traceback" not in err and out == ""
+
 
 class TestPlotReport:
     def test_plot_svg(self, tmp_path):
@@ -269,7 +288,7 @@ class TestPlotReport:
         datasets = [load_csv(p) for p in paths]
         with monkeypatch.context() as m:
             m.setattr(rabipi.cli, "run_mc", lambda models, cfg: run_mc(
-                rabipi.montecarlo.models_from_datasets(datasets, cfg.estimate),
+                rabipi.montecarlo.models_from_datasets(datasets),
                 cfg))
             capsys.readouterr()
             assert run(argv) == 0

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rabipi.estimate
-from rabipi.estimate import (EstimateConfig, NormalizedCurve, PipelineError,
-                             estimate_pi, estimate_rows, find_crossing,
-                             fit_model, interpolate, normalize,
-                             refine_alpha_beta, refine_crossing_linear,
-                             rough_alpha_beta, screen_dataset,
-                             trapezoid_integral)
+from rabipi.estimate import (DELTA, REFINE_WINDOW, EstimateResult,
+                             NormalizedCurve, PipelineError, estimate_pi,
+                             estimate_rows, find_crossing, fit_model,
+                             interpolate, normalize, refine_alpha_beta,
+                             refine_crossing_linear, rough_alpha_beta,
+                             screen_dataset, trapezoid_integral)
 from rabipi.model import IDEAL, NoiseModel, noisy_prob
 from rabipi.simulate import (DEFAULT_GRID, Dataset, exact_dataset,
                              inject_step, make_grid, sample_counts,
@@ -145,15 +145,17 @@ class TestFindCrossing:
             st.lists(st.floats(-1, 2), min_size=n, max_size=n)))
         level = data.draw(st.floats(0.05, 0.95))
         start = data.draw(st.floats(float(t[0]) - 1, float(t[-1]) + 1))
+        # the curve crosses 1/2 where the drawn one crosses the drawn level
+        f1 = f1 + (0.5 - level)
         curve = NormalizedCurve(t, f1)
-        g = f1 - level
+        g = f1 - 0.5
         if np.all(g > 0) or np.all(g < 0):
             with pytest.raises(PipelineError):
-                find_crossing(curve, start, level)
+                find_crossing(curve, start)
             return
-        x = find_crossing(curve, start, level)
+        x = find_crossing(curve, start)
         assert t[0] <= x <= t[-1]
-        assert abs(np.interp(x, t, f1) - level) <= 1e-12
+        assert abs(np.interp(x, t, f1) - 0.5) <= 1e-12
 
 
 def half_period(t, f1):
@@ -222,7 +224,7 @@ class TestRefineAlphaBeta:
         curve = ideal_curve()
         t1 = find_crossing(curve, 1.5)
         t2 = find_crossing(curve, 4.5)
-        a, b, t_minval, t_maxval = refine_alpha_beta(curve, t1, t2, delta=0.1)
+        a, b, t_minval, t_maxval = refine_alpha_beta(curve, t1, t2)
         assert t_maxval == pytest.approx((t1 + t2) / 2)
         # the half-period-below point is just under 0, so the minimum window
         # sits a half-period above the second crossing instead
@@ -241,35 +243,35 @@ class TestRefineAlphaBeta:
         f1 = np.where(np.abs(t - 0.0) < 0.3, 0.02, f1)
         f1 = np.nan_to_num(f1, nan=0.5)
         curve = NormalizedCurve(t, f1)
-        a, b, _, _ = refine_alpha_beta(curve, 1.575, 4.725, delta=0.1)
+        a, b, _, _ = refine_alpha_beta(curve, 1.575, 4.725)
         assert (a, b) == pytest.approx((0.95, 0.02))
 
     def test_empty_window_rejected(self):
         curve = NormalizedCurve(np.array([0.0, 2.0, 6.0]), np.array([0.0, 1.0, 0.0]))
         with pytest.raises(PipelineError):
-            refine_alpha_beta(curve, 1.5, 4.5, delta=0.1)
+            refine_alpha_beta(curve, 1.5, 4.5)
 
 
 class TestRefineCrossingLinear:
     def test_line_recovers_itself(self):
         t = np.arange(0.0, 4.05, 0.1)
         curve = NormalizedCurve(t, 0.3 + 0.1 * t)
-        assert refine_crossing_linear(curve, 2.0, 0.5) == pytest.approx(2.0)
+        assert refine_crossing_linear(curve, 2.0) == pytest.approx(2.0)
 
     def test_ideal_crossing_bias(self):
         curve = ideal_curve()
-        t = refine_crossing_linear(curve, math.pi / 2, 0.5)
+        t = refine_crossing_linear(curve, math.pi / 2)
         assert abs(t - math.pi / 2) < 3e-3
 
     def test_constant_rejected(self):
         curve = NormalizedCurve(GRID_TIMES, np.full(len(GRID_TIMES), 0.5))
         with pytest.raises(PipelineError):
-            refine_crossing_linear(curve, 1.5, 0.5)
+            refine_crossing_linear(curve, 1.5)
 
     def test_too_few_points_rejected(self):
         curve = NormalizedCurve(np.array([0.0, 3.0]), np.array([0.0, 1.0]))
         with pytest.raises(PipelineError):
-            refine_crossing_linear(curve, 0.0, 0.5)
+            refine_crossing_linear(curve, 0.0)
 
     @pytest.mark.parametrize("f1,t_i,beyond", [
         (0.4 * np.linspace(0, 1, 11), 0.9, 1.25),   # past the last time
@@ -279,7 +281,7 @@ class TestRefineCrossingLinear:
         # the windowed line reaches the level only outside [0, 1]
         curve = NormalizedCurve(np.linspace(0, 1, 11), f1)
         with pytest.raises(PipelineError, match="outside data range") as exc:
-            refine_crossing_linear(curve, t_i, 0.5)
+            refine_crossing_linear(curve, t_i)
         assert exc.value.step == "refine_crossing_linear"
         assert float(str(exc.value).split()[3]) == pytest.approx(beyond)
 
@@ -352,7 +354,7 @@ class TestEstimatePi:
             r = estimate_pi(ds)
             assert r.pi_hat * r.integral_I == pytest.approx(
                 r.t2_hat - r.t1_hat, abs=1e-12)
-            assert r.c_hat == pytest.approx(1 / r.integral_I)
+            assert r.c_hat == 1 / r.integral_I
             assert r.t1_hat < r.t2_hat
             assert r.integral_I > 0
 
@@ -378,7 +380,6 @@ class TestEstimatePi:
         # distances must not decide which of them the windows take
         ds = sample_dataset(NoiseModel(0.6, 0.2, 0.5, 1.1),
                             make_grid(0.0, 6.3, 0.05), 256, seed=126)
-        cfg = EstimateConfig()
         alpha, beta = rough_alpha_beta(ds)
         curve = normalize(ds, alpha, beta)
         # here the crossings nearest 1.5 and 4.5 bound the longest run above
@@ -387,13 +388,13 @@ class TestEstimatePi:
         t2 = find_crossing(curve, 4.5)
 
         def pi_from(t1, t2):
-            a5, b5, _, _ = refine_alpha_beta(curve, t1, t2, cfg.delta)
+            a5, b5, _, _ = refine_alpha_beta(curve, t1, t2)
             refined = normalize(ds, alpha * a5, beta + alpha * b5)
-            u1 = refine_crossing_linear(refined, t1, cfg.refine_window)
-            u2 = refine_crossing_linear(refined, t2, cfg.refine_window)
+            u1 = refine_crossing_linear(refined, t1)
+            u2 = refine_crossing_linear(refined, t2)
             return (u2 - u1) / trapezoid_integral(refined, u1, u2)
 
-        assert pi_from(t1, t2) == estimate_pi(ds, cfg).pi_hat
+        assert pi_from(t1, t2) == estimate_pi(ds).pi_hat
         for shift in (-5e-11, 5e-11):
             assert pi_from(t1 + shift, t2 + shift) == pytest.approx(
                 pi_from(t1, t2), abs=1e-12)
@@ -405,8 +406,22 @@ class TestEstimatePi:
 
     def test_crossing_level_is_not_configurable(self):
         # the unit-area identity holds between half-level crossings only
+        curve = ideal_curve()
+        for call in (lambda: estimate_pi(exact_dataset(IDEAL, DEFAULT_GRID),
+                                         level=0.3),
+                     lambda: trapezoid_integral(curve, 1.5, 4.5, level=0.3),
+                     lambda: refine_crossing_linear(curve, 1.5, level=0.3),
+                     lambda: find_crossing(curve, 1.5, level=0.3)):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_c_hat_is_the_reciprocal_integral(self):
+        r = estimate_pi(sample_dataset(NoiseModel(0.9, 0.05, 0, 1.1),
+                                       DEFAULT_GRID, 8192, seed=3))
+        assert r.c_hat == 1 / r.integral_I
+        # a result cannot carry a rate that disagrees with its integral
         with pytest.raises(TypeError):
-            EstimateConfig(level=0.3)
+            EstimateResult(**{**dataclasses.asdict(r), "c_hat": 1.0})
 
 
 class TestEstimateRows:
@@ -656,7 +671,7 @@ class TestMatchesFullRowReference:
         np.testing.assert_array_equal(new[0][ok], ref[0][ok])
 
 
-def ref_estimate_rows(t, f, cfg=EstimateConfig()):
+def ref_estimate_rows(t, f):
     """``estimate_rows`` composed of the reference steps."""
     est = rabipi.estimate
     fails = est._Failures(len(f))
@@ -665,13 +680,13 @@ def ref_estimate_rows(t, f, cfg=EstimateConfig()):
         f1 = est._normalize(f, alpha1, beta1, fails)
         t1, t2 = ref_find_half_period(t, f1, 0.5, fails)
         alpha5, beta5, t_minval, t_maxval = ref_refine_alpha_beta(
-            t, f1, t1, t2, cfg.delta, fails)
+            t, f1, t1, t2, DELTA, fails)
         fails.check(alpha5 > 0, "refine_alpha_beta",
                     lambda r: f"refined amplitude {alpha5[r]} is not positive")
         alpha_hat, beta_hat = alpha1 * alpha5, beta1 + alpha1 * beta5
         f1 = est._normalize(f, alpha_hat, beta_hat, fails)
-        u1 = ref_refine_crossing_linear(t, f1, t1, cfg.refine_window, 0.5, fails)
-        u2 = ref_refine_crossing_linear(t, f1, t2, cfg.refine_window, 0.5, fails)
+        u1 = ref_refine_crossing_linear(t, f1, t1, REFINE_WINDOW, 0.5, fails)
+        u2 = ref_refine_crossing_linear(t, f1, t2, REFINE_WINDOW, 0.5, fails)
         fails.check(u1 < u2, "refine_crossing_linear",
                     lambda r: f"refined crossings out of order: "
                               f"{u1[r]} >= {u2[r]}")

@@ -57,7 +57,7 @@ def reference_mc(models, cfg):
         for ones in block:
             ds = Dataset(times, cfg.shots, ones)
             try:
-                r = estimate_pi(ds, cfg.estimate)
+                r = estimate_pi(ds)
             except PipelineError as exc:
                 failed[exc.step] += 1
                 continue
@@ -79,8 +79,7 @@ def reference_mc(models, cfg):
 def _result(pi_hat):
     return EstimateResult(alpha_hat=1, beta_hat=0, t1_hat=1.5, t2_hat=4.6,
                           integral_I=(4.6 - 1.5) / pi_hat, pi_hat=pi_hat,
-                          c_hat=pi_hat / (4.6 - 1.5), t_minval=0.0,
-                          t_maxval=3.1)
+                          t_minval=0.0, t_maxval=3.1)
 
 
 class TestRunMc:
@@ -105,6 +104,17 @@ class TestRunMc:
     def test_single_run_rejected(self):
         with pytest.raises(ValueError):
             McConfig(runs_per_model=1)
+
+    @pytest.mark.parametrize("seed", [2**63, -2**63 - 1])
+    def test_seed_outside_int64_rejected(self, seed):
+        # _run_seed packs the base seed as a signed 64-bit integer
+        with pytest.raises(ValueError, match="base_seed"):
+            McConfig(base_seed=seed)
+
+    @pytest.mark.parametrize("seed", [2**63 - 1, -2**63])
+    def test_seed_at_int64_ends_runs(self, seed):
+        assert run_mc([IDEAL], McConfig(runs_per_model=2, shots=64,
+                                        base_seed=seed)).n_runs == 2
 
     def test_empty_model_list_rejected(self):
         with pytest.raises(ValueError):
@@ -142,9 +152,9 @@ class TestRunMc:
             seeds.append(seed)
             return np.random.default_rng(seed)
 
-        def counted_rows(times, fractions, cfg):
+        def counted_rows(times, fractions):
             batches.append(fractions)
-            return estimate_rows(times, fractions, cfg)
+            return estimate_rows(times, fractions)
 
         def spied(models, cfg):
             with monkeypatch.context() as m:
@@ -178,8 +188,8 @@ class TestRunMc:
         times = cfg.grid.times()
         blocks = [sample_counts(m, cfg.grid, cfg.shots, _run_seed(0, m, 0), 100)
                   / cfg.shots for m in [FAILING, *DEMO_QUBITS[:2]]]
-        whole = estimate_rows(times, np.concatenate(blocks), cfg.estimate)
-        parts = [estimate_rows(times, b, cfg.estimate) for b in blocks]
+        whole = estimate_rows(times, np.concatenate(blocks))
+        parts = [estimate_rows(times, b) for b in blocks]
         for f in dataclasses.fields(RowEstimates):
             if f.name == "errors":
                 continue
