@@ -21,7 +21,7 @@ import numpy as np
 from .dataio import CsvFormatError, load_csv, save_text, write_csv
 from .estimate import PipelineError, estimate_pi, fit_model, screen_dataset
 from .model import NoiseModel
-from .montecarlo import McConfig, aggregate, model_from_estimate, run_mc
+from .montecarlo import McConfig, _steps, aggregate, model_from_estimate, run_mc
 from .plotting import render_svg
 from .simulate import make_grid, sample_dataset
 
@@ -108,7 +108,7 @@ def _format_result(r) -> str:
 
 def _format_failures(s) -> str:
     """``failures N``, then the runs failed at each step when N > 0."""
-    steps = ", ".join(f"{step} {n}" for step, n in s.failures_by_step.items())
+    steps = _steps(s.failures_by_step)
     return f"failures {s.failures}" + (f": {steps}" if steps else "")
 
 

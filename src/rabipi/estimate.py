@@ -33,10 +33,10 @@ screener that rejects datasets with calibration jumps.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .model import NoiseModel
 from .simulate import Dataset
@@ -587,6 +587,20 @@ def _fit_at_rates(t, f, c):
     return rss, alpha, beta, phi0
 
 
+def __getattr__(name):
+    """Import ``scipy.optimize`` on first use of ``optimize`` (PEP 562).
+
+    Only ``fit_model`` needs SciPy, and importing it costs about half a
+    second, so estimating and the Monte Carlo never load it.  Once imported
+    it is bound as a module global, where a caller may rebind it.
+    """
+    if name == "optimize":
+        from scipy import optimize
+        globals()["optimize"] = optimize
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def fit_model(ds: Dataset) -> NoiseModel:
     """Least-squares fit of all four curve parameters to the fractions.
 
@@ -611,7 +625,8 @@ def fit_model(ds: Dataset) -> NoiseModel:
     rss = np.concatenate([_fit_at_rates(t, f, rates[i:i + per])[0]
                           for i in range(0, len(rates), per)])
     best = rates[rss.argmin()]
-    res = optimize.minimize_scalar(
+    # through the module attribute, so a rebinding of ``optimize`` is seen
+    res = sys.modules[__name__].optimize.minimize_scalar(
         lambda c: _fit_at_rates(t, f, np.array([c]))[0][0], method="bounded",
         bounds=(best - step, best + step), options={"xatol": 1e-10})
     _, alpha, beta, phi0 = _fit_at_rates(t, f, np.array([res.x]))

@@ -98,7 +98,8 @@ def run_mc(models: list, cfg: McConfig = McConfig()) -> McSummary:
         for model in models])
     rows = estimate_rows(cfg.grid.times(), ones / cfg.shots)
     ok = rows.ok
-    failed = Counter(rows.errors[r].step for r in np.flatnonzero(~ok))
+    failed = dict(sorted(Counter(
+        rows.errors[r].step for r in np.flatnonzero(~ok)).items()))
     n_runs = len(ones)
     rates = np.repeat([model.c for model in models], cfg.runs_per_model)
     # canonical (sorted) order makes the pooled statistics bitwise invariant
@@ -106,9 +107,10 @@ def run_mc(models: list, cfg: McConfig = McConfig()) -> McSummary:
     pis, dts, integrals = (np.sort(v[ok]) for v in (
         rows.pi_hat, (rows.t2_hat - rows.t1_hat) * rates, rows.integral_I * rates))
     if not len(pis):
-        raise PipelineError("run_mc", f"all {n_runs} runs failed")
+        raise PipelineError("run_mc", f"all {n_runs} runs failed: {_steps(failed)}")
     if len(pis) < 2:
-        raise PipelineError("run_mc", "fewer than 2 successful runs; "
+        raise PipelineError("run_mc", f"{n_runs - 1} of {n_runs} runs failed: "
+                            f"{_steps(failed)}; fewer than 2 successful runs, "
                             "standard deviation undefined")
     return McSummary(
         n_runs=n_runs,
@@ -117,8 +119,13 @@ def run_mc(models: list, cfg: McConfig = McConfig()) -> McSummary:
         std_dt=float(np.std(dts, ddof=1)),
         std_I=float(np.std(integrals, ddof=1)),
         failures=sum(failed.values()),
-        failures_by_step=dict(sorted(failed.items())),
+        failures_by_step=failed,
     )
+
+
+def _steps(failures_by_step: dict) -> str:
+    """``step n, step n``: the runs that failed at each pipeline step."""
+    return ", ".join(f"{step} {n}" for step, n in failures_by_step.items())
 
 
 def model_from_estimate(r: EstimateResult) -> NoiseModel:

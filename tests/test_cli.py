@@ -195,6 +195,19 @@ class TestFitScreenMc:
         steps = ", ".join(f"{k} {n}" for k, n in s.failures_by_step.items())
         assert first == f"n_runs   = 100 (failures {s.failures}: {steps}; seed 0)"
 
+    @pytest.mark.parametrize("grid, message", [
+        (["--grid-stop", "0.3"], "all 3 runs failed: find_crossing 3"),
+        (["--grid-stop", "4.75", "--grid-step", "0.05", "--shots", "256"],
+         "2 of 3 runs failed: find_crossing 1, refine_crossing_linear 1; "
+         "fewer than 2 successful runs, standard deviation undefined"),
+    ], ids=["all_failed", "one_succeeded"])
+    def test_mc_too_few_successes_name_the_failing_steps(self, capsys, grid,
+                                                         message):
+        assert run(["mc", "--alpha", "0.9", "--beta", "0.05", *grid,
+                    "--runs", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: run_mc: {message}\n")
+
     @pytest.mark.parametrize("command", ["mc", "report"])
     @pytest.mark.parametrize("seed", [2**63, -2**63 - 1])
     def test_seed_outside_int64_is_an_error(self, tmp_path, capsys, command,

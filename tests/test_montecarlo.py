@@ -211,6 +211,20 @@ class TestRunMc:
         # ~6% failure rate; the band is about 3 binomial sigma either way
         assert 0.02 <= s.failures / s.n_runs <= 0.10
 
+    @pytest.mark.parametrize("cfg, message", [
+        (McConfig(runs_per_model=3, grid=make_grid(0.0, 0.3, 0.1)),
+         "all 3 runs failed: find_crossing 3"),
+        # the falling crossing sits 0.04 before the end of the data
+        (McConfig(runs_per_model=3, shots=256, grid=make_grid(0.0, 4.75, 0.05)),
+         "2 of 3 runs failed: find_crossing 1, refine_crossing_linear 1; "
+         "fewer than 2 successful runs, standard deviation undefined"),
+    ], ids=["all_failed", "one_succeeded"])
+    def test_too_few_successes_name_the_failing_steps(self, cfg, message):
+        with pytest.raises(PipelineError) as info:
+            run_mc([NoiseModel(0.9, 0.05, 0.0, 1.0)], cfg)
+        assert info.value.step == "run_mc"
+        assert str(info.value) == f"run_mc: {message}"
+
     @pytest.mark.parametrize("model", OFF_RATE, ids=["c1.6", "c1.45", "c2_phi2"])
     def test_off_protocol_rates_are_unbiased(self, model):
         s = run_mc([model], McConfig(runs_per_model=200, shots=8192, base_seed=0))
