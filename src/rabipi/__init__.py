@@ -10,8 +10,7 @@ from .estimate import (EstimateResult, PipelineError, ScreenVerdict,
                        estimate_pi, fit_model, screen_dataset)
 from .model import (IDEAL, NoiseModel, analytic_half_crossings,
                     analytic_integral_reciprocal_c, ideal_prob, noisy_prob)
-from .montecarlo import (AggregateReport, McConfig, McSummary, aggregate,
-                         models_from_datasets, run_mc)
+from .montecarlo import McConfig, McSummary, Report, report, run_mc
 from .simulate import (DEFAULT_GRID, DEFAULT_SHOTS, Dataset, TimeGrid,
                        exact_dataset, inject_step, make_grid, sample_dataset)
 from .dataio import CsvFormatError, load_csv, parse_csv, save_csv, save_text, write_csv

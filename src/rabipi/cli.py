@@ -16,12 +16,10 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
 from .dataio import CsvFormatError, load_csv, save_text, write_csv
 from .estimate import PipelineError, estimate_pi, fit_model, screen_dataset
 from .model import NoiseModel
-from .montecarlo import McConfig, _steps, aggregate, model_from_estimate, run_mc
+from .montecarlo import McConfig, _steps, report, run_mc
 from .plotting import render_svg
 from .simulate import make_grid, sample_dataset
 
@@ -112,19 +110,6 @@ def _format_failures(s) -> str:
     return f"failures {s.failures}" + (f": {steps}" if steps else "")
 
 
-def _experiment(ds) -> tuple:
-    """The uniform time grid and the shot count ``ds`` was taken with."""
-    t = ds.t
-    start, stop = float(t[0]), float(t[-1])
-    grid = make_grid(start, stop, (stop - start) / (len(t) - 1))
-    if not np.array_equal(grid.times(), t):
-        raise PipelineError("report", f"{ds.label}: times are not a uniform grid")
-    lo, hi = ds.shots.min(), ds.shots.max()
-    if lo != hi:
-        raise PipelineError("report", f"{ds.label}: shots vary by row ({lo} to {hi})")
-    return grid, int(lo)
-
-
 def _cmd_simulate(args) -> int:
     model = NoiseModel(args.alpha, args.beta, args.phi0, args.c)
     grid = make_grid(args.grid_start, args.grid_stop, args.grid_step)
@@ -188,6 +173,8 @@ def _cmd_plot(args) -> int:
 
 def _cmd_report(args) -> int:
     datasets = [load_csv(p) for p in args.datasets]
+    rep = report(datasets, runs_per_model=args.runs, base_seed=args.seed)
+    s = rep.mc
     lines = ["=== input summary ==="]
     for ds in datasets:
         lines.append(f"{ds.label}: {len(ds)} records, {ds.shots[0]} shots, "
@@ -195,46 +182,26 @@ def _cmd_report(args) -> int:
 
     lines.append("")
     lines.append("=== screening ===")
-    kept = []
-    for ds in datasets:
-        v = screen_dataset(ds)
+    for label, v in rep.verdicts:
         if v.accepted:
-            lines.append(f"{ds.label}: accept")
-            kept.append(ds)
+            lines.append(f"{label}: accept")
         else:
-            lines.append(f"{ds.label}: reject at t={v.location} ({v.reason})")
-    if not kept:
-        raise PipelineError("report", "all datasets rejected by screening")
+            lines.append(f"{label}: reject at t={v.location} ({v.reason})")
 
     lines.append("")
     lines.append("=== per-qubit estimates ===")
-    results = []
-    for ds in kept:
-        r = estimate_pi(ds)
-        results.append((ds.label, r))
-        lines.append(f"{ds.label}: pi_hat={r.pi_hat:.4f} "
+    for label, r in rep.estimates:
+        lines.append(f"{label}: pi_hat={r.pi_hat:.4f} "
                      f"t1={r.t1_hat:.4f} t2={r.t2_hat:.4f} I={r.integral_I:.4f} "
                      f"alpha={r.alpha_hat:.4f} beta={r.beta_hat:.4f}")
 
     lines.append("")
     lines.append("=== Monte Carlo ===")
-    # the error bar must describe the experiment that was run
-    experiments = [_experiment(ds) for ds in kept]
-    if len(set(experiments)) > 1:
-        raise PipelineError("report", "datasets differ in time grid or shots: " +
-                            ", ".join(f"{ds.label} {n} shots on t = {g.start:g}:"
-                                      f"{g.step:.6g}:{g.stop:g}"
-                                      for ds, (g, n) in zip(kept, experiments)))
-    grid, shots = experiments[0]
-    models = [model_from_estimate(r) for _, r in results]
-    s = run_mc(models, McConfig(runs_per_model=args.runs, shots=shots, grid=grid,
-                                base_seed=args.seed))
     lines.append(f"{s.n_runs} runs ({_format_failures(s)}; base seed {args.seed}): "
                  f"std_pi={s.std_pi:.4f} std_dt={s.std_dt:.4f} std_I={s.std_I:.4f}")
 
     lines.append("")
     lines.append("=== aggregate ===")
-    rep = aggregate(results, s.std_pi)
     lines.append(f"mean_pi = {rep.mean_pi:.4f} +/- {rep.error_bar:.4f} "
                  f"(2 sigma; sigma = {s.std_pi:.4f}, {rep.sigma_source})")
     _emit("\n".join(lines) + "\n", args.out)

@@ -3,7 +3,8 @@
 Regenerates the experiment many times from given (or fitted) noise models,
 runs the full pipeline on every synthetic dataset, and reports pooled
 standard deviations of the final and intermediate quantities.  Three models
-at 50 runs each reproduce the 150-run protocol used to quote the error bar.
+at 50 runs each reproduce the 150-run protocol used to quote the error bar;
+``report`` takes a set of datasets to that error bar.
 """
 
 import hashlib
@@ -11,6 +12,7 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,11 +24,10 @@ from .simulate import DEFAULT_GRID, DEFAULT_SHOTS, TimeGrid, sample_counts
 __all__ = [
     "McConfig",
     "McSummary",
-    "AggregateReport",
+    "Report",
     "run_mc",
     "model_from_estimate",
-    "models_from_datasets",
-    "aggregate",
+    "report",
 ]
 
 
@@ -62,11 +63,17 @@ class McSummary:
 
 
 @dataclass(frozen=True)
-class AggregateReport:
-    per_qubit: tuple          # (label, EstimateResult) pairs
-    mean_pi: float
-    error_bar: float          # 2 sigma
-    sigma_source: str
+class Report:
+    """What ``report`` found on a set of datasets."""
+
+    verdicts: tuple    # (label, ScreenVerdict) of every dataset, in input order
+    estimates: tuple   # (label, EstimateResult) of each accepted dataset
+    mc: McSummary      # run_mc on the models the estimates recover
+    mean_pi: float     # mean of the accepted datasets' pi_hat
+    error_bar: float   # 2 * mc.std_pi
+
+    sigma_source: ClassVar[str] = \
+        "Monte Carlo standard deviation of a single-run estimate"
 
 
 def _run_seed(base_seed: int, model: NoiseModel, run: int) -> int:
@@ -138,44 +145,55 @@ def model_from_estimate(r: EstimateResult) -> NoiseModel:
                       phi0=math.pi / 2 - r.c_hat * r.t1_hat, c=r.c_hat)
 
 
-def models_from_datasets(datasets: list) -> list:
-    """Recover one noise model per dataset (``model_from_estimate``) from a
-    full pipeline run.  Datasets failing the jump screen are rejected
-    outright.
+def _experiment(ds) -> tuple:
+    """The uniform time grid and the shot count ``ds`` was taken with.
+
+    The times must lie within 1e-9 steps of the grid's, which allows for
+    the rounding of times written by ``np.linspace`` or ``TimeGrid.times``.
     """
-    models = []
-    for ds in datasets:
-        verdict = screen_dataset(ds)
-        if not verdict:
-            raise PipelineError(
-                "models_from_datasets",
-                f"dataset {ds.label or '<unlabeled>'} rejected by screening: "
-                f"{verdict.reason}")
+    t = ds.t
+    start, stop = float(t[0]), float(t[-1])
+    grid = TimeGrid(start, stop, (stop - start) / (len(t) - 1))
+    if np.max(np.abs(grid.times() - t)) > 1e-9 * grid.step:
+        raise PipelineError("report", f"{ds.label}: times are not a uniform grid")
+    lo, hi = ds.shots.min(), ds.shots.max()
+    if lo != hi:
+        raise PipelineError("report", f"{ds.label}: shots vary by row ({lo} to {hi})")
+    return grid, int(lo)
+
+
+def report(datasets: list, runs_per_model: int = 50, base_seed: int = 0) -> Report:
+    """From datasets to the mean pi_hat and its 2-sigma error bar.
+
+    Datasets failing the jump screen are skipped.  Each accepted one is
+    estimated and recovers a model (``model_from_estimate``); ``run_mc``
+    re-runs those models on the accepted datasets' time grid and shot
+    count, so the error bar describes the experiment that was run.  sigma
+    is the Monte Carlo standard deviation of a single-run estimate, not
+    divided by the number of datasets.
+    """
+    if not datasets:
+        raise ValueError("need at least one dataset")
+    verdicts = tuple((ds.label, screen_dataset(ds)) for ds in datasets)
+    kept = [ds for ds, (_, v) in zip(datasets, verdicts) if v]
+    if not kept:
+        raise PipelineError("report", "all datasets rejected by screening")
+    estimates = []
+    for ds in kept:
         try:
-            r = estimate_pi(ds)
+            estimates.append((ds.label, estimate_pi(ds)))
         except PipelineError as exc:
-            raise PipelineError(
-                "models_from_datasets",
-                f"pipeline failed on dataset {ds.label or '<unlabeled>'}: {exc}")
-        models.append(model_from_estimate(r))
-    return models
-
-
-def aggregate(results: list, sigma: float) -> AggregateReport:
-    """Average per-qubit estimates and attach a 2-sigma error bar.
-
-    ``sigma`` is the Monte Carlo standard deviation of a single-run
-    estimate (not divided by the number of qubits); the report records
-    this convention.
-    """
-    if not results:
-        raise ValueError("need at least one estimate")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    mean_pi = float(np.mean([r.pi_hat for _, r in results]))
-    return AggregateReport(
-        per_qubit=tuple(results),
-        mean_pi=mean_pi,
-        error_bar=2 * sigma,
-        sigma_source="Monte Carlo standard deviation of a single-run estimate",
-    )
+            raise PipelineError("report", f"{ds.label}: {exc}") from exc
+    experiments = [_experiment(ds) for ds in kept]
+    if len(set(experiments)) > 1:
+        raise PipelineError("report", "datasets differ in time grid or shots: " +
+                            ", ".join(f"{ds.label} {n} shots on t = {g.start:g}:"
+                                      f"{g.step:.6g}:{g.stop:g}"
+                                      for ds, (g, n) in zip(kept, experiments)))
+    grid, shots = experiments[0]
+    mc = run_mc([model_from_estimate(r) for _, r in estimates],
+                McConfig(runs_per_model=runs_per_model, shots=shots, grid=grid,
+                         base_seed=base_seed))
+    return Report(verdicts=verdicts, estimates=tuple(estimates), mc=mc,
+                  mean_pi=float(np.mean([r.pi_hat for _, r in estimates])),
+                  error_bar=2 * mc.std_pi)

@@ -13,7 +13,7 @@ from rabipi.cli import cli_main
 from rabipi.dataio import load_csv, save_csv, write_csv
 from rabipi.estimate import estimate_pi
 from rabipi.model import IDEAL, NoiseModel, noisy_prob
-from rabipi.montecarlo import McConfig, run_mc
+from rabipi.montecarlo import McConfig, model_from_estimate, run_mc
 from rabipi.simulate import DEFAULT_GRID, Dataset, inject_step, make_grid, \
     sample_dataset
 
@@ -287,6 +287,38 @@ class TestPlotReport:
         err = capsys.readouterr().err
         assert err.startswith("error: report: ") and message in err
 
+    @pytest.mark.parametrize("times", [
+        np.linspace(0, 6.3, 64), np.linspace(0, 2 * math.pi, 64),
+        np.linspace(0, 6.3, 127)], ids=["default_grid", "two_pi", "127_points"])
+    def test_report_accepts_linspace_grids(self, tmp_path, capsys, times):
+        # np.linspace times differ from TimeGrid.times() in the last bits
+        rng = np.random.default_rng(0)
+        model = NoiseModel(0.9, 0.05, 0.0, 1.0)
+        paths = []
+        for q in range(3):
+            ds = Dataset(times, 8192, rng.binomial(8192, noisy_prob(model, times)),
+                         f"q{q}")
+            paths.append(tmp_path / f"q{q}.csv")
+            save_csv(ds, paths[-1])
+        assert run(["report", *map(str, paths), "--runs", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "15 runs (failures 0; base seed 0)" in out
+        assert re.search(r"^mean_pi = 3\.1\d+ \+/- ", out, re.M)
+
+    def test_report_names_the_file_that_fails_to_estimate(self, tmp_path, capsys):
+        paths = []
+        for q, phi0 in enumerate([0.0, 2.5, 0.0]):
+            p = tmp_path / f"q{q}.csv"
+            run(["simulate", "--alpha", "0.9", "--beta", "0.05", "--phi0",
+                 str(phi0), "--c", "1", "--seed", str(q), "--label", f"q{q}",
+                 "--out", str(p)])
+            paths.append(str(p))
+        capsys.readouterr()
+        assert run(["report", *paths]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: report: q1: find_crossing: ")
+
     def test_report_screens_and_estimates_each_file_once(self, tmp_path,
                                                          monkeypatch, capsys):
         paths = []
@@ -296,16 +328,23 @@ class TestPlotReport:
                  "--seed", str(seed), "--label", f"q{i}", "--out", str(p)])
             paths.append(str(p))
         argv = ["report", *paths, "--runs", "5", "--seed", "4"]
-        # reference: Monte Carlo on the models models_from_datasets recovers
-        run_mc = rabipi.cli.run_mc
+        # reference: Monte Carlo on the models each file's estimate recovers
+        run_mc = rabipi.montecarlo.run_mc
         datasets = [load_csv(p) for p in paths]
+        ran = []
+
+        def reference(models, cfg):
+            ran.append(cfg)
+            return run_mc([model_from_estimate(estimate_pi(ds)) for ds in datasets],
+                          cfg)
+
         with monkeypatch.context() as m:
-            m.setattr(rabipi.cli, "run_mc", lambda models, cfg: run_mc(
-                rabipi.montecarlo.models_from_datasets(datasets),
-                cfg))
+            m.setattr(rabipi.montecarlo, "run_mc", reference)
             capsys.readouterr()
             assert run(argv) == 0
             expected = capsys.readouterr().out
+        assert [(c.runs_per_model, c.shots, c.base_seed) for c in ran] == [(5, 8192, 4)]
+        assert np.array_equal(ran[0].grid.times(), DEFAULT_GRID.times())
 
         calls = {}
         for name in ("screen_dataset", "fit_model", "estimate_pi"):

@@ -7,11 +7,11 @@ import pytest
 
 import rabipi.montecarlo
 import rabipi.simulate
-from rabipi.estimate import EstimateResult, PipelineError, RowEstimates, \
-    estimate_pi, estimate_rows
+from rabipi.estimate import PipelineError, RowEstimates, estimate_pi, \
+    estimate_rows
 from rabipi.model import IDEAL, NoiseModel
-from rabipi.montecarlo import (McConfig, McSummary, _run_seed, aggregate,
-                               model_from_estimate, models_from_datasets, run_mc)
+from rabipi.montecarlo import (McConfig, McSummary, _run_seed, model_from_estimate,
+                               report, run_mc)
 from rabipi.simulate import DEFAULT_GRID, Dataset, exact_dataset, \
     inject_step, make_grid, sample_counts, sample_dataset
 
@@ -74,12 +74,6 @@ def reference_mc(models, cfg):
         failures=sum(failed.values()),
         failures_by_step=dict(failed),
     )
-
-
-def _result(pi_hat):
-    return EstimateResult(alpha_hat=1, beta_hat=0, t1_hat=1.5, t2_hat=4.6,
-                          integral_I=(4.6 - 1.5) / pi_hat, pi_hat=pi_hat,
-                          t_minval=0.0, t_maxval=3.1)
 
 
 class TestRunMc:
@@ -248,31 +242,23 @@ class TestRunMc:
         assert isinstance(hash(s), int)  # the breakdown keeps it hashable
 
 
-class TestModelsFromDatasets:
+class TestModelFromEstimate:
     def test_closed_loop_recovery(self):
         # tolerances checked over 20 seeds before freezing this fixture
         truth = NoiseModel(0.9, 0.05, 0.0, 1.0)
         ds = sample_dataset(truth, DEFAULT_GRID, 8192, seed=13)
-        m = models_from_datasets([ds])[0]
+        m = model_from_estimate(estimate_pi(ds))
         assert m.alpha == pytest.approx(truth.alpha, abs=0.02)
         assert m.beta == pytest.approx(truth.beta, abs=0.02)
         assert m.c == pytest.approx(truth.c, abs=0.01)
 
     def test_exact_ideal_recovery(self):
-        m = models_from_datasets([exact_dataset(IDEAL, DEFAULT_GRID)])[0]
+        m = model_from_estimate(estimate_pi(exact_dataset(IDEAL, DEFAULT_GRID)))
         assert m.alpha == pytest.approx(1.0, abs=2e-3)   # grid extremum bias
         assert m.beta == pytest.approx(0.0, abs=2e-3)
         assert m.c == pytest.approx(1.0, abs=2e-3)
         assert m.phi0 == pytest.approx(0.0, abs=3e-3)
 
-    def test_screened_dataset_rejected(self):
-        ds = inject_step(sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=0),
-                         4.0, 0.15)
-        with pytest.raises(PipelineError, match="screening"):
-            models_from_datasets([ds])
-
-
-class TestModelFromEstimate:
     @pytest.mark.parametrize("phi0", [0.0, 2.0])
     @pytest.mark.parametrize("c", [1.45, 1.6, 2.0])
     def test_recovers_rate_and_phase(self, c, phi0):
@@ -285,23 +271,68 @@ class TestModelFromEstimate:
             assert abs(math.remainder(m.phi0 - phi0, 2 * math.pi)) <= 0.2, seed
 
 
+def _demo_datasets(grid=DEFAULT_GRID, shots=8192):
+    return [sample_dataset(m, grid, shots, seed=100 + i, label=f"q{i}")
+            for i, m in enumerate(DEMO_QUBITS)]
+
+
+def _step_dataset(label):
+    """A dataset the jump screen rejects."""
+    return inject_step(sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=0,
+                                      label=label), 4.0, 0.15)
+
+
 class TestAggregate:
+    """The mean over the accepted datasets and its 2-sigma bar."""
+
     def test_three_qubit_mean(self):
-        results = [(f"q{i}", _result(p)) for i, p in enumerate([3.14, 3.15, 3.16])]
-        rep = aggregate(results, sigma=0.0085)
-        assert rep.mean_pi == pytest.approx(3.15)
-        assert rep.error_bar == pytest.approx(0.017)
+        datasets = _demo_datasets()
+        rep = report([*datasets, _step_dataset("bad")], runs_per_model=10)
+        assert rep.mean_pi == np.mean([estimate_pi(ds).pi_hat for ds in datasets])
+        assert rep.error_bar == 2 * rep.mc.std_pi
         assert "single-run" in rep.sigma_source
 
     def test_single_result(self):
-        rep = aggregate([("q0", _result(3.141))], sigma=0.01)
-        assert rep.mean_pi == pytest.approx(3.141)
-        assert rep.error_bar == pytest.approx(0.02)
+        ds = _demo_datasets()[0]
+        rep = report([ds], runs_per_model=10)
+        assert rep.mean_pi == estimate_pi(ds).pi_hat
+        assert rep.error_bar == 2 * rep.mc.std_pi
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([], sigma=0.01)
+            report([])
 
-    def test_nonpositive_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([("q0", _result(3.14))], sigma=0.0)
+
+class TestReport:
+    def test_mc_is_run_mc_on_the_recovered_models(self):
+        # off-default grid and shots: the Monte Carlo takes both from the data
+        grid = make_grid(0.0, 6.3, 0.05)
+        datasets = _demo_datasets(grid, 512)
+        rep = report(datasets, runs_per_model=20, base_seed=5)
+        expected = run_mc([model_from_estimate(estimate_pi(ds)) for ds in datasets],
+                          McConfig(20, 512, grid, 5))
+        assert dataclasses.asdict(rep.mc) == dataclasses.asdict(expected)
+        assert rep.mc == expected
+
+    def test_verdicts_keep_the_input_order(self):
+        q0, q1, q2 = _demo_datasets()
+        rep = report([q0, _step_dataset("bad"), q1, q2], runs_per_model=5)
+        assert [(label, v.accepted) for label, v in rep.verdicts] == [
+            ("q0", True), ("bad", False), ("q1", True), ("q2", True)]
+        assert [label for label, _ in rep.estimates] == ["q0", "q1", "q2"]
+        assert rep.estimates[1][1] == estimate_pi(q1)
+        assert rep.mc.n_runs == 15
+
+    def test_screened_dataset_skipped(self):
+        ds = _demo_datasets()[0]
+        rep = report([_step_dataset("bad"), ds], runs_per_model=5)
+        assert [label for label, _ in rep.estimates] == ["q0"]
+        with pytest.raises(PipelineError, match="all datasets rejected by screening"):
+            report([_step_dataset("bad")], runs_per_model=5)
+
+    def test_failed_estimate_names_the_dataset(self):
+        q0, _, q2 = _demo_datasets()
+        cut_off = sample_dataset(NoiseModel(0.9, 0.05, 2.5, 1.0), DEFAULT_GRID,
+                                 8192, seed=1, label="q1")
+        with pytest.raises(PipelineError, match=r"^report: q1: find_crossing: "):
+            report([q0, cut_off, q2], runs_per_model=5)
