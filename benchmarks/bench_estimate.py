@@ -1,6 +1,7 @@
 """Layer benchmark of the estimator: ``estimate_rows``, ``estimate_pi`` and
 ``run_mc`` at the sizes the paper's protocol and the low-shot Monte Carlo
-use.
+use, and ``fit_model`` and ``render_svg`` on one file as triage fits and
+plots it.
 
     python -m pytest benchmarks -q                       # time, print medians
     python -m pytest benchmarks -q --benchmark-json=out.json
@@ -12,14 +13,16 @@ collect this file (``testpaths`` names ``tests`` only).
 """
 
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from rabipi import (DEFAULT_GRID, Dataset, McConfig, NoiseModel, estimate_pi,
                     make_grid, run_mc)
-from rabipi.estimate import estimate_rows
-from rabipi.simulate import sample_counts
+from rabipi.estimate import estimate_rows, fit_model
+from rabipi.plotting import render_svg
+from rabipi.simulate import sample_counts, sample_dataset
 
 #: The paper's three demo qubits; 50 runs each is the 150-run protocol.
 DEMO_QUBITS = [NoiseModel(0.90, 0.05, 0.0, 1.0),
@@ -45,6 +48,12 @@ def lowshot_batch():
             sample_counts(LOWSHOT_MODEL, LOWSHOT_GRID, 256, 3, 50) / 256)
 
 
+@pytest.fixture(scope="module")
+def one_file():
+    """The first demo qubit at 8192 shots on DEFAULT_GRID, a triage file."""
+    return sample_dataset(DEMO_QUBITS[0], DEFAULT_GRID, 8192, seed=5)
+
+
 def test_estimate_rows_protocol(benchmark, protocol_batch):
     rows = benchmark(estimate_rows, *protocol_batch)
     assert rows.ok.all()
@@ -67,3 +76,18 @@ def test_run_mc_demo_qubits(benchmark):
     s = benchmark(run_mc, DEMO_QUBITS, McConfig(runs_per_model=50))
     assert s.n_runs == 150 and s.failures == 0
     assert abs(s.mean_pi - math.pi) < 0.01
+
+
+def test_fit_model_one_file(benchmark, one_file):
+    m = benchmark(fit_model, one_file)
+    truth = DEMO_QUBITS[0]
+    assert abs(m.alpha - truth.alpha) < 0.02 and abs(m.beta - truth.beta) < 0.02
+    assert abs(m.phi0 - truth.phi0) < 0.05 and abs(m.c - truth.c) < 0.02
+
+
+def test_render_svg_one_file(benchmark, one_file):
+    svg = benchmark(render_svg, one_file, fit_model(one_file),
+                    estimate_pi(one_file))
+    tags = [e.tag.rsplit("}", 1)[-1] for e in ET.fromstring(svg).iter()]
+    assert tags.count("circle") == 64 and tags.count("polyline") == 1
+    assert svg.count('class="crossing"') == 2

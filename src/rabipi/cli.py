@@ -176,8 +176,8 @@ def _cmd_report(args) -> int:
     rep = report(datasets, runs_per_model=args.runs, base_seed=args.seed)
     s = rep.mc
     lines = ["=== input summary ==="]
-    for ds in datasets:
-        lines.append(f"{ds.label}: {len(ds)} records, {ds.shots[0]} shots, "
+    for (name, _), ds in zip(rep.verdicts, datasets):
+        lines.append(f"{name}: {len(ds)} records, {ds.shots[0]} shots, "
                      f"t in [{ds.t[0]:.4g}, {ds.t[-1]:.4g}]")
 
     lines.append("")

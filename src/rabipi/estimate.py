@@ -552,6 +552,9 @@ def estimate_pi(ds: Dataset) -> EstimateResult:
     )
 
 
+_EPS = np.finfo(float).eps
+
+
 def _fit_at_rates(t, f, c):
     """RSS, alpha, beta and phi0 of the best valid curve at each rate in
     ``c``: the least-squares k - u*cos(ct) - v*sin(ct), with its levels
@@ -562,28 +565,47 @@ def _fit_at_rates(t, f, c):
     centred columns are collinear gets RSS inf: below det = eps * (CC+SS)^2
     the squared condition number exceeds 1/eps and the solve carries no
     correct digits.
+
+    The one kernel of both ``fit_model``'s scan and its refinement, which
+    calls it at one rate at a time, so its cost is per NumPy call rather
+    than per element.  It therefore avoids NumPy's Python-level wrappers
+    (``mean``, ``clip``, ``where``) and temporaries in favour of plain
+    ufuncs, reductions and in-place updates that round every value as they
+    did: a mean is NumPy's sum divided by the count, ``clip`` is the
+    maximum then the minimum on finite values, and ``(pred - f)**2`` is
+    ``(f - pred)**2``.  The refinement's search is bounded Brent, whose
+    path turns on every bit of the RSS.
     """
+    n = len(t)
     ct = np.multiply.outer(c, t)
     cos, sin = np.cos(ct), np.sin(ct)
-    mean_cos, mean_sin, mean_f = cos.mean(axis=1), sin.mean(axis=1), f.mean()
+    mean_cos, mean_sin, mean_f = cos.sum(axis=1) / n, sin.sum(axis=1) / n, f.sum() / n
     cc, ss = cos - mean_cos[:, None], sin - mean_sin[:, None]
     y = f - mean_f
     yc, ys = cc @ y, ss @ y
-    c2, s2, cs = (cc * cc).sum(axis=1), (ss * ss).sum(axis=1), (cc * ss).sum(axis=1)
+    c2, s2 = (cc * cc).sum(axis=1), (ss * ss).sum(axis=1)
+    cc *= ss
+    cs = cc.sum(axis=1)
     det = c2 * s2 - cs * cs
-    collinear = det <= np.finfo(float).eps * (c2 + s2) ** 2
-    det = np.where(collinear, np.inf, det)  # u = v = 0 there, and no warning
+    scale = c2 + s2
+    collinear = det <= _EPS * (scale * scale)
+    det[collinear] = np.inf  # u = v = 0 there, and no warning
     u = (ys * cs - yc * s2) / det
     v = (yc * cs - ys * c2) / det
     k, r = mean_f + u * mean_cos + v * mean_sin, np.hypot(u, v)
-    beta = np.clip(k - r, 0.0, 1.0)
-    alpha = np.clip(k + r, 0.0, 1.0) - beta
+    beta = np.minimum(np.maximum(k - r, 0.0), 1.0)
+    alpha = np.minimum(np.maximum(k + r, 0.0), 1.0) - beta
     phi0 = np.arctan2(-v, u)
     half = alpha / 2
-    # beta + half * (1 - cos(ct + phi0)), expanded
-    pred = ((beta + half)[:, None] - (half * np.cos(phi0))[:, None] * cos
-            + (half * np.sin(phi0))[:, None] * sin)
-    rss = np.where(collinear, np.inf, ((f - pred) ** 2).sum(axis=1))
+    # beta + half * (1 - cos(ct + phi0)) - f, expanded
+    pred = (half * np.cos(phi0))[:, None] * cos
+    np.subtract((beta + half)[:, None], pred, out=pred)
+    sin *= (half * np.sin(phi0))[:, None]
+    pred += sin
+    pred -= f
+    pred *= pred
+    rss = pred.sum(axis=1)
+    rss[collinear] = np.inf
     return rss, alpha, beta, phi0
 
 

@@ -66,8 +66,8 @@ class McSummary:
 class Report:
     """What ``report`` found on a set of datasets."""
 
-    verdicts: tuple    # (label, ScreenVerdict) of every dataset, in input order
-    estimates: tuple   # (label, EstimateResult) of each accepted dataset
+    verdicts: tuple    # (name, ScreenVerdict) of every dataset, in input order
+    estimates: tuple   # (name, EstimateResult) of each accepted dataset
     mc: McSummary      # run_mc on the models the estimates recover
     mean_pi: float     # mean of the accepted datasets' pi_hat
     error_bar: float   # 2 * mc.std_pi
@@ -145,7 +145,7 @@ def model_from_estimate(r: EstimateResult) -> NoiseModel:
                       phi0=math.pi / 2 - r.c_hat * r.t1_hat, c=r.c_hat)
 
 
-def _experiment(ds) -> tuple:
+def _experiment(name: str, ds) -> tuple:
     """The uniform time grid and the shot count ``ds`` was taken with.
 
     The times must lie within 1e-9 steps of the grid's, which allows for
@@ -155,10 +155,10 @@ def _experiment(ds) -> tuple:
     start, stop = float(t[0]), float(t[-1])
     grid = TimeGrid(start, stop, (stop - start) / (len(t) - 1))
     if np.max(np.abs(grid.times() - t)) > 1e-9 * grid.step:
-        raise PipelineError("report", f"{ds.label}: times are not a uniform grid")
+        raise PipelineError("report", f"{name}: times are not a uniform grid")
     lo, hi = ds.shots.min(), ds.shots.max()
     if lo != hi:
-        raise PipelineError("report", f"{ds.label}: shots vary by row ({lo} to {hi})")
+        raise PipelineError("report", f"{name}: shots vary by row ({lo} to {hi})")
     return grid, int(lo)
 
 
@@ -171,25 +171,29 @@ def report(datasets: list, runs_per_model: int = 50, base_seed: int = 0) -> Repo
     count, so the error bar describes the experiment that was run.  sigma
     is the Monte Carlo standard deviation of a single-run estimate, not
     divided by the number of datasets.
+
+    A dataset is named by its label or, when that is empty, by its 1-based
+    position (``dataset 2``), in the verdicts, the estimates and errors.
     """
     if not datasets:
         raise ValueError("need at least one dataset")
-    verdicts = tuple((ds.label, screen_dataset(ds)) for ds in datasets)
-    kept = [ds for ds, (_, v) in zip(datasets, verdicts) if v]
+    named = [(ds.label or f"dataset {i}", ds) for i, ds in enumerate(datasets, 1)]
+    verdicts = tuple((name, screen_dataset(ds)) for name, ds in named)
+    kept = [nd for nd, (_, v) in zip(named, verdicts) if v]
     if not kept:
         raise PipelineError("report", "all datasets rejected by screening")
     estimates = []
-    for ds in kept:
+    for name, ds in kept:
         try:
-            estimates.append((ds.label, estimate_pi(ds)))
+            estimates.append((name, estimate_pi(ds)))
         except PipelineError as exc:
-            raise PipelineError("report", f"{ds.label}: {exc}") from exc
-    experiments = [_experiment(ds) for ds in kept]
+            raise PipelineError("report", f"{name}: {exc}") from exc
+    experiments = [_experiment(name, ds) for name, ds in kept]
     if len(set(experiments)) > 1:
         raise PipelineError("report", "datasets differ in time grid or shots: " +
-                            ", ".join(f"{ds.label} {n} shots on t = {g.start:g}:"
+                            ", ".join(f"{name} {n} shots on t = {g.start:g}:"
                                       f"{g.step:.6g}:{g.stop:g}"
-                                      for ds, (g, n) in zip(kept, experiments)))
+                                      for (name, _), (g, n) in zip(kept, experiments)))
     grid, shots = experiments[0]
     mc = run_mc([model_from_estimate(r) for _, r in estimates],
                 McConfig(runs_per_model=runs_per_model, shots=shots, grid=grid,

@@ -19,6 +19,7 @@ CURVE_SAMPLES = 200
 
 
 def _scales(t_lo, t_hi):
+    """Data-to-pixel maps; each takes a number or a NumPy array."""
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
@@ -71,14 +72,14 @@ def render_svg(ds: Dataset, model: NoiseModel | None = None,
 
     if model is not None:
         tt = np.linspace(t_lo, t_hi, CURVE_SAMPLES)
-        pts = " ".join(f"{sx(x):.2f},{sy(p):.2f}"
-                       for x, p in zip(tt, noisy_prob(model, tt)))
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in
+                       zip(sx(tt).tolist(), sy(noisy_prob(model, tt)).tolist()))
         parts.append(
             f'<polyline class="fit" points="{pts}" fill="none" stroke="red"/>')
 
-    for ti, fi in zip(t, f):
+    for x, y in zip(sx(t).tolist(), sy(f).tolist()):
         parts.append(
-            f'<circle class="datapoint" cx="{sx(ti):.2f}" cy="{sy(fi):.2f}" '
+            f'<circle class="datapoint" cx="{x:.2f}" cy="{y:.2f}" '
             'r="3" fill="steelblue"/>')
 
     parts.append("</svg>")

@@ -319,6 +319,22 @@ class TestPlotReport:
         assert out == ""
         assert err.startswith("error: report: q1: find_crossing: ")
 
+    def test_report_names_an_unlabeled_file_by_position(self, tmp_path, capsys):
+        # an empty "# label:" comment overrides the file name
+        paths = []
+        for q in range(2):
+            p = tmp_path / f"q{q}.csv"
+            run(["simulate", "--seed", str(q + 1), "--out", str(p)])
+            if q == 1:
+                p.write_text("# label:\n" + p.read_text())
+            paths.append(str(p))
+        capsys.readouterr()
+        assert run(["report", *paths, "--runs", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "\ndataset 2: 64 records, 8192 shots" in out
+        assert "\ndataset 2: accept\n" in out
+        assert "\ndataset 2: pi_hat=" in out
+
     def test_report_screens_and_estimates_each_file_once(self, tmp_path,
                                                          monkeypatch, capsys):
         paths = []

@@ -757,6 +757,47 @@ def pinv_fit_at_rates(t, f, c):
     return ((f - pred) ** 2).sum(axis=1), alpha, beta, phi0
 
 
+def plain_fit_at_rates(t, f, c):
+    """Reference for ``_fit_at_rates`` bit for bit: the same arithmetic
+    written plainly, with ``mean``, ``clip``, ``where`` and a temporary for
+    every step."""
+    ct = np.multiply.outer(c, t)
+    cos, sin = np.cos(ct), np.sin(ct)
+    mean_cos, mean_sin, mean_f = cos.mean(axis=1), sin.mean(axis=1), f.mean()
+    cc, ss = cos - mean_cos[:, None], sin - mean_sin[:, None]
+    y = f - mean_f
+    yc, ys = cc @ y, ss @ y
+    c2, s2, cs = (cc * cc).sum(axis=1), (ss * ss).sum(axis=1), (cc * ss).sum(axis=1)
+    det = c2 * s2 - cs * cs
+    collinear = det <= np.finfo(float).eps * (c2 + s2) ** 2
+    det = np.where(collinear, np.inf, det)
+    u = (ys * cs - yc * s2) / det
+    v = (yc * cs - ys * c2) / det
+    k, r = mean_f + u * mean_cos + v * mean_sin, np.hypot(u, v)
+    beta = np.clip(k - r, 0.0, 1.0)
+    alpha = np.clip(k + r, 0.0, 1.0) - beta
+    phi0 = np.arctan2(-v, u)
+    half = alpha / 2
+    pred = ((beta + half)[:, None] - (half * np.cos(phi0))[:, None] * cos
+            + (half * np.sin(phi0))[:, None] * sin)
+    rss = np.where(collinear, np.inf, ((f - pred) ** 2).sum(axis=1))
+    return rss, alpha, beta, phi0
+
+
+def fit_corpus():
+    """400 datasets over c = 0.3..2.5, 256/8192 shots, phi0 in {0, 2} and
+    0.1/0.05 grids, every 5th with a calibration step."""
+    for i in range(400):
+        c = 0.3 + 0.1 * (i % 23)
+        grid = make_grid(0.0, 6.3, (0.1, 0.05)[i // 92 % 2])
+        ds = sample_dataset(NoiseModel(0.8, 0.1, (0.0, 2.0)[i // 46 % 2], c),
+                            grid, (256, 8192)[i // 23 % 2], seed=i)
+        if i % 5 == 0:
+            ds = inject_step(ds, 3.0, 0.15 if ds.fractions()[35] < 0.5
+                             else -0.15)
+        yield i, ds
+
+
 class TestFitModel:
     def test_recovers_ideal_exactly(self):
         m = fit_model(exact_dataset(IDEAL, DEFAULT_GRID))
@@ -866,26 +907,18 @@ class TestFitModel:
         assert rss[0] == math.inf
 
     def test_matches_pseudo_inverse_reference(self, monkeypatch):
-        # 400 datasets over c = 0.3..2.5, 256/8192 shots, phi0 in {0, 2} and
-        # 0.1/0.05 grids, every 5th with a calibration step.  Both reach the
-        # same residual to 1e-12; the parameters agree to 1e-6, not closer:
-        # on flat low-rate 256-shot data the residual changes by a few ulp
-        # over +-5e-8 in c, and where in that plateau either solver stops is
-        # rounding (differences up to 2.7e-7 in 1,600 such datasets)
+        # on ``fit_corpus`` both reach the same residual to 1e-12; the
+        # parameters agree to 1e-6, not closer: on flat low-rate 256-shot
+        # data the residual changes by a few ulp over +-5e-8 in c, and where
+        # in that plateau either solver stops is rounding (differences up to
+        # 2.7e-7 in 1,600 such datasets)
         closed_form = rabipi.estimate._fit_at_rates
 
         def fit(kernel, ds):
             monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", kernel)
             return fit_model(ds)
 
-        for i in range(400):
-            c = 0.3 + 0.1 * (i % 23)
-            grid = make_grid(0.0, 6.3, (0.1, 0.05)[i // 92 % 2])
-            ds = sample_dataset(NoiseModel(0.8, 0.1, (0.0, 2.0)[i // 46 % 2], c),
-                                grid, (256, 8192)[i // 23 % 2], seed=i)
-            if i % 5 == 0:
-                ds = inject_step(ds, 3.0, 0.15 if ds.fractions()[35] < 0.5
-                                 else -0.15)
+        for i, ds in fit_corpus():
             a, b = fit(closed_form, ds), fit(pinv_fit_at_rates, ds)
             verdicts = []
             for m in (a, b):  # the screen's only use of the fit is its rate
@@ -901,6 +934,32 @@ class TestFitModel:
             assert a.c == pytest.approx(b.c, abs=1e-6), i
             assert abs(math.remainder(a.phi0 - b.phi0, 2 * math.pi)) <= 1e-6, i
             assert verdicts[0] == verdicts[1], i
+
+    def test_matches_plain_reference_bit_for_bit(self, monkeypatch):
+        # the bounded Brent refinement's path turns on every bit of the RSS,
+        # so the kernel must round every value as the plain reference does
+        kernel = rabipi.estimate._fit_at_rates
+        for i, ds in fit_corpus():
+            t, f = ds.times(), ds.fractions()
+            fit = fit_model(ds)
+            step = math.pi / (2 * (t[-1] - t[0]))
+            scan = step * np.arange(1, 2 * (len(t) - 1))
+            for c in (scan, scan[i % len(scan):][:1], np.array([fit.c])):
+                for a, b in zip(kernel(t, f, c), plain_fit_at_rates(t, f, c)):
+                    assert np.array_equal(a, b), i
+            monkeypatch.setattr(rabipi.estimate, "_fit_at_rates",
+                                plain_fit_at_rates)
+            assert fit_model(ds) == fit, i
+            monkeypatch.undo()
+
+    def test_collinear_rate_matches_plain_reference(self):
+        # the collinear rate alone and among others: u = v = 0 there
+        t = np.array([0.0, math.pi, 2 * math.pi, 3 * math.pi])
+        f = np.array([0.1, 0.9, 0.2, 0.8])
+        for c in (np.array([1.0]), np.array([0.5, 1.0, 0.7])):
+            for a, b in zip(rabipi.estimate._fit_at_rates(t, f, c),
+                            plain_fit_at_rates(t, f, c)):
+                assert np.array_equal(a, b)
 
 
 class TestScreenDataset:

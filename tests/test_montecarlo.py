@@ -336,3 +336,16 @@ class TestReport:
                                  8192, seed=1, label="q1")
         with pytest.raises(PipelineError, match=r"^report: q1: find_crossing: "):
             report([q0, cut_off, q2], runs_per_model=5)
+
+    def test_unlabeled_datasets_named_by_position(self):
+        ok, other = (sample_dataset(m, DEFAULT_GRID, 8192, seed=100 + i)
+                     for i, m in enumerate(DEMO_QUBITS[:2]))
+        rep = report([ok, _step_dataset(""), other], runs_per_model=5)
+        assert [(name, v.accepted) for name, v in rep.verdicts] == [
+            ("dataset 1", True), ("dataset 2", False), ("dataset 3", True)]
+        assert [name for name, _ in rep.estimates] == ["dataset 1", "dataset 3"]
+        cut_off = sample_dataset(NoiseModel(0.9, 0.05, 2.5, 1.0), DEFAULT_GRID,
+                                 8192, seed=1)
+        with pytest.raises(PipelineError,
+                           match=r"^report: dataset 2: find_crossing: "):
+            report([ok, cut_off], runs_per_model=5)
