@@ -566,15 +566,14 @@ def _fit_at_rates(t, f, c):
     the squared condition number exceeds 1/eps and the solve carries no
     correct digits.
 
-    The one kernel of both ``fit_model``'s scan and its refinement, which
-    calls it at one rate at a time, so its cost is per NumPy call rather
-    than per element.  It therefore avoids NumPy's Python-level wrappers
-    (``mean``, ``clip``, ``where``) and temporaries in favour of plain
-    ufuncs, reductions and in-place updates that round every value as they
-    did: a mean is NumPy's sum divided by the count, ``clip`` is the
-    maximum then the minimum on finite values, and ``(pred - f)**2`` is
-    ``(f - pred)**2``.  The refinement's search is bounded Brent, whose
-    path turns on every bit of the RSS.
+    ``fit_model`` calls it once for its rate scan and then at a single
+    rate for each step of its bounded Brent refinement, where the cost is
+    per NumPy call, not per element.  So it uses reductions, ufuncs and
+    in-place updates rather than ``mean``, ``clip`` and ``where``, each
+    rounding as the plain formula does: a mean is NumPy's sum divided by
+    the count, clipping to [0, 1] is a maximum then a minimum on finite
+    values, and (pred - f)^2 equals (f - pred)^2.  Brent's path turns on
+    every bit of the RSS, so any other rounding can change the fit.
     """
     n = len(t)
     ct = np.multiply.outer(c, t)

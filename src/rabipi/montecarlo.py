@@ -179,7 +179,7 @@ def report(datasets: list, runs_per_model: int = 50, base_seed: int = 0) -> Repo
         raise ValueError("need at least one dataset")
     named = [(ds.label or f"dataset {i}", ds) for i, ds in enumerate(datasets, 1)]
     verdicts = tuple((name, screen_dataset(ds)) for name, ds in named)
-    kept = [nd for nd, (_, v) in zip(named, verdicts) if v]
+    kept = [(name, ds) for (name, ds), (_, v) in zip(named, verdicts) if v]
     if not kept:
         raise PipelineError("report", "all datasets rejected by screening")
     estimates = []
