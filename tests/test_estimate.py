@@ -900,11 +900,16 @@ class TestFitModel:
     def test_collinear_rate_gets_infinite_residual(self):
         # sin(ct) vanishes at every one of these times (up to rounding)
         t = np.array([0.0, math.pi, 2 * math.pi, 3 * math.pi])
+        f = np.array([0.1, 0.9, 0.2, 0.8])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rss = rabipi.estimate._fit_at_rates(t, np.array([0.1, 0.9, 0.2, 0.8]),
-                                                np.array([1.0]))[0]
+            rss = rabipi.estimate._fit_at_rates(t, f, np.array([1.0]))[0]
         assert rss[0] == math.inf
+        # alone and among other rates, bit for bit as the plain reference
+        for c in (np.array([1.0]), np.array([0.5, 1.0, 0.7])):
+            for a, b in zip(rabipi.estimate._fit_at_rates(t, f, c),
+                            plain_fit_at_rates(t, f, c)):
+                assert np.array_equal(a, b)
 
     def test_matches_pseudo_inverse_reference(self, monkeypatch):
         # on ``fit_corpus`` both reach the same residual to 1e-12; the
@@ -951,15 +956,6 @@ class TestFitModel:
                                 plain_fit_at_rates)
             assert fit_model(ds) == fit, i
             monkeypatch.undo()
-
-    def test_collinear_rate_matches_plain_reference(self):
-        # the collinear rate alone and among others: u = v = 0 there
-        t = np.array([0.0, math.pi, 2 * math.pi, 3 * math.pi])
-        f = np.array([0.1, 0.9, 0.2, 0.8])
-        for c in (np.array([1.0]), np.array([0.5, 1.0, 0.7])):
-            for a, b in zip(rabipi.estimate._fit_at_rates(t, f, c),
-                            plain_fit_at_rates(t, f, c)):
-                assert np.array_equal(a, b)
 
 
 class TestScreenDataset:

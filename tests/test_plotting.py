@@ -46,7 +46,7 @@ def per_point_coordinates(ds, model, result):
 
 
 def _uneven_times():
-    """57 times in [0.3, 6.2] with steps of 0.08 to 0.12."""
+    """57 times from 0.3 on, each step drawn from 0.08 to 0.12."""
     steps = np.random.default_rng(5).uniform(0.08, 0.12, 56)
     return np.round(0.3 + np.concatenate(([0.0], np.cumsum(steps))), 6)
 
