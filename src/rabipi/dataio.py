@@ -83,7 +83,14 @@ def _format_time(t: float) -> str:
 
 
 def write_csv(ds: Dataset) -> str:
-    """Serialize a Dataset to the wire format; round-trips exactly."""
+    """Serialize a Dataset to the wire format; round-trips exactly.
+
+    Raises ``ValueError`` on a label that the ``# label:`` comment cannot
+    carry: one with a line break or with leading or trailing whitespace.
+    """
+    if ds.label != ds.label.strip() or len(ds.label.splitlines()) > 1:
+        raise ValueError(f"label {ds.label!r} has a line break or leading or "
+                         f"trailing whitespace; it would not read back")
     lines = []
     if ds.label:
         lines.append(f"# label: {ds.label}")

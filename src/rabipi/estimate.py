@@ -27,6 +27,8 @@ Every step works row-wise on a 2-D array of fractions, one row per dataset.
 ``estimate_rows`` runs the pipeline on such a batch and records, per row,
 the first step that failed; ``estimate_pi`` and the public step functions
 run the same code on a single row and raise that step's ``PipelineError``.
+``find_crossing`` picks, from the run ends that step 4 solves, the one
+nearest a given start.
 
 Also provides the full four-parameter curve fit used for plotting and a
 screener that rejects datasets with calibration jumps.
@@ -241,46 +243,19 @@ def _slab(t, f1, centers, half, step):
     return t.take(knots), f1.take(knots + n * np.arange(len(f1))[:, None])
 
 
-def _find_crossing(t, f1, start, level, fails):
-    start = min(max(start, t[0]), t[-1])
-    g = f1 - level
-    ga, gb = g[:, :-1], g[:, 1:]
-    dt = np.diff(t)
-    # candidates: knots on the level, and the exact crossing of each segment
-    # whose ends lie strictly on opposite sides of it; inf marks none
-    x = np.concatenate((
-        np.where(g == 0, t, np.inf),
-        np.where(ga * gb < 0, _segment_zeros(t[:-1], t[1:], ga, gb), np.inf),
-    ), axis=1)
-    dist = np.abs(x - start)
-    # the search widens one grid step per side and round, right side first;
-    # a candidate a whole number of steps away belongs to the earlier round
-    order = 2 * np.ceil(dist / dt.min() - _TIE_STEPS) + (x < start)
-    first = order.min(axis=1)
-    fails.check(np.isfinite(first), "find_crossing",
-                lambda r: f"no crossing of level {level} within "
-                          f"[{t[0]}, {t[-1]}] near t={start}")
-    pick = np.where(order == first[:, None], dist, np.inf).argmin(axis=1)
-    return x[np.arange(len(x)), pick]
-
-
-def _find_half_period(t, f1, level, fails):
-    """The rising and the falling end of each row's longest run of the
-    interpolant at or above ``level``; a knot on the level counts as above.
-
-    On a sinusoid every such run is one half-period long and a run cut off
-    by the data is shorter, so the longest run skips the short runs that
-    noise makes near a crossing and never pairs two rising crossings.  A
-    row whose longest run touches either end of the data fails.
-    """
+def _runs(t, f1, level):
+    """Each run of knots at or above ``level`` (a knot on the level counts
+    as above) in the rows of ``f1``, in row and time order, then a stand-in
+    run of knot 0 alone for each row: the run's row, its bounds (i, j + 1)
+    for knots i..j and its rising and falling end times.  An end at bound 0
+    or n is the data's end; any other is where the interpolant crosses the
+    level, solved exactly on its segment."""
     n, rows = len(t), len(f1)
     # with a knot below the level padded on at each end, a row's flag flips
     # at p = i and p = j + 1 for each run of knots i..j, in pairs
     above = np.zeros((rows, n + 2), dtype=bool)
     np.greater_equal(f1, level, out=above[:, 1:-1])
     flips = np.flatnonzero(above[:, 1:] != above[:, :-1])
-    # every row also gets the run of knot 0 alone, standing in for the row
-    # when it has no run
     flips = np.concatenate(
         (flips, ((n + 1) * np.arange(rows)[:, None] + (0, 1)).ravel()))
     row, p = np.divmod(flips, n + 1)
@@ -293,7 +268,21 @@ def _find_half_period(t, f1, level, fails):
     ta, tb = t.take(p - 1, mode="clip"), t.take(p, mode="clip")
     ends = np.where((p % n == 0) | (gb == 0), tb,
                     _segment_zeros(ta, tb, ga, gb)).reshape(-1, 2)
-    row, length = row[::2], ends[:, 1] - ends[:, 0]
+    return row[::2], p.reshape(-1, 2), ends
+
+
+def _find_half_period(t, f1, level, fails):
+    """The rising and the falling end of each row's longest run of the
+    interpolant at or above ``level`` (see ``_runs``).
+
+    On a sinusoid every such run is one half-period long and a run cut off
+    by the data is shorter, so the longest run skips the short runs that
+    noise makes near a crossing and never pairs two rising crossings.  A
+    row whose longest run touches either end of the data fails.
+    """
+    n, rows = len(t), len(f1)
+    row, bounds, ends = _runs(t, f1, level)
+    length = ends[:, 1] - ends[:, 0]
     length[-rows:] = -np.inf
     longest = np.full(rows, -np.inf)
     np.maximum.at(longest, row, length)
@@ -302,7 +291,7 @@ def _find_half_period(t, f1, level, fails):
     win = np.flatnonzero(length == longest[row])
     first = np.arange(len(length) - rows, len(length))
     np.minimum.at(first, row[win], win)
-    (t1, t2), (start, stop) = ends[first].T, p.reshape(-1, 2)[first].T
+    (t1, t2), (start, stop) = ends[first].T, bounds[first].T
     fails.check((start > 0) & (stop < n), "find_crossing",
                 lambda r: f"the longest run at or above level {level}, "
                           f"[{t1[r]}, {t2[r]}], is cut off by the data range "
@@ -418,6 +407,8 @@ def normalize(ds: Dataset, alpha_hat: float, beta_hat: float) -> NormalizedCurve
 def interpolate(curve: NormalizedCurve, t) -> float | np.ndarray:
     """Piecewise-linear interpolant of the curve; exact at grid points."""
     tq = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(tq)):
+        raise ValueError(f"interpolate: queries must be finite, got {t}")
     if np.any(tq < curve.t[0]) or np.any(tq > curve.t[-1]):
         raise PipelineError(
             "interpolate",
@@ -427,21 +418,27 @@ def interpolate(curve: NormalizedCurve, t) -> float | np.ndarray:
 
 
 def find_crossing(curve: NormalizedCurve, start: float) -> float:
-    """Locate a crossing of the interpolated curve with ``LEVEL`` near ``start``.
+    """The crossing of the interpolated curve with ``LEVEL`` nearest ``start``.
 
-    Among the knots on the level and the segments whose ends straddle it,
-    the one nearest ``start`` (clamped to the data range) wins.  Distance is
-    counted in whole grid steps, rounded up (within ``_TIE_STEPS`` of a whole
-    step counts as whole), and on a tie the right side wins: the order of a
-    search that widens one grid step at a time, right then left.  The
-    crossing is solved exactly on its segment.
-
-    The pipeline no longer uses this search: ``estimate_pi`` takes t1 and
-    t2 from the ends of the longest run of the curve at or above 1/2, which
-    needs no start.
+    The crossings are the ends inside the data of the runs at or above
+    ``LEVEL``, as step 4 solves them.  A knot on the level counts as above,
+    so one that touches the level from below is a crossing and one that
+    touches it from above is not.  Distance is exact; of two crossings
+    equally near, the right-hand one wins.  Raises ``ValueError`` on a
+    start that is not finite.
     """
-    return float(_on_one_row(_find_crossing, curve.t, curve.f1[None],
-                             start, LEVEL)[0])
+    if not math.isfinite(start):
+        raise ValueError(f"find_crossing: start must be finite, got {start}")
+    t = curve.t
+    with np.errstate(all="ignore"):  # 0 / 0 at ends where() does not use
+        _, bounds, ends = _runs(t, curve.f1[None], LEVEL)
+    # the last run is the stand-in
+    x = ends[:-1][(bounds[:-1] > 0) & (bounds[:-1] < len(t))]
+    if not len(x):
+        raise PipelineError("find_crossing", f"no crossing of level {LEVEL} "
+                                             f"inside [{t[0]}, {t[-1]}]")
+    dist = np.abs(x - start)
+    return float(x[dist == dist.min()].max())
 
 
 def refine_alpha_beta(curve: NormalizedCurve, t1_hat: float,

@@ -162,6 +162,14 @@ def _experiment(name: str, ds) -> tuple:
     return grid, int(lo)
 
 
+def _named(step, name: str, ds):
+    """``step(ds)``, its ``PipelineError`` re-raised as ``report: name: ...``."""
+    try:
+        return step(ds)
+    except PipelineError as exc:
+        raise PipelineError("report", f"{name}: {exc}") from exc
+
+
 def report(datasets: list, runs_per_model: int = 50, base_seed: int = 0) -> Report:
     """From datasets to the mean pi_hat and its 2-sigma error bar.
 
@@ -173,21 +181,17 @@ def report(datasets: list, runs_per_model: int = 50, base_seed: int = 0) -> Repo
     divided by the number of datasets.
 
     A dataset is named by its label or, when that is empty, by its 1-based
-    position (``dataset 2``), in the verdicts, the estimates and errors.
+    position (``dataset 2``), in the verdicts, the estimates and errors; a
+    dataset that fails to screen or to estimate is named in the error.
     """
     if not datasets:
         raise ValueError("need at least one dataset")
     named = [(ds.label or f"dataset {i}", ds) for i, ds in enumerate(datasets, 1)]
-    verdicts = tuple((name, screen_dataset(ds)) for name, ds in named)
+    verdicts = tuple((name, _named(screen_dataset, name, ds)) for name, ds in named)
     kept = [(name, ds) for (name, ds), (_, v) in zip(named, verdicts) if v]
     if not kept:
         raise PipelineError("report", "all datasets rejected by screening")
-    estimates = []
-    for name, ds in kept:
-        try:
-            estimates.append((name, estimate_pi(ds)))
-        except PipelineError as exc:
-            raise PipelineError("report", f"{name}: {exc}") from exc
+    estimates = [(name, _named(estimate_pi, name, ds)) for name, ds in kept]
     experiments = [_experiment(name, ds) for name, ds in kept]
     if len(set(experiments)) > 1:
         raise PipelineError("report", "datasets differ in time grid or shots: " +

@@ -37,6 +37,14 @@ class TestSimulate:
         assert run(["simulate", "--shots", "16", "--seed", "1"]) == 0
         assert capsys.readouterr().out.startswith("t,shots,ones")
 
+    @pytest.mark.parametrize("label", [" q1", "q1 ", "a\nb", "a\rb", "a\u2028b"])
+    def test_label_that_would_not_read_back_is_an_error(self, tmp_path, capsys,
+                                                        label):
+        out = tmp_path / "q.csv"
+        assert run(["simulate", "--label", label, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "would not read back" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_matches_in_process_bit_exactly(self, tmp_path, capsys):

@@ -78,7 +78,8 @@ class TestWriteCsv:
         times=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2,
                        max_size=40, unique=True),
         fracs=st.lists(st.floats(0, 1), min_size=40, max_size=40),
-        label=st.text(alphabet=st.characters(blacklist_categories=("Cc", "Cs")),
+        label=st.text(alphabet=st.characters(
+                          blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
                       max_size=20),
     )
     def test_round_trip_property(self, seed, shots, times, fracs, label):

@@ -85,6 +85,11 @@ class TestInterpolate:
         with pytest.raises(PipelineError):
             interpolate(ideal_curve(), -0.5)
 
+    @pytest.mark.parametrize("query", [math.nan, math.inf, [1.0, math.nan]])
+    def test_non_finite_query_rejected(self, query):
+        with pytest.raises(ValueError, match="queries must be finite"):
+            interpolate(ideal_curve(), query)
+
 
 class TestFindCrossing:
     def test_ideal_first_crossing(self):
@@ -119,13 +124,34 @@ class TestFindCrossing:
 
     @pytest.mark.parametrize("g,expected", [
         ([0.5, 0.5, -0.5, 0.5, 0.5], 2.5),   # crossings at 1.5 and 2.5
-        ([0.5, -0.9, 0.1, -1 / 15, -0.5], 2.6),  # at 1.9 and 2.6
+        ([0.5, -0.9, 0.1, -1 / 15, -0.5], 1.9),  # at 1.9 and 2.6
     ], ids=["equal_distance", "same_grid_step"])
     def test_right_side_wins_a_tie(self, g, expected):
-        # both crossings lie within one grid step of start: the right one
-        # wins, as in a search that widens right first
+        # both crossings lie within one grid step of start: distance is
+        # exact, so the nearer wins, and of two equally near the right one
         curve = NormalizedCurve(np.arange(5.0), 0.5 + np.array(g))
         assert find_crossing(curve, 2.0) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("f1,start,expected", [
+        # knot 2 touches the level from above: inside the run, no crossing
+        ([0, 1, 0.5, 1, 1, 0], 2.0, 0.5),
+        # knot 2 touches it from below: a run of one knot, both ends at 2
+        ([1, 0, 0.5, 0, 1], 2.2, 2.0),
+        # the first or last knot on the level, the curve above: a data end
+        ([0.5, 1, 1, 0, 0], 0.0, 2.5),
+        ([0, 0, 1, 1, 0.5], 4.0, 1.5),
+        # the first knot on the level, the curve below: the run falls there
+        ([0.5, 0, 0, 1, 1], 0.4, 0.0),
+    ], ids=["touch_from_above", "touch_from_below", "first_knot_data_end",
+            "last_knot_data_end", "first_knot_falling"])
+    def test_knot_on_the_level_counts_as_above(self, f1, start, expected):
+        curve = NormalizedCurve(np.arange(float(len(f1))), f1)
+        assert find_crossing(curve, start) == expected
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, start):
+        with pytest.raises(ValueError, match="start must be finite"):
+            find_crossing(ideal_curve(), start)
 
     def test_crossing_stays_inside_its_segment(self):
         # the level is 6e-17 above the right end, so the segment fraction
@@ -149,13 +175,20 @@ class TestFindCrossing:
         f1 = f1 + (0.5 - level)
         curve = NormalizedCurve(t, f1)
         g = f1 - 0.5
-        if np.all(g > 0) or np.all(g < 0):
+        if np.all(g >= 0) or np.all(g < 0):
             with pytest.raises(PipelineError):
                 find_crossing(curve, start)
             return
         x = find_crossing(curve, start)
         assert t[0] <= x <= t[-1]
         assert abs(np.interp(x, t, f1) - 0.5) <= 1e-12
+        # the interior run ends: on each segment where the flag g >= 0 flips,
+        # at its knot on the level or where the segment meets the level
+        ends = [t[i] if g[i] == 0 else t[i + 1] if g[i + 1] == 0
+                else t[i] + (t[i + 1] - t[i]) * g[i] / (g[i] - g[i + 1])
+                for i in range(n - 1) if (g[i] >= 0) != (g[i + 1] >= 0)]
+        assert min(abs(e - x) for e in ends) <= 1e-9
+        assert abs(x - start) <= min(abs(e - start) for e in ends) + 1e-9
 
 
 def half_period(t, f1):
@@ -167,6 +200,24 @@ def half_period(t, f1):
 
 
 class TestHalfPeriod:
+    @pytest.mark.parametrize("shots", [256, 8192])
+    @pytest.mark.parametrize("c", [0.75, 1.0, 1.6, 2.2])
+    def test_find_crossing_returns_t1_and_t2(self, c, shots):
+        # started at step 4's own rough crossings, find_crossing returns them
+        phases = np.linspace(-math.pi, math.pi, 13)[1:]
+        f = np.concatenate([
+            sample_counts(NoiseModel(0.9, 0.05, phi0, c), DEFAULT_GRID, shots,
+                          seed, 3) / shots
+            for seed, phi0 in enumerate(phases)])
+        f1 = (f - f.min(axis=1, keepdims=True)) / np.ptp(f, axis=1, keepdims=True)
+        (t1, t2), _, ok = run_step(rabipi.estimate._find_half_period,
+                                   GRID_TIMES, f1, 0.5)
+        assert ok.any()
+        for r in np.flatnonzero(ok):
+            curve = NormalizedCurve(GRID_TIMES, f1[r])
+            assert find_crossing(curve, t1[r]) == t1[r]
+            assert find_crossing(curve, t2[r]) == t2[r]
+
     @pytest.mark.parametrize("f1,expected", [
         # a short run at t = 0.83..1.5 from noise near the rising crossing
         ([0, 0.6, 0.4, 0.7, 0.9, 1, 0.8, 0.3, 0.1, 0], (2 + 1 / 3, 6.6)),

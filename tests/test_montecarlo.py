@@ -337,6 +337,13 @@ class TestReport:
         with pytest.raises(PipelineError, match=r"^report: q1: find_crossing: "):
             report([q0, cut_off, q2], runs_per_model=5)
 
+    def test_failed_screen_names_the_dataset(self):
+        q1 = _demo_datasets()[1]
+        tiny = Dataset([0, .1, .2], 100, [10, 50, 90], label="tiny")
+        with pytest.raises(PipelineError,
+                           match=r"^report: tiny: fit_model: need >= 4 times"):
+            report([q1, tiny], runs_per_model=5)
+
     def test_unlabeled_datasets_named_by_position(self):
         ok, other = (sample_dataset(m, DEFAULT_GRID, 8192, seed=100 + i)
                      for i, m in enumerate(DEMO_QUBITS[:2]))
