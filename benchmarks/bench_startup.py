@@ -7,8 +7,8 @@ and run one shell command, as a user's shell call does.
 Each round starts a fresh interpreter with this checkout's ``src`` first on
 ``PYTHONPATH``, so the time covers interpreter start, imports and the
 command itself.  Every child's exit code and output are checked against the
-same command run in-process.  ``estimate`` needs no curve fit; ``fit`` is the
-control case whose work includes the optimizer's import.
+same command run in-process.  ``estimate`` needs no curve fit; ``fit`` adds
+the curve fit, whose rate search is NumPy alone and imports nothing more.
 """
 
 import contextlib

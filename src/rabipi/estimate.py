@@ -35,11 +35,11 @@ screener that rejects datasets with calibration jumps.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import optimize
 from .model import NoiseModel
 from .simulate import Dataset
 
@@ -190,7 +190,7 @@ def _normalize(f, alpha, beta, fails):
 #: Distances closer than this many grid steps count as equal, so that float
 #: noise in decimal grid knots cannot decide which side of an edge they are on.
 _TIE_STEPS = 1e-8
-_SCAN_CELLS = 1 << 18  # most (rate, time) pairs fit_model's scan evaluates at once
+_SCAN_CELLS = 1 << 18  # most (rate, time) pairs one call of fit_model's kernel sees
 
 
 def _min_step(t):
@@ -563,14 +563,14 @@ def _fit_at_rates(t, f, c):
     the squared condition number exceeds 1/eps and the solve carries no
     correct digits.
 
-    ``fit_model`` calls it once for its rate scan and then at a single
-    rate for each step of its bounded Brent refinement, where the cost is
-    per NumPy call, not per element.  So it uses reductions, ufuncs and
+    ``fit_model`` calls it once for its rate scan and then once for each
+    round of its rate search, at 33 rates or at one, where the cost is per
+    NumPy call, not per element.  So it uses reductions, ufuncs and
     in-place updates rather than ``mean``, ``clip`` and ``where``, each
     rounding as the plain formula does: a mean is NumPy's sum divided by
     the count, clipping to [0, 1] is a maximum then a minimum on finite
-    values, and (pred - f)^2 equals (f - pred)^2.  Brent's path turns on
-    every bit of the RSS, so any other rounding can change the fit.
+    values, and (pred - f)^2 equals (f - pred)^2.  The search's path turns
+    on every bit of the RSS, so any other rounding can change the fit.
     """
     n = len(t)
     ct = np.multiply.outer(c, t)
@@ -605,18 +605,12 @@ def _fit_at_rates(t, f, c):
     return rss, alpha, beta, phi0
 
 
-def __getattr__(name):
-    """Import ``scipy.optimize`` on first use of ``optimize`` (PEP 562).
-
-    Only ``fit_model`` needs SciPy, and importing it costs about half a
-    second, so estimating and the Monte Carlo never load it.  Once imported
-    it is bound as a module global, where a caller may rebind it.
-    """
-    if name == "optimize":
-        from scipy import optimize
-        globals()["optimize"] = optimize
-        return optimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _fit_in_batches(t, f, c):
+    """``_fit_at_rates`` over ``c`` in calls of at most ``_SCAN_CELLS``
+    (rate, time) pairs, so a long file cannot make one call's arrays huge."""
+    per = max(1, _SCAN_CELLS // len(t))
+    parts = [_fit_at_rates(t, f, c[i:i + per]) for i in range(0, len(c), per)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def fit_model(ds: Dataset) -> NoiseModel:
@@ -625,7 +619,11 @@ def fit_model(ds: Dataset) -> NoiseModel:
     Variable projection (Golub & Pereyra 1973): amplitude, offset and phase
     are closed-form at each of the < 2n rates c in quarter-period steps over
     the span below the mean Nyquist rate pi (n - 1) / span; the best is then
-    refined within one step.  At a fixed rate the offset-plus-sinusoid
+    refined within one step by ``optimize.minimize_on_bracket``, 33 rates
+    per kernel call, and the levels and phase are those of the best rate it
+    evaluated.  The search is looked up as the module global ``optimize``
+    on every call, so a caller may rebind it (a tracer counting the rates
+    evaluated does).  At a fixed rate the offset-plus-sinusoid
     least-squares problem is solved on mean-centred cos/sin columns, as in
     the floating-mean periodogram (Zechmeister & Kuerster, A&A 496, 577,
     2009).  Raises ``PipelineError`` on fewer than 4 times, where any of
@@ -639,17 +637,12 @@ def fit_model(ds: Dataset) -> NoiseModel:
         raise PipelineError("fit_model", "all fractions are equal; no rate")
     step = math.pi / (2 * (t[-1] - t[0]))
     rates = step * np.arange(1, 2 * (len(t) - 1))
-    per = max(1, _SCAN_CELLS // len(t))
-    rss = np.concatenate([_fit_at_rates(t, f, rates[i:i + per])[0]
-                          for i in range(0, len(rates), per)])
-    best = rates[rss.argmin()]
-    # through the module attribute, so a rebinding of ``optimize`` is seen
-    res = sys.modules[__name__].optimize.minimize_scalar(
-        lambda c: _fit_at_rates(t, f, np.array([c]))[0][0], method="bounded",
-        bounds=(best - step, best + step), options={"xatol": 1e-10})
-    _, alpha, beta, phi0 = _fit_at_rates(t, f, np.array([res.x]))
-    return NoiseModel(alpha=float(alpha[0]), beta=float(beta[0]),
-                      phi0=float(phi0[0]), c=float(res.x))
+    best = rates[_fit_in_batches(t, f, rates)[0].argmin()]
+    res = optimize.minimize_on_bracket(lambda c: _fit_in_batches(t, f, c),
+                                       best - step, best + step)
+    _, alpha, beta, phi0 = res.out
+    return NoiseModel(alpha=float(alpha), beta=float(beta), phi0=float(phi0),
+                      c=res.x)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
 """Standalone SVG plots of measured fractions and fitted curves.
 
 Emits plain SVG text (no imaging dependency): one circle marker per record,
-an optional fitted-curve polyline, and optional guide lines marking the 1/2
-level and the estimated crossings.
+an optional fitted-curve polyline, and optional guide lines marking the
+crossing level beta_hat + LEVEL * alpha_hat and the estimated crossings.
 """
 
 import numpy as np
 
-from .estimate import EstimateResult
+from .estimate import LEVEL, EstimateResult
 from .model import NoiseModel, noisy_prob
 from .simulate import Dataset
 
@@ -58,10 +58,10 @@ def render_svg(ds: Dataset, model: NoiseModel | None = None,
     ]
 
     if result is not None:
-        y_half = sy(0.5)
+        y_level = sy(result.beta_hat + LEVEL * result.alpha_hat)
         parts.append(
-            f'<line class="level" x1="{MARGIN_L}" y1="{y_half:.2f}" '
-            f'x2="{WIDTH - MARGIN_R}" y2="{y_half:.2f}" '
+            f'<line class="level" x1="{MARGIN_L}" y1="{y_level:.2f}" '
+            f'x2="{WIDTH - MARGIN_R}" y2="{y_level:.2f}" '
             'stroke="gray" stroke-dasharray="4 4"/>')
         for t_cross in (result.t1_hat, result.t2_hat):
             x = sx(t_cross)

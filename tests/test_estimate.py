@@ -939,6 +939,35 @@ class TestFitModel:
         monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", 3 * len(ds))
         assert fit_model(ds) == whole
 
+    def test_no_kernel_call_exceeds_scan_cells(self, monkeypatch):
+        # the rate search's rounds are split as the scan is
+        ds = sample_dataset(NoiseModel(0.9, 0.05, 0.0, 2.0), DEFAULT_GRID,
+                            8192, seed=100)
+        batches = []
+        fit_at_rates = rabipi.estimate._fit_at_rates
+
+        def counted(t, f, c):
+            batches.append(len(c))
+            return fit_at_rates(t, f, c)
+
+        monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", counted)
+        monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", 3 * len(ds))
+        fit_model(ds)
+        assert max(batches) == 3
+
+    def test_not_caught_in_a_local_minimum(self):
+        # a bounded Brent search stopped at c = 0.576 here, RSS 0.0822752
+        ds = inject_step(sample_dataset(
+            NoiseModel(0.621201932715864, 0.0024883256710159897,
+                       -2.812980156616074, 0.8502626125989203),
+            DEFAULT_GRID, 256, seed=208), 2.674257395428983, -0.2)
+        t, f = ds.times(), ds.fractions()
+        dense = rabipi.estimate._fit_at_rates(t, f, np.linspace(0.25, 0.75, 20001))[0]
+        assert dense.min() == pytest.approx(0.0804198, abs=1e-7)
+        m = fit_model(ds)
+        pred = m.alpha * (1 - np.cos(m.c * t + m.phi0)) / 2 + m.beta
+        assert float(np.sum((f - pred) ** 2)) <= dense.min() + 1e-9
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_underdetermined_rejected(self, n):
         # four parameters through fewer than four points: any of many

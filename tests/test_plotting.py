@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from rabipi.estimate import estimate_pi, fit_model
+from rabipi.estimate import LEVEL, estimate_pi, fit_model
 from rabipi.model import IDEAL, NoiseModel, noisy_prob
 from rabipi.plotting import (CURVE_SAMPLES, HEIGHT, MARGIN_B, MARGIN_L,
                              MARGIN_R, MARGIN_T, WIDTH, render_svg)
@@ -74,6 +74,18 @@ class TestRenderSvg:
         assert len(crossings) == 2
         levels = [e for e in _elements(svg, "line") if e.get("class") == "level"]
         assert len(levels) == 1
+
+    def test_level_line_at_crossing_level(self):
+        # beta + alpha / 2 is 0.45 here, not the raw fraction 1/2
+        ds = sample_dataset(NoiseModel(0.5, 0.2, 0.0, 1.0), DEFAULT_GRID, 8192,
+                            seed=1)
+        result = estimate_pi(ds)
+        level = result.beta_hat + LEVEL * result.alpha_hat
+        y = MARGIN_T + (1.0 - level) * (HEIGHT - MARGIN_T - MARGIN_B)
+        line, = [e for e in _elements(render_svg(ds, result=result), "line")
+                 if e.get("class") == "level"]
+        assert line.get("y1") == line.get("y2") == f"{y:.2f}"
+        assert abs(y - 195.0) > 10
 
     def test_axis_labels(self):
         svg = render_svg(_sampled())

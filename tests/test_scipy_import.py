@@ -1,8 +1,9 @@
-"""SciPy is imported only when a curve is fitted.
+"""No code path imports SciPy, the curve fit included.
 
-``rabipi.estimate.optimize`` stays a module attribute that a caller may
-rebind (a tracer counting the optimizer's evaluations does), and
-``fit_model`` calls the optimizer through it.
+``fit_model`` refines its rate with the NumPy search ``rabipi.optimize``,
+which ``rabipi.estimate`` holds as its module attribute ``optimize``.  A
+caller may rebind that attribute (a tracer counting the rates evaluated
+does), and ``fit_model`` calls the search through it.
 """
 
 import json
@@ -15,10 +16,12 @@ import pytest
 
 import rabipi
 import rabipi.estimate
+import rabipi.optimize
 from rabipi import DEFAULT_GRID, NoiseModel, fit_model, sample_dataset
 
-#: Runs the fit-free entry points, then one fit, in a fresh interpreter, and
-#: prints the SciPy modules loaded after each.
+#: Runs the fit-free entry points, then ``fit_model`` and each command that
+#: fits, in a fresh interpreter, and prints the SciPy modules loaded after
+#: each.
 _CHILD = """
 import json, os, sys
 
@@ -40,7 +43,13 @@ codes = [cli_main(["simulate", "--seed", "7", "--out", csv]),
          cli_main(["estimate", csv]), cli_main(["mc", "--runs", "5"])]
 before = scipy_modules()
 fit_model(ds)
-print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+after = {"fit_model": scipy_modules()}
+svg = os.path.join(sys.argv[1], "q.svg")
+for argv in (["fit", csv], ["screen", csv], ["plot", csv, "--out", svg],
+             ["report", csv, csv]):
+    codes.append(cli_main(argv))
+    after[argv[0]] = scipy_modules()
+print(json.dumps({"codes": codes, "before": before, "after": after}))
 """
 
 
@@ -57,30 +66,26 @@ def child(tmp_path_factory):
 
 
 def test_fit_free_paths_load_no_scipy(child):
-    assert child["codes"] == [0, 0, 0]
+    assert child["codes"][:3] == [0, 0, 0]
     assert child["before"] == []
 
 
-def test_fit_model_loads_scipy_optimize(child):
-    assert "scipy.optimize" not in child["before"]
-    assert "scipy.optimize" in child["after"]
-
-
-def test_optimize_attribute_is_scipy_optimize():
-    import scipy.optimize
-
-    assert rabipi.estimate.optimize is scipy.optimize
+def test_fitting_paths_load_no_scipy(child):
+    assert child["codes"][3:] == [0, 0, 0, 0]
+    assert child["after"] == {step: [] for step in
+                              ("fit_model", "fit", "screen", "plot", "report")}
 
 
 def test_fit_model_calls_through_the_module_attribute(monkeypatch):
-    import scipy.optimize
+    search = rabipi.estimate.optimize
+    assert search is rabipi.optimize
 
     class Counting:
         calls = 0
 
-        def minimize_scalar(self, *args, **kwargs):
+        def minimize_on_bracket(self, *args, **kwargs):
             self.calls += 1
-            return scipy.optimize.minimize_scalar(*args, **kwargs)
+            return search.minimize_on_bracket(*args, **kwargs)
 
     ds = sample_dataset(NoiseModel(0.9, 0.05, 0.3, 1.2), DEFAULT_GRID, 8192, 3)
     plain = fit_model(ds)
