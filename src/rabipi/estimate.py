@@ -563,6 +563,10 @@ def _fit_at_rates(t, f, c):
     the squared condition number exceeds 1/eps and the solve carries no
     correct digits.
 
+    Every reduction is a row-wise sum over the times, so a rate's outputs
+    depend on that rate alone, not on the other rates in the call, and no
+    BLAS kernel (whose rounding varies with the CPU) is involved.
+
     ``fit_model`` calls it once for its rate scan and then once for each
     round of its rate search, at 33 rates or at one, where the cost is per
     NumPy call, not per element.  So it uses reductions, ufuncs and
@@ -578,7 +582,7 @@ def _fit_at_rates(t, f, c):
     mean_cos, mean_sin, mean_f = cos.sum(axis=1) / n, sin.sum(axis=1) / n, f.sum() / n
     cc, ss = cos - mean_cos[:, None], sin - mean_sin[:, None]
     y = f - mean_f
-    yc, ys = cc @ y, ss @ y
+    yc, ys = (cc * y).sum(axis=1), (ss * y).sum(axis=1)
     c2, s2 = (cc * cc).sum(axis=1), (ss * ss).sum(axis=1)
     cc *= ss
     cs = cc.sum(axis=1)

@@ -50,6 +50,10 @@ class TimeGrid:
             raise ValueError(f"step must be > 0, got {self.step}")
         if self.stop <= self.start:
             raise ValueError(f"stop must exceed start, got [{self.start}, {self.stop}]")
+        if np.any(np.abs(np.diff(self.times()) - self.step) > 1e-6 * self.step):
+            raise ValueError(f"step {self.step} is too fine for grid times rounded "
+                             f"to 12 decimals: the rounded steps differ from it by "
+                             f"more than 1e-6 of it")
 
     def times(self) -> np.ndarray:
         # Largest point <= stop + step/2; rounding strips float-accumulation

@@ -45,6 +45,14 @@ class TestSimulate:
         assert not out.exists()
         assert "would not read back" in capsys.readouterr().err
 
+    def test_grid_too_fine_for_the_rounding_is_an_error(self, tmp_path, capsys):
+        # it wrote times 0, 2e-12, 3e-12, 5e-12, ... for a 1.5e-12 step
+        out = tmp_path / "q.csv"
+        assert run(["simulate", "--grid-step", "1.5e-12", "--grid-stop", "3e-11",
+                    "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "rounded to 12 decimals" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_matches_in_process_bit_exactly(self, tmp_path, capsys):

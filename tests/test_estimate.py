@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -817,7 +821,7 @@ def plain_fit_at_rates(t, f, c):
     mean_cos, mean_sin, mean_f = cos.mean(axis=1), sin.mean(axis=1), f.mean()
     cc, ss = cos - mean_cos[:, None], sin - mean_sin[:, None]
     y = f - mean_f
-    yc, ys = cc @ y, ss @ y
+    yc, ys = (cc * y).sum(axis=1), (ss * y).sum(axis=1)
     c2, s2, cs = (cc * cc).sum(axis=1), (ss * ss).sum(axis=1), (cc * ss).sum(axis=1)
     det = c2 * s2 - cs * cs
     collinear = det <= np.finfo(float).eps * (c2 + s2) ** 2
@@ -847,6 +851,20 @@ def fit_corpus():
             ds = inject_step(ds, 3.0, 0.15 if ds.fractions()[35] < 0.5
                              else -0.15)
         yield i, ds
+
+
+#: Fits 48 seeded files and prints each fit's parameters in hex, one line
+#: per file.
+_FIT_BITS_CHILD = """
+from rabipi import NoiseModel, fit_model, make_grid, sample_dataset
+
+for k in range(48):
+    ds = sample_dataset(NoiseModel(0.85, 0.08, 0.4 * k, 0.4 + 0.05 * k),
+                        make_grid(0.0, 6.3, (0.1, 0.05)[k % 2]),
+                        (256, 8192)[k // 2 % 2], seed=k)
+    m = fit_model(ds)
+    print(*(float(v).hex() for v in (m.alpha, m.beta, m.phi0, m.c)))
+"""
 
 
 class TestFitModel:
@@ -977,6 +995,40 @@ class TestFitModel:
         with pytest.raises(PipelineError, match="fit_model"):
             fit_model(ds)
 
+    def test_kernel_row_does_not_depend_on_its_batch(self):
+        # the rate search keeps the outputs of its last round, so a rate
+        # must give the same bits alone as among 32 others
+        rates = np.linspace(0.5, 2.5, 33)
+        for k in range(20):
+            ds = sample_dataset(NoiseModel(0.9, 0.05, 0.3 * k, 0.6 + 0.1 * k),
+                                DEFAULT_GRID, 8192, seed=k)
+            t, f = ds.times(), ds.fractions()
+            batch = rabipi.estimate._fit_at_rates(t, f, rates)
+            for j, c in enumerate(rates):
+                alone = rabipi.estimate._fit_at_rates(t, f, rates[j:j + 1])
+                for a, b in zip(alone, batch):
+                    assert a[0].tobytes() == b[j].tobytes(), (k, c)
+
+    def test_fit_does_not_depend_on_the_blas_kernel(self):
+        """The fits of 48 seeded files are the same bits in a fresh
+        interpreter that asks OpenBLAS for its Prescott kernels as in one
+        that lets it pick.  Where the BLAS ignores ``OPENBLAS_CORETYPE``
+        (another BLAS, or OpenBLAS built without ``DYNAMIC_ARCH``) both
+        children run the same kernels and the test passes trivially."""
+        src = str(Path(rabipi.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        outs = []
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            proc = subprocess.run([sys.executable, "-c", _FIT_BITS_CHILD],
+                                  env=dict(env, **extra), capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert len(outs[0].splitlines()) == 48
+        assert outs[0] == outs[1]
+
     def test_collinear_rate_gets_infinite_residual(self):
         # sin(ct) vanishes at every one of these times (up to rounding)
         t = np.array([0.0, math.pi, 2 * math.pi, 3 * math.pi])
@@ -1021,8 +1073,8 @@ class TestFitModel:
             assert verdicts[0] == verdicts[1], i
 
     def test_matches_plain_reference_bit_for_bit(self, monkeypatch):
-        # the bounded Brent refinement's path turns on every bit of the RSS,
-        # so the kernel must round every value as the plain reference does
+        # the rate search's path turns on every bit of the RSS, so the
+        # kernel must round every value as the plain reference does
         kernel = rabipi.estimate._fit_at_rates
         for i, ds in fit_corpus():
             t, f = ds.times(), ds.fractions()

@@ -16,9 +16,17 @@ class TestMinimizeOnBracket:
 
     @pytest.mark.parametrize("sign, edge", [(1.0, 0.5), (-1.0, 2.0)])
     def test_minimum_at_an_edge_returns_the_edge(self, sign, edge):
-        res = minimize_on_bracket(lambda x: (sign * x,), 0.5, 2.0)
+        sizes = []
+
+        def fun(x):
+            sizes.append(len(x))
+            return (sign * x,)
+
+        res = minimize_on_bracket(fun, 0.5, 2.0)
         assert res.x == edge
         assert res.out == (sign * edge,)
+        # the last round's outputs are returned; no call follows it
+        assert sizes == [POINTS] * len(sizes)
 
     def test_deterministic(self):
         def fun(x):
@@ -36,6 +44,5 @@ class TestMinimizeOnBracket:
 
         res = minimize_on_bracket(fun, 0.0, 1.0)
         assert res.nfev == sum(sizes)
-        # batched rounds, then the best point and its neighbours, then the vertex
-        assert sizes[:-2] == [POINTS] * (len(sizes) - 2)
-        assert sizes[-2:] == [3, 1]
+        # batched rounds, then the vertex of the last round's best three
+        assert sizes == [POINTS] * (len(sizes) - 1) + [1]

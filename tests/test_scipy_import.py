@@ -94,7 +94,3 @@ def test_fit_model_calls_through_the_module_attribute(monkeypatch):
     assert fit_model(ds) == plain
     assert counting.calls == 1
 
-
-def test_missing_attribute_raises_attribute_error():
-    with pytest.raises(AttributeError, match="'rabipi.estimate' has no attribute 'nope'"):
-        rabipi.estimate.nope

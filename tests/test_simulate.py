@@ -26,6 +26,22 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(1, 0, 0.1)
 
+    @pytest.mark.parametrize("start, stop, step", [
+        (0.0, 6.3, 0.1), (0.0, 6.3, 0.05), (0.0, 6.3, 0.2),
+        (0.0, 6.3e-9, 1e-10), (1e6, 1e6 + 6.3, 0.1)])
+    def test_grid_whose_rounded_times_keep_the_step_accepted(self, start, stop,
+                                                            step):
+        times = make_grid(start, stop, step).times()
+        np.testing.assert_allclose(np.diff(times), step, rtol=1e-6)
+
+    @pytest.mark.parametrize("stop, step", [
+        (3e-11, 1.5e-12), (6.3e-9, 1e-10 / 3), (4e-12, 1e-13)])
+    def test_grid_too_fine_for_the_rounding_rejected(self, stop, step):
+        # rounding to 12 decimals would give steps of 1 and 2e-12, steps 3%
+        # apart, and repeated times
+        with pytest.raises(ValueError, match="rounded to 12 decimals"):
+            make_grid(0.0, stop, step)
+
 
 class TestRecordsAndDataset:
     def test_ones_bounds_enforced(self):
