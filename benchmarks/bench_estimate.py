@@ -1,7 +1,7 @@
 """Layer benchmark of the estimator: ``estimate_rows``, ``estimate_pi`` and
 ``run_mc`` at the sizes the paper's protocol and the low-shot Monte Carlo
-use, and ``fit_model`` and ``render_svg`` on one file as triage fits and
-plots it.
+use, ``fit_model`` and ``render_svg`` on one file as triage fits and plots
+it, and ``report`` on three files as ``rabipi report`` runs it.
 
     python -m pytest benchmarks -q                       # time, print medians
     python -m pytest benchmarks -q --benchmark-json=out.json
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from rabipi import (DEFAULT_GRID, Dataset, McConfig, NoiseModel, estimate_pi,
-                    make_grid, run_mc)
+                    make_grid, report, run_mc)
 from rabipi.estimate import estimate_rows, fit_model
 from rabipi.plotting import render_svg
 from rabipi.simulate import sample_counts, sample_dataset
@@ -52,6 +52,14 @@ def lowshot_batch():
 def one_file():
     """The first demo qubit at 8192 shots on DEFAULT_GRID, a triage file."""
     return sample_dataset(DEMO_QUBITS[0], DEFAULT_GRID, 8192, seed=5)
+
+
+@pytest.fixture(scope="module")
+def three_files():
+    """One file of each demo qubit at 8192 shots on DEFAULT_GRID, as the
+    ``report`` workload's triplets are."""
+    return [sample_dataset(m, DEFAULT_GRID, 8192, seed=20 + q, label=f"q{q}")
+            for q, m in enumerate(DEMO_QUBITS)]
 
 
 def test_estimate_rows_protocol(benchmark, protocol_batch):
@@ -91,3 +99,10 @@ def test_render_svg_one_file(benchmark, one_file):
     tags = [e.tag.rsplit("}", 1)[-1] for e in ET.fromstring(svg).iter()]
     assert tags.count("circle") == 64 and tags.count("polyline") == 1
     assert svg.count('class="crossing"') == 2
+
+
+def test_report_three_files(benchmark, three_files):
+    rep = benchmark(report, three_files, runs_per_model=50)
+    assert all(v for _, v in rep.verdicts) and len(rep.estimates) == 3
+    assert rep.mc.n_runs == 150 and rep.mc.failures == 0
+    assert abs(rep.mean_pi - math.pi) < 0.05

@@ -31,7 +31,10 @@ run the same code on a single row and raise that step's ``PipelineError``.
 nearest a given start.
 
 Also provides the full four-parameter curve fit used for plotting and a
-screener that rejects datasets with calibration jumps.
+screener that rejects datasets with calibration jumps.  ``screen_rows``
+screens many datasets on the same times at once: one rate scan per dataset,
+then one rate search for all of them, each getting the bits that
+``screen_dataset`` and ``fit_model`` give it alone.
 """
 
 import math
@@ -62,6 +65,7 @@ __all__ = [
     "estimate_rows",
     "estimate_pi",
     "fit_model",
+    "screen_rows",
     "screen_dataset",
 ]
 
@@ -120,6 +124,21 @@ class RowEstimates:
     t_maxval: np.ndarray
     errors: tuple
     ok: np.ndarray  # the rows that passed every step, errors[r] is None
+
+    def result(self, r: int) -> EstimateResult:
+        """Row r's outputs; raises its ``PipelineError`` when it failed."""
+        if self.errors[r] is not None:
+            raise self.errors[r]
+        return EstimateResult(
+            alpha_hat=float(self.alpha_hat[r]),
+            beta_hat=float(self.beta_hat[r]),
+            t1_hat=float(self.t1_hat[r]),
+            t2_hat=float(self.t2_hat[r]),
+            integral_I=float(self.integral_I[r]),
+            pi_hat=float(self.pi_hat[r]),
+            t_minval=float(self.t_minval[r]),
+            t_maxval=float(self.t_maxval[r]),
+        )
 
 
 @dataclass(frozen=True)
@@ -534,19 +553,7 @@ def estimate_rows(times, fractions) -> RowEstimates:
 
 def estimate_pi(ds: Dataset) -> EstimateResult:
     """Run the full nine-step pipeline on one dataset."""
-    rows = estimate_rows(ds.times(), ds.fractions()[None])
-    if rows.errors[0] is not None:
-        raise rows.errors[0]
-    return EstimateResult(
-        alpha_hat=float(rows.alpha_hat[0]),
-        beta_hat=float(rows.beta_hat[0]),
-        t1_hat=float(rows.t1_hat[0]),
-        t2_hat=float(rows.t2_hat[0]),
-        integral_I=float(rows.integral_I[0]),
-        pi_hat=float(rows.pi_hat[0]),
-        t_minval=float(rows.t_minval[0]),
-        t_maxval=float(rows.t_maxval[0]),
-    )
+    return estimate_rows(ds.times(), ds.fractions()[None]).result(0)
 
 
 _EPS = np.finfo(float).eps
@@ -557,19 +564,25 @@ def _fit_at_rates(t, f, c):
     ``c``: the least-squares k - u*cos(ct) - v*sin(ct), with its levels
     k -/+ |(u, v)| clipped to [0, 1].
 
+    ``f`` (n,) holds one file's fractions at the times ``t`` and ``c``
+    (rates,) its rates; or ``f`` (files, n) holds several files' and ``c``
+    (files, rates) the rates of each.  The outputs have the shape of ``c``.
+
     (u, v) solve the 2x2 normal equations of the mean-centred cos/sin
     columns by Cramer's rule and k follows from the means.  A rate whose
     centred columns are collinear gets RSS inf: below det = eps * (CC+SS)^2
     the squared condition number exceeds 1/eps and the solve carries no
     correct digits.
 
-    Every reduction is a row-wise sum over the times, so a rate's outputs
-    depend on that rate alone, not on the other rates in the call, and no
-    BLAS kernel (whose rounding varies with the CPU) is involved.
+    Every reduction is a sum over the last axis, the times, so a rate's
+    outputs depend on that rate and its file alone, not on the other rates
+    or files in the call, and no BLAS kernel (whose rounding varies with the
+    CPU) is involved.
 
     ``fit_model`` calls it once for its rate scan and then once for each
     round of its rate search, at 33 rates or at one, where the cost is per
-    NumPy call, not per element.  So it uses reductions, ufuncs and
+    NumPy call, not per element; ``report`` makes one call per round for
+    the rates of all its files.  So it uses reductions, ufuncs and
     in-place updates rather than ``mean``, ``clip`` and ``where``, each
     rounding as the plain formula does: a mean is NumPy's sum divided by
     the count, clipping to [0, 1] is a maximum then a minimum on finite
@@ -579,13 +592,15 @@ def _fit_at_rates(t, f, c):
     n = len(t)
     ct = np.multiply.outer(c, t)
     cos, sin = np.cos(ct), np.sin(ct)
-    mean_cos, mean_sin, mean_f = cos.sum(axis=1) / n, sin.sum(axis=1) / n, f.sum() / n
-    cc, ss = cos - mean_cos[:, None], sin - mean_sin[:, None]
-    y = f - mean_f
-    yc, ys = (cc * y).sum(axis=1), (ss * y).sum(axis=1)
-    c2, s2 = (cc * cc).sum(axis=1), (ss * ss).sum(axis=1)
+    mean_cos, mean_sin = cos.sum(axis=-1) / n, sin.sum(axis=-1) / n
+    # a scalar for one file, a column for several, to broadcast against the rates
+    mean_f = f.sum(axis=-1, keepdims=f.ndim > 1) / n
+    cc, ss = cos - mean_cos[..., None], sin - mean_sin[..., None]
+    y = (f - mean_f)[..., None, :]
+    yc, ys = (cc * y).sum(axis=-1), (ss * y).sum(axis=-1)
+    c2, s2 = (cc * cc).sum(axis=-1), (ss * ss).sum(axis=-1)
     cc *= ss
-    cs = cc.sum(axis=1)
+    cs = cc.sum(axis=-1)
     det = c2 * s2 - cs * cs
     scale = c2 + s2
     collinear = det <= _EPS * (scale * scale)
@@ -598,23 +613,59 @@ def _fit_at_rates(t, f, c):
     phi0 = np.arctan2(-v, u)
     half = alpha / 2
     # beta + half * (1 - cos(ct + phi0)) - f, expanded
-    pred = (half * np.cos(phi0))[:, None] * cos
-    np.subtract((beta + half)[:, None], pred, out=pred)
-    sin *= (half * np.sin(phi0))[:, None]
+    pred = (half * np.cos(phi0))[..., None] * cos
+    np.subtract((beta + half)[..., None], pred, out=pred)
+    sin *= (half * np.sin(phi0))[..., None]
     pred += sin
-    pred -= f
+    pred -= f[..., None, :]
     pred *= pred
-    rss = pred.sum(axis=1)
+    rss = pred.sum(axis=-1)
     rss[collinear] = np.inf
     return rss, alpha, beta, phi0
 
 
 def _fit_in_batches(t, f, c):
-    """``_fit_at_rates`` over ``c`` in calls of at most ``_SCAN_CELLS``
-    (rate, time) pairs, so a long file cannot make one call's arrays huge."""
-    per = max(1, _SCAN_CELLS // len(t))
-    parts = [_fit_at_rates(t, f, c[i:i + per]) for i in range(0, len(c), per)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    """``_fit_at_rates`` for the files ``f`` (files, n) at their rates ``c``
+    (files, rates), in calls of at most ``_SCAN_CELLS`` (file, rate, time)
+    cells, so long files cannot make one call's arrays huge.  A call for
+    one file takes its 1-D fractions and rates."""
+    per = max(1, _SCAN_CELLS // len(t))  # rates per call
+    files = per // c.shape[1]
+    if len(f) > 1 and files > 1:
+        parts = [_fit_at_rates(t, f[i:i + files], c[i:i + files])
+                 for i in range(0, len(f), files)]
+    else:
+        parts = [_fit_at_rates(t, row, rates[i:i + per])
+                 for row, rates in zip(f, c) for i in range(0, len(rates), per)]
+    if len(parts) == 1:
+        return tuple(o.reshape(c.shape) for o in parts[0])
+    return tuple(np.concatenate(p).reshape(c.shape) for p in zip(*parts))
+
+
+def _too_few_times(t) -> PipelineError:
+    return PipelineError("fit_model", f"need >= 4 times to fit 4 parameters, "
+                                      f"got {len(t)}")
+
+
+def _fit_rows(t, f):
+    """``fit_model`` on each row of ``f`` (files, n), the fractions of files
+    sharing the times ``t``; no row may be constant and n must be >= 4.
+
+    Each file's rate scan is a call of its own, as a batch of scans makes
+    temporaries too large to be faster; then one ``minimize_on_bracket``
+    refines every file's rate, one kernel call per round.  Returns alpha,
+    beta, phi0 and c, one value per file, each the bits ``fit_model`` gives
+    the file alone.
+    """
+    step = math.pi / (2 * (t[-1] - t[0]))
+    rates = step * np.arange(1, 2 * (len(t) - 1))
+    best = np.array([rates[_fit_in_batches(t, row[None], rates[None])[0].argmin()]
+                     for row in f])
+    res = optimize.minimize_on_bracket(
+        lambda c, rows: _fit_in_batches(t, f.take(rows, axis=0), c),
+        best - step, best + step)
+    _, alpha, beta, phi0 = res.out
+    return alpha, beta, phi0, res.x
 
 
 def fit_model(ds: Dataset) -> NoiseModel:
@@ -631,22 +682,17 @@ def fit_model(ds: Dataset) -> NoiseModel:
     least-squares problem is solved on mean-centred cos/sin columns, as in
     the floating-mean periodogram (Zechmeister & Kuerster, A&A 496, 577,
     2009).  Raises ``PipelineError`` on fewer than 4 times, where any of
-    many curves fits exactly, and on constant data.
+    many curves fits exactly, and on constant data.  ``screen_rows`` fits
+    many files on the same times at once, with the same bits.
     """
     t, f = ds.times(), ds.fractions()
     if len(t) < 4:
-        raise PipelineError("fit_model", f"need >= 4 times to fit 4 parameters, "
-                                         f"got {len(t)}")
+        raise _too_few_times(t)
     if f.min() == f.max():
         raise PipelineError("fit_model", "all fractions are equal; no rate")
-    step = math.pi / (2 * (t[-1] - t[0]))
-    rates = step * np.arange(1, 2 * (len(t) - 1))
-    best = rates[_fit_in_batches(t, f, rates)[0].argmin()]
-    res = optimize.minimize_on_bracket(lambda c: _fit_in_batches(t, f, c),
-                                       best - step, best + step)
-    _, alpha, beta, phi0 = res.out
-    return NoiseModel(alpha=float(alpha), beta=float(beta), phi0=float(phi0),
-                      c=res.x)
+    alpha, beta, phi0, c = _fit_rows(t, f[None])
+    return NoiseModel(alpha=float(alpha[0]), beta=float(beta[0]),
+                      phi0=float(phi0[0]), c=float(c[0]))
 
 
 @dataclass(frozen=True)
@@ -661,25 +707,66 @@ class ScreenVerdict:
         return self.accepted
 
 
+def _jump_verdicts(t, f, shots, c) -> list:
+    """The jump screen's verdict on each row of ``f`` (files, n), files at
+    the times ``t`` with the shot counts ``shots`` (files, n), each at its
+    fitted rate in ``c`` (files,)."""
+    jump = np.abs(np.diff(f, axis=1))
+    threshold = (c[:, None] * np.diff(t) / 2
+                 + 5 * np.sqrt(0.25 / np.minimum(shots[:, :-1], shots[:, 1:])))
+    over = jump > threshold
+    verdicts = []
+    for r, i in enumerate(over.argmax(axis=1)):  # the first jump over, if any
+        if not over[r, i]:
+            verdicts.append(ScreenVerdict(accepted=True))
+            continue
+        verdicts.append(ScreenVerdict(
+            accepted=False,
+            reason=(f"fraction jump {jump[r, i]:.4f} between t={t[i]} and "
+                    f"t={t[i + 1]} exceeds threshold {threshold[r, i]:.4f}"),
+            location=float(t[i + 1]),
+        ))
+    return verdicts
+
+
 def screen_dataset(ds: Dataset) -> ScreenVerdict:
     """Reject datasets whose fractions jump more than the model plus noise allow.
 
     Between adjacent times the model probability can change by at most
     c*dt/2 (c from ``fit_model``, not run on data that never jumps); on top
     of that we allow 5 binomial standard deviations at the worst case
-    p = 1/2.  A larger jump indicates a calibration step.
+    p = 1/2.  A larger jump indicates a calibration step.  ``screen_rows``
+    screens many files on the same times at once, with the same bits.
     """
-    t = ds.times()
-    jump = np.abs(np.diff(ds.fractions()))
-    if jump.any():  # constant fractions have no rate to fit
-        threshold = (fit_model(ds).c * np.diff(t) / 2
-                     + 5 * np.sqrt(0.25 / np.minimum(ds.shots[:-1], ds.shots[1:])))
-        i = np.argmax(jump > threshold)  # the first jump over, if any
-        if jump[i] > threshold[i]:
-            return ScreenVerdict(
-                accepted=False,
-                reason=(f"fraction jump {jump[i]:.4f} between t={t[i]} and "
-                        f"t={t[i + 1]} exceeds threshold {threshold[i]:.4f}"),
-                location=float(t[i + 1]),
-            )
-    return ScreenVerdict(accepted=True)
+    f = ds.fractions()
+    if f.min() == f.max():  # constant fractions have no rate to fit
+        return ScreenVerdict(accepted=True)
+    return _jump_verdicts(ds.times(), f[None], ds.shots[None],
+                          np.array([fit_model(ds).c]))[0]
+
+
+def screen_rows(times, fractions, shots) -> tuple:
+    """``screen_dataset`` on every row of ``fractions`` (files, n).
+
+    The rows are files sharing the strictly increasing ``times`` (n,), and
+    ``shots`` (files, n) holds their shot counts.  Each row gets the
+    verdict ``screen_dataset`` gives that file alone, with the same bits,
+    or the ``PipelineError`` its fit raised.  The rows that need a rate are
+    fitted together (see ``_fit_rows``): one rate search for all of them.
+    """
+    t, f = np.asarray(times, dtype=float), np.asarray(fractions, dtype=float)
+    shots = np.asarray(shots)
+    if t.ndim != 1 or len(t) < 2 or f.ndim != 2 or f.shape[1] != len(t) \
+            or shots.shape != f.shape:
+        raise ValueError(f"need >= 2 times and one column of fractions and of shots "
+                         f"per time, got times {t.shape}, fractions {f.shape} and "
+                         f"shots {shots.shape}")
+    moving = np.flatnonzero(f.min(axis=1) != f.max(axis=1))
+    verdicts = [ScreenVerdict(accepted=True)] * len(f)
+    if len(moving):
+        found = ([_too_few_times(t)] * len(moving) if len(t) < 4 else
+                 _jump_verdicts(t, f[moving], shots[moving],
+                                _fit_rows(t, f[moving])[3]))
+        for r, v in zip(moving, found):
+            verdicts[r] = v
+    return tuple(verdicts)

@@ -16,8 +16,10 @@ from typing import ClassVar
 
 import numpy as np
 
+# estimate_pi is not called here; rabibench/selftest.py checks that the
+# tracer rebinds it under this module and restores it
 from .estimate import EstimateResult, PipelineError, estimate_pi, estimate_rows, \
-    screen_dataset
+    screen_rows
 from .model import NoiseModel
 from .simulate import DEFAULT_GRID, DEFAULT_SHOTS, TimeGrid, sample_counts
 
@@ -162,12 +164,22 @@ def _experiment(name: str, ds) -> tuple:
     return grid, int(lo)
 
 
-def _named(step, name: str, ds):
-    """``step(ds)``, its ``PipelineError`` re-raised as ``report: name: ...``."""
-    try:
-        return step(ds)
-    except PipelineError as exc:
-        raise PipelineError("report", f"{name}: {exc}") from exc
+def _per_file(n: int, batches: list, run) -> list:
+    """``run(ks)`` on each batch ``ks`` of file indices, its outcomes put
+    back in input order; None for a file in no batch."""
+    out = [None] * n
+    for ks in batches:
+        for k, outcome in zip(ks, run(ks)):
+            out[k] = outcome
+    return out
+
+
+def _raise_first(names: list, outcomes: list):
+    """Raise the first ``PipelineError`` among ``outcomes`` as
+    ``report: name: ...``."""
+    for name, outcome in zip(names, outcomes):
+        if isinstance(outcome, PipelineError):
+            raise PipelineError("report", f"{name}: {outcome}") from outcome
 
 
 def report(datasets: list, runs_per_model: int = 50, base_seed: int = 0) -> Report:
@@ -180,24 +192,51 @@ def report(datasets: list, runs_per_model: int = 50, base_seed: int = 0) -> Repo
     is the Monte Carlo standard deviation of a single-run estimate, not
     divided by the number of datasets.
 
+    Datasets with identical times form one batch.  A batch is screened by
+    one ``screen_rows`` call, which refines the rates of all its datasets in
+    one search, and its accepted datasets are estimated by one
+    ``estimate_rows`` call.  Each dataset gets the same bits as
+    ``screen_dataset`` and ``estimate_pi`` give it alone.
+
     A dataset is named by its label or, when that is empty, by its 1-based
-    position (``dataset 2``), in the verdicts, the estimates and errors; a
-    dataset that fails to screen or to estimate is named in the error.
+    position (``dataset 2``), in the verdicts, the estimates and errors.
+    The first dataset in input order that fails to screen is named in the
+    error; if all screen, the first accepted one that fails to estimate.
     """
     if not datasets:
         raise ValueError("need at least one dataset")
-    named = [(ds.label or f"dataset {i}", ds) for i, ds in enumerate(datasets, 1)]
-    verdicts = tuple((name, _named(screen_dataset, name, ds)) for name, ds in named)
-    kept = [(name, ds) for (name, ds), (_, v) in zip(named, verdicts) if v]
-    if not kept:
+    names = [ds.label or f"dataset {i}" for i, ds in enumerate(datasets, 1)]
+    fractions = [ds.fractions() for ds in datasets]
+    batches = {}
+    for k, ds in enumerate(datasets):
+        batches.setdefault(ds.t.tobytes(), []).append(k)
+
+    def screen(ks):
+        return screen_rows(datasets[ks[0]].t, np.array([fractions[k] for k in ks]),
+                           np.array([datasets[k].shots for k in ks]))
+
+    screened = _per_file(len(datasets), batches.values(), screen)
+    _raise_first(names, screened)
+    verdicts = tuple(zip(names, screened))
+    if not any(screened):
         raise PipelineError("report", "all datasets rejected by screening")
-    estimates = [(name, _named(estimate_pi, name, ds)) for name, ds in kept]
-    experiments = [_experiment(name, ds) for name, ds in kept]
+
+    def estimate(ks):
+        rows = estimate_rows(datasets[ks[0]].t, np.array([fractions[k] for k in ks]))
+        return [rows.result(r) if rows.ok[r] else rows.errors[r]
+                for r in range(len(ks))]
+
+    accepted = [[k for k in ks if screened[k]] for ks in batches.values()]
+    results = _per_file(len(datasets), [ks for ks in accepted if ks], estimate)
+    _raise_first(names, results)
+    kept = [k for k, v in enumerate(screened) if v]
+    estimates = [(names[k], results[k]) for k in kept]
+    experiments = [_experiment(names[k], datasets[k]) for k in kept]
     if len(set(experiments)) > 1:
         raise PipelineError("report", "datasets differ in time grid or shots: " +
-                            ", ".join(f"{name} {n} shots on t = {g.start:g}:"
+                            ", ".join(f"{names[k]} {n} shots on t = {g.start:g}:"
                                       f"{g.step:.6g}:{g.stop:g}"
-                                      for (name, _), (g, n) in zip(kept, experiments)))
+                                      for k, (g, n) in zip(kept, experiments)))
     grid, shots = experiments[0]
     mc = run_mc([model_from_estimate(r) for _, r in estimates],
                 McConfig(runs_per_model=runs_per_model, shots=shots, grid=grid,

@@ -36,7 +36,12 @@ DEFAULT_SHOTS = 8192
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid {start, start+step, ...} up to stop (inclusive)."""
+    """Uniform time grid {start, start+step, ...} up to stop (inclusive).
+
+    The times are computed once, when the grid is built, and ``times()``
+    returns that read-only array; ``==`` and ``hash`` compare only
+    ``start``, ``stop`` and ``step``.
+    """
 
     start: float
     stop: float
@@ -50,19 +55,22 @@ class TimeGrid:
             raise ValueError(f"step must be > 0, got {self.step}")
         if self.stop <= self.start:
             raise ValueError(f"stop must exceed start, got [{self.start}, {self.stop}]")
-        if np.any(np.abs(np.diff(self.times()) - self.step) > 1e-6 * self.step):
-            raise ValueError(f"step {self.step} is too fine for grid times rounded "
-                             f"to 12 decimals: the rounded steps differ from it by "
-                             f"more than 1e-6 of it")
-
-    def times(self) -> np.ndarray:
         # Largest point <= stop + step/2; rounding strips float-accumulation
         # noise so grid times serialize as short decimals.
         n = int(math.floor((self.stop - self.start + self.step / 2) / self.step)) + 1
-        return np.round(self.start + np.arange(n) * self.step, 12)
+        times = np.round(self.start + np.arange(n) * self.step, 12)
+        if np.any(np.abs(np.diff(times) - self.step) > 1e-6 * self.step):
+            raise ValueError(f"step {self.step} is too fine for grid times rounded "
+                             f"to 12 decimals: the rounded steps differ from it by "
+                             f"more than 1e-6 of it")
+        times.flags.writeable = False
+        object.__setattr__(self, "_times", times)  # not a field: eq and hash skip it
+
+    def times(self) -> np.ndarray:
+        return self._times
 
     def __len__(self) -> int:
-        return len(self.times())
+        return len(self._times)
 
 
 @dataclass(frozen=True, eq=False)

@@ -378,17 +378,25 @@ class TestPlotReport:
         assert [(c.runs_per_model, c.shots, c.base_seed) for c in ran] == [(5, 8192, 4)]
         assert np.array_equal(ran[0].grid.times(), DEFAULT_GRID.times())
 
-        calls = {}
-        for name in ("screen_dataset", "fit_model", "estimate_pi"):
-            fn = getattr(rabipi.estimate, name)
+        # the files share their times, so they are one batch: a rate scan
+        # per file, then one search and one estimate call for all three
+        scans, batches = [], []
+        kernel = rabipi.estimate._fit_at_rates
+        estimate_rows = rabipi.montecarlo.estimate_rows
 
-            def counted(*args, _fn=fn, _name=name, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _fn(*args, **kwargs)
+        def counted_kernel(t, f, c):
+            if c.shape == (2 * (len(t) - 1) - 1,):
+                scans.append(f)
+            return kernel(t, f, c)
 
-            for mod in (rabipi.estimate, rabipi.cli, rabipi.montecarlo):
-                if getattr(mod, name, None) is fn:
-                    monkeypatch.setattr(mod, name, counted)
+        def counted_rows(times, fractions):
+            batches.append(fractions.shape)
+            return estimate_rows(times, fractions)
+
+        monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", counted_kernel)
+        monkeypatch.setattr(rabipi.montecarlo, "estimate_rows", counted_rows)
         assert run(argv) == 0
-        assert calls == {"screen_dataset": 3, "fit_model": 3, "estimate_pi": 3}
+        assert [f.tolist() for f in scans] == [
+            ds.fractions().tolist() for ds in datasets]
+        assert batches == [(3, 64), (3 * 5, 64)]  # the files, then run_mc's runs
         assert capsys.readouterr().out == expected

@@ -16,7 +16,8 @@ from rabipi.estimate import (DELTA, REFINE_WINDOW, EstimateResult,
                              estimate_rows, find_crossing, fit_model,
                              interpolate, normalize, refine_alpha_beta,
                              refine_crossing_linear, rough_alpha_beta,
-                             screen_dataset, trapezoid_integral)
+                             ScreenVerdict, screen_dataset, screen_rows,
+                             trapezoid_integral)
 from rabipi.model import IDEAL, NoiseModel, noisy_prob
 from rabipi.simulate import (DEFAULT_GRID, Dataset, exact_dataset,
                              inject_step, make_grid, sample_counts,
@@ -1088,6 +1089,78 @@ class TestFitModel:
                                 plain_fit_at_rates)
             assert fit_model(ds) == fit, i
             monkeypatch.undo()
+
+
+class TestBatchedFiles:
+    """``screen_rows`` and its fit on many files at once give each file the
+    bits ``screen_dataset`` and ``fit_model`` give it alone."""
+
+    @staticmethod
+    def batches(datasets):
+        """The datasets grouped by their times: (times, fractions, shots,
+        datasets) per group."""
+        groups = {}
+        for ds in datasets:
+            groups.setdefault(ds.t.tobytes(), []).append(ds)
+        return [(g[0].t, np.array([ds.fractions() for ds in g]),
+                 np.array([ds.shots for ds in g]), g) for g in groups.values()]
+
+    @staticmethod
+    def same_fit(row, model):
+        return all(np.float64(a).tobytes() == np.float64(b).tobytes()
+                   for a, b in zip(row, (model.alpha, model.beta, model.phi0, model.c)))
+
+    def test_fit_and_screen_match_one_file_calls_on_fit_corpus(self):
+        corpus = [ds for _, ds in fit_corpus()]
+        groups = self.batches(corpus)
+        assert sorted(len(g[3]) for g in groups) == [184, 216]
+        for t, f, shots, group in groups:
+            rows = rabipi.estimate._fit_rows(t, f)
+            verdicts = screen_rows(t, f, shots)
+            for j, ds in enumerate(group):
+                assert self.same_fit([o[j] for o in rows], fit_model(ds)), j
+                assert verdicts[j] == screen_dataset(ds), j
+            assert not all(verdicts) and any(verdicts)
+
+    def test_kernel_calls_of_a_batch_stay_within_scan_cells(self, monkeypatch):
+        # three (file, rate) pairs per call: a round's 33 rates of each file
+        # are split as one file's scan is, and the vertices of three files
+        # share a call
+        corpus = [ds for i, ds in fit_corpus() if i < 20 and i // 92 % 2 == 0]
+        (t, f, _, group), = self.batches(corpus)
+        sizes = []
+        kernel = rabipi.estimate._fit_at_rates
+
+        def counted(t, f, c):
+            sizes.append(c.shape)
+            return kernel(t, f, c)
+
+        monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", counted)
+        monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", 3 * len(t))
+        rows = rabipi.estimate._fit_rows(t, f)
+        assert max(math.prod(size) for size in sizes) == 3
+        assert (3,) in sizes and (3, 1) in sizes
+        monkeypatch.undo()
+        for j, ds in enumerate(group):
+            assert self.same_fit([o[j] for o in rows], fit_model(ds)), j
+
+    def test_constant_and_too_short_rows(self):
+        flat = constant_dataset()
+        clean = sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=0)
+        (t, f, shots, _), = self.batches([flat, clean, flat])
+        assert screen_rows(t, f, shots) == (screen_dataset(flat), screen_dataset(clean),
+                                           screen_dataset(flat))
+        # under 4 times, each row that needs a rate gets the fit's error
+        short = screen_rows(t[:3], np.array([[0.5, 0.5, 0.5], [0.1, 0.5, 0.9]]),
+                            np.full((2, 3), 100))
+        assert short[0] == ScreenVerdict(accepted=True)
+        assert isinstance(short[1], PipelineError)
+        assert str(short[1]) == "fit_model: need >= 4 times to fit 4 parameters, got 3"
+
+    @pytest.mark.parametrize("shape", [(64,), (2, 63)])
+    def test_shapes_that_do_not_match_the_times_rejected(self, shape):
+        with pytest.raises(ValueError, match="one column of fractions and of shots"):
+            screen_rows(GRID_TIMES, np.full(shape, 0.5), np.full(shape, 100))
 
 
 class TestScreenDataset:

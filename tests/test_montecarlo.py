@@ -5,13 +5,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import rabipi.estimate
 import rabipi.montecarlo
 import rabipi.simulate
 from rabipi.estimate import PipelineError, RowEstimates, estimate_pi, \
-    estimate_rows
-from rabipi.model import IDEAL, NoiseModel
-from rabipi.montecarlo import (McConfig, McSummary, _run_seed, model_from_estimate,
-                               report, run_mc)
+    estimate_rows, screen_dataset
+from rabipi.model import IDEAL, NoiseModel, noisy_prob
+from rabipi.montecarlo import (McConfig, McSummary, Report, _experiment, _run_seed,
+                               model_from_estimate, report, run_mc)
 from rabipi.simulate import DEFAULT_GRID, Dataset, exact_dataset, \
     inject_step, make_grid, sample_counts, sample_dataset
 
@@ -356,3 +357,115 @@ class TestReport:
         with pytest.raises(PipelineError,
                            match=r"^report: dataset 2: find_crossing: "):
             report([ok, cut_off], runs_per_model=5)
+
+
+def reference_report(datasets, runs_per_model, base_seed):
+    """``report`` as a plain loop: one ``screen_dataset`` and, once every
+    dataset has screened, one ``estimate_pi`` per accepted dataset, each
+    failure raised as it comes."""
+    named = [(ds.label or f"dataset {i}", ds) for i, ds in enumerate(datasets, 1)]
+
+    def call(step, name, ds):
+        try:
+            return step(ds)
+        except PipelineError as exc:
+            raise PipelineError("report", f"{name}: {exc}") from exc
+
+    verdicts = tuple((name, call(screen_dataset, name, ds)) for name, ds in named)
+    kept = [(name, ds) for (name, ds), (_, v) in zip(named, verdicts) if v]
+    if not kept:
+        raise PipelineError("report", "all datasets rejected by screening")
+    estimates = tuple((name, call(estimate_pi, name, ds)) for name, ds in kept)
+    experiments = [_experiment(name, ds) for name, ds in kept]
+    if len(set(experiments)) > 1:
+        raise PipelineError("report", "datasets differ in time grid or shots: " +
+                            ", ".join(f"{name} {n} shots on t = {g.start:g}:"
+                                      f"{g.step:.6g}:{g.stop:g}"
+                                      for (name, _), (g, n) in zip(kept, experiments)))
+    grid, shots = experiments[0]
+    mc = run_mc([model_from_estimate(r) for _, r in estimates],
+                McConfig(runs_per_model, shots, grid, base_seed))
+    mean_pi = float(np.mean([r.pi_hat for _, r in estimates]))
+    return Report(verdicts, estimates, mc, mean_pi, 2 * mc.std_pi)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PipelineError as exc:
+        return f"{exc.step}: {exc}"
+
+
+#: np.linspace times differ from TimeGrid.times() in their last bits, so
+#: files on them form a batch of their own
+LINSPACE = np.linspace(0.0, 6.3, 64)
+
+
+def _linspace_dataset(model, seed, label=""):
+    rng = np.random.default_rng(seed)
+    return Dataset(LINSPACE, 8192, rng.binomial(8192, noisy_prob(model, LINSPACE)),
+                   label)
+
+
+class TestReportBatches:
+    """``report`` screens, fits and estimates the datasets of a batch
+    together; it must give what one call per dataset gives, and name the
+    same dataset when one fails."""
+
+    def test_two_exact_time_batches(self):
+        assert not np.array_equal(LINSPACE, DEFAULT_GRID.times())
+        q0, q1, q2 = _demo_datasets()
+        datasets = [q0, _linspace_dataset(DEMO_QUBITS[1], 1, "lin1"),
+                    _step_dataset("stepped"), q1,
+                    _linspace_dataset(DEMO_QUBITS[2], 2),
+                    dataclasses.replace(q2, label="")]
+        rep = report(datasets, runs_per_model=20, base_seed=3)
+        assert rep == reference_report(datasets, 20, 3)
+        assert [name for name, v in rep.verdicts if not v] == ["stepped"]
+        assert [name for name, _ in rep.estimates] == [
+            "q0", "lin1", "q1", "dataset 5", "dataset 6"]
+
+    @pytest.mark.parametrize("case", [
+        "constant", "find_crossing", "find_crossing_across_batches",
+        "too_few_times", "too_few_times_across_batches", "mixed_experiments"])
+    def test_first_failure_named_as_one_call_per_dataset_names_it(self, case):
+        q0, q1, _ = _demo_datasets()
+        cut = NoiseModel(0.9, 0.05, 2.5, 1.0)  # its half-period is cut off
+        flat = Dataset(DEFAULT_GRID.times(), 8192, np.full(64, 4000), "flat")
+        tiny_a = Dataset([0.0, 0.1, 0.2], 100, [10, 50, 90], "tiny_a")
+        datasets = {
+            "constant": [q0, flat, _linspace_dataset(DEMO_QUBITS[1], 1)],
+            "find_crossing": [q0, sample_dataset(cut, DEFAULT_GRID, 8192, seed=1,
+                                                 label="cut"), q1],
+            # the linspace batch is screened second, but its file is first
+            "find_crossing_across_batches": [
+                q0, _linspace_dataset(cut, 1, "lin_cut"),
+                sample_dataset(cut, DEFAULT_GRID, 8192, seed=1, label="grid_cut")],
+            "too_few_times": [q0, tiny_a],
+            "too_few_times_across_batches": [
+                Dataset([0.0, 0.2, 0.4], 100, [50, 50, 50], "tiny_flat"), tiny_a,
+                Dataset([0.0, 0.2, 0.4], 100, [10, 50, 90], "tiny_b")],
+            "mixed_experiments": [q0, q1, sample_dataset(DEMO_QUBITS[2], DEFAULT_GRID,
+                                                         4096, seed=2, label="q2")],
+        }[case]
+        got = _outcome(report, datasets, 5, 0)
+        assert isinstance(got, str)  # every case fails
+        assert got == _outcome(reference_report, datasets, 5, 0)
+        first = {"constant": "flat", "find_crossing": "cut",
+                 "find_crossing_across_batches": "lin_cut",
+                 "too_few_times": "tiny_a", "too_few_times_across_batches": "tiny_a",
+                 "mixed_experiments": "datasets differ"}[case]
+        assert got.startswith(f"report: report: {first}")
+
+    def test_one_screen_search_and_one_estimate_batch_per_batch(self, monkeypatch):
+        # three files on one grid: 3 scans, 4 search rounds and 1 vertex
+        # call, where a search per file makes 18 kernel calls
+        kernel, rows = rabipi.estimate._fit_at_rates, rabipi.montecarlo.estimate_rows
+        shapes, batches = [], []
+        monkeypatch.setattr(rabipi.estimate, "_fit_at_rates",
+                            lambda t, f, c: shapes.append(c.shape) or kernel(t, f, c))
+        monkeypatch.setattr(rabipi.montecarlo, "estimate_rows",
+                            lambda t, f: batches.append(f.shape) or rows(t, f))
+        report(_demo_datasets(), runs_per_model=5)
+        assert shapes == [(125,)] * 3 + [(3, 33)] * 4 + [(3, 1)]
+        assert batches == [(3, 64), (15, 64)]

@@ -18,6 +18,18 @@ class TestMakeGrid:
     def test_small_grid(self):
         assert list(make_grid(0, 1, 0.5).times()) == [0.0, 0.5, 1.0]
 
+    def test_times_built_once_and_read_only(self):
+        grid = make_grid(0, 6.3, 0.1)
+        times = grid.times()
+        assert grid.times() is times and len(grid) == 64
+        with pytest.raises(ValueError, match="read-only"):
+            times[0] = 1.0
+        # the cached times take no part in == and hash
+        other = make_grid(0, 6.3, 0.1)
+        assert other == grid and hash(other) == hash(grid)
+        assert {grid: 1}[other] == 1
+        assert make_grid(0, 6.3, 0.05) != grid
+
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
             make_grid(0, 1, -0.1)
