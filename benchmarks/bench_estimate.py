@@ -1,7 +1,8 @@
 """Layer benchmark of the estimator: ``estimate_rows``, ``estimate_pi`` and
 ``run_mc`` at the sizes the paper's protocol and the low-shot Monte Carlo
 use, ``fit_model`` and ``render_svg`` on one file as triage fits and plots
-it, and ``report`` on three files as ``rabipi report`` runs it.
+it, and ``report`` on three files as ``rabipi report`` runs it, with its
+screen, ``screen_rows``, on its own.
 
     python -m pytest benchmarks -q                       # time, print medians
     python -m pytest benchmarks -q --benchmark-json=out.json
@@ -20,7 +21,7 @@ import pytest
 
 from rabipi import (DEFAULT_GRID, Dataset, McConfig, NoiseModel, estimate_pi,
                     make_grid, report, run_mc)
-from rabipi.estimate import estimate_rows, fit_model
+from rabipi.estimate import estimate_rows, fit_model, screen_dataset, screen_rows
 from rabipi.plotting import render_svg
 from rabipi.simulate import sample_counts, sample_dataset
 
@@ -106,3 +107,12 @@ def test_report_three_files(benchmark, three_files):
     assert all(v for _, v in rep.verdicts) and len(rep.estimates) == 3
     assert rep.mc.n_runs == 150 and rep.mc.failures == 0
     assert abs(rep.mean_pi - math.pi) < 0.05
+
+
+def test_screen_rows_three_files(benchmark, three_files):
+    t = three_files[0].t
+    fractions = np.array([ds.fractions() for ds in three_files])
+    shots = np.array([ds.shots for ds in three_files])
+    verdicts = benchmark(screen_rows, t, fractions, shots)
+    assert verdicts == tuple(screen_dataset(ds) for ds in three_files)
+    assert all(verdicts)

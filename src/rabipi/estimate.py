@@ -32,9 +32,9 @@ nearest a given start.
 
 Also provides the full four-parameter curve fit used for plotting and a
 screener that rejects datasets with calibration jumps.  ``screen_rows``
-screens many datasets on the same times at once: one rate scan per dataset,
-then one rate search for all of them, each getting the bits that
-``screen_dataset`` and ``fit_model`` give it alone.
+screens many datasets on the same times at once: one rate scan and one rate
+search for all of them, each getting the bits that ``screen_dataset`` and
+``fit_model`` give it alone.
 """
 
 import math
@@ -209,7 +209,7 @@ def _normalize(f, alpha, beta, fails):
 #: Distances closer than this many grid steps count as equal, so that float
 #: noise in decimal grid knots cannot decide which side of an edge they are on.
 _TIE_STEPS = 1e-8
-_SCAN_CELLS = 1 << 18  # most (rate, time) pairs one call of fit_model's kernel sees
+_SCAN_CELLS = 1 << 18  # most (file, rate, time) cells of a kernel call or a scan chunk
 
 
 def _min_step(t):
@@ -579,15 +579,15 @@ def _fit_at_rates(t, f, c):
     or files in the call, and no BLAS kernel (whose rounding varies with the
     CPU) is involved.
 
-    ``fit_model`` calls it once for its rate scan and then once for each
-    round of its rate search, at 33 rates or at one, where the cost is per
-    NumPy call, not per element; ``report`` makes one call per round for
-    the rates of all its files.  So it uses reductions, ufuncs and
-    in-place updates rather than ``mean``, ``clip`` and ``where``, each
-    rounding as the plain formula does: a mean is NumPy's sum divided by
-    the count, clipping to [0, 1] is a maximum then a minimum on finite
-    values, and (pred - f)^2 equals (f - pred)^2.  The search's path turns
-    on every bit of the RSS, so any other rounding can change the fit.
+    ``fit_model`` calls it once for each round of its rate search, at 33
+    rates or at one, where the cost is per NumPy call, not per element;
+    ``report`` makes one call per round for the rates of all its files.  So
+    it uses reductions, ufuncs and in-place updates rather than ``mean``,
+    ``clip`` and ``where``, each rounding as the plain formula does: a mean
+    is NumPy's sum divided by the count, clipping to [0, 1] is a maximum
+    then a minimum on finite values, and (pred - f)^2 equals (f - pred)^2.
+    The search's path turns on every bit of the RSS, so any other rounding
+    can change the fit.
     """
     n = len(t)
     ct = np.multiply.outer(c, t)
@@ -642,6 +642,69 @@ def _fit_in_batches(t, f, c):
     return tuple(np.concatenate(p).reshape(c.shape) for p in zip(*parts))
 
 
+def _scan(t, f, step):
+    """The index k - 1 of the best of the rates k * step, k = 1 ... 2n - 3,
+    for each row of ``f`` (files, n), by the least RSS ``_fit_at_rates``
+    gives there, the first on a tie.
+
+    The kernel's cos/sin columns at the rates k * step are the powers z^k
+    of z = exp(i step t), built by doubling: one ``exp`` per knot, not one
+    cos and one sin per (rate, knot) cell, as fast periodograms use
+    trigonometric recurrences (Press & Rybicki, ApJ 338, 277, 1989).  The
+    centred columns' sums of squares and products are shared by every
+    file; they are summed from the columns, not from sums of z^2k, whose
+    cancellation would hide a collinear rate from the kernel's test.  Each
+    file adds one sum, of (f - mean f) z^k.  The solve, its collinearity
+    test and the clipping are the kernel's, and the RSS of the clipped
+    curve, |y + d + b cc + c ss|^2 in the centred columns cc and ss, comes
+    from the same sums, with no residual matrix.  Chunks of the rates, each
+    anchored on an exact exp(i k0 step t), and of the files keep every
+    (file, rate, time) array within ``_SCAN_CELLS`` cells.  The sums round
+    otherwise than the kernel's, so the scan serves only to choose each
+    row's search bracket.
+    """
+    n = len(t)
+    mean_f = f.sum(axis=1, keepdims=True) / n
+    y = f - mean_f
+    yy = (y * y).sum(axis=1, keepdims=True)
+    group = max(1, min(len(f), _SCAN_CELLS // n))  # files per chunk
+    per = max(1, min(2 * n - 3, _SCAN_CELLS // (group * n)))  # rates per chunk
+    z = np.empty((per, n), dtype=complex)  # z[j] = exp(i (j + 1) step t)
+    z[0] = np.exp(1j * step * t)
+    m = 1
+    while m < per:
+        z[m:2 * m] = z[:min(m, per - m)] * z[m - 1]
+        m *= 2
+    rss = np.empty((len(f), 2 * n - 3))
+    for k0 in range(0, 2 * n - 3, per):
+        zk = z[:2 * n - 3 - k0]
+        if k0:
+            zk = zk * np.exp(1j * (k0 * step) * t)
+        s1 = zk.sum(axis=1)
+        mean_cos, mean_sin = s1.real / n, s1.imag / n
+        cc, ss = zk.real - mean_cos[:, None], zk.imag - mean_sin[:, None]
+        c2, s2, cs = (cc * cc).sum(axis=1), (ss * ss).sum(axis=1), (cc * ss).sum(axis=1)
+        det = c2 * s2 - cs * cs
+        collinear = det <= _EPS * ((c2 + s2) * (c2 + s2))
+        det[collinear] = np.inf
+        for i in range(0, len(f), group):
+            yz = (zk * y[i:i + group, None, :]).sum(axis=2)
+            yc, ys = yz.real, yz.imag
+            u = (ys * cs - yc * s2) / det
+            v = (yc * cs - ys * c2) / det
+            mf = mean_f[i:i + group]
+            k, r = mf + u * mean_cos + v * mean_sin, np.hypot(u, v)
+            beta = np.minimum(np.maximum(k - r, 0.0), 1.0)
+            half = (np.minimum(np.maximum(k + r, 0.0), 1.0) - beta) / 2
+            phi0 = np.arctan2(-v, u)
+            b, c = half * np.cos(phi0), -half * np.sin(phi0)
+            d = mf - (beta + half) + b * mean_cos + c * mean_sin
+            rss[i:i + group, k0:k0 + per] = np.where(collinear, np.inf, (
+                yy[i:i + group] + 2 * (b * yc + c * ys) + b * b * c2 + c * c * s2
+                + 2 * b * c * cs + n * d * d))
+    return rss.argmin(axis=1)
+
+
 def _too_few_times(t) -> PipelineError:
     return PipelineError("fit_model", f"need >= 4 times to fit 4 parameters, "
                                       f"got {len(t)}")
@@ -651,16 +714,13 @@ def _fit_rows(t, f):
     """``fit_model`` on each row of ``f`` (files, n), the fractions of files
     sharing the times ``t``; no row may be constant and n must be >= 4.
 
-    Each file's rate scan is a call of its own, as a batch of scans makes
-    temporaries too large to be faster; then one ``minimize_on_bracket``
-    refines every file's rate, one kernel call per round.  Returns alpha,
-    beta, phi0 and c, one value per file, each the bits ``fit_model`` gives
-    the file alone.
+    One ``_scan`` picks every file's best scan rate, then one
+    ``minimize_on_bracket`` refines every file's rate within one scan step
+    of it, one kernel call per round.  Returns alpha, beta, phi0 and c, one
+    value per file, each the bits ``fit_model`` gives the file alone.
     """
     step = math.pi / (2 * (t[-1] - t[0]))
-    rates = step * np.arange(1, 2 * (len(t) - 1))
-    best = np.array([rates[_fit_in_batches(t, row[None], rates[None])[0].argmin()]
-                     for row in f])
+    best = step * np.arange(1, 2 * (len(t) - 1))[_scan(t, f, step)]
     res = optimize.minimize_on_bracket(
         lambda c, rows: _fit_in_batches(t, f.take(rows, axis=0), c),
         best - step, best + step)
@@ -673,17 +733,19 @@ def fit_model(ds: Dataset) -> NoiseModel:
 
     Variable projection (Golub & Pereyra 1973): amplitude, offset and phase
     are closed-form at each of the < 2n rates c in quarter-period steps over
-    the span below the mean Nyquist rate pi (n - 1) / span; the best is then
-    refined within one step by ``optimize.minimize_on_bracket``, 33 rates
-    per kernel call, and the levels and phase are those of the best rate it
-    evaluated.  The search is looked up as the module global ``optimize``
-    on every call, so a caller may rebind it (a tracer counting the rates
-    evaluated does).  At a fixed rate the offset-plus-sinusoid
-    least-squares problem is solved on mean-centred cos/sin columns, as in
-    the floating-mean periodogram (Zechmeister & Kuerster, A&A 496, 577,
-    2009).  Raises ``PipelineError`` on fewer than 4 times, where any of
-    many curves fits exactly, and on constant data.  ``screen_rows`` fits
-    many files on the same times at once, with the same bits.
+    the span below the mean Nyquist rate pi (n - 1) / span.  ``_scan``
+    evaluates that scan from power sums, with one ``exp`` per time and no
+    per-rate trigonometry; the best scan rate is then refined within one
+    step by ``optimize.minimize_on_bracket``, 33 rates per kernel call, and
+    the levels and phase are those of the best rate it evaluated.  The
+    search is looked up as the module global ``optimize`` on every call, so
+    a caller may rebind it (a tracer counting the rates evaluated does).
+    At a fixed rate the offset-plus-sinusoid least-squares problem is
+    solved on mean-centred cos/sin columns, as in the floating-mean
+    periodogram (Zechmeister & Kuerster, A&A 496, 577, 2009).  Raises
+    ``PipelineError`` on fewer than 4 times, where any of many curves fits
+    exactly, and on constant data.  ``screen_rows`` fits many files on the
+    same times at once, with the same bits.
     """
     t, f = ds.times(), ds.fractions()
     if len(t) < 4:
@@ -752,7 +814,8 @@ def screen_rows(times, fractions, shots) -> tuple:
     ``shots`` (files, n) holds their shot counts.  Each row gets the
     verdict ``screen_dataset`` gives that file alone, with the same bits,
     or the ``PipelineError`` its fit raised.  The rows that need a rate are
-    fitted together (see ``_fit_rows``): one rate search for all of them.
+    fitted together (see ``_fit_rows``): one rate scan and one rate search
+    for all of them.
     """
     t, f = np.asarray(times, dtype=float), np.asarray(fractions, dtype=float)
     shots = np.asarray(shots)

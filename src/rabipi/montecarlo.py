@@ -147,17 +147,20 @@ def model_from_estimate(r: EstimateResult) -> NoiseModel:
                       phi0=math.pi / 2 - r.c_hat * r.t1_hat, c=r.c_hat)
 
 
-def _experiment(name: str, ds) -> tuple:
+def _experiment(name: str, ds, grid: TimeGrid | None = None) -> tuple:
     """The uniform time grid and the shot count ``ds`` was taken with.
 
     The times must lie within 1e-9 steps of the grid's, which allows for
     the rounding of times written by ``np.linspace`` or ``TimeGrid.times``.
+    ``grid``, when given, is the grid already built and checked for a
+    dataset with the same times.
     """
-    t = ds.t
-    start, stop = float(t[0]), float(t[-1])
-    grid = TimeGrid(start, stop, (stop - start) / (len(t) - 1))
-    if np.max(np.abs(grid.times() - t)) > 1e-9 * grid.step:
-        raise PipelineError("report", f"{name}: times are not a uniform grid")
+    if grid is None:
+        t = ds.t
+        start, stop = float(t[0]), float(t[-1])
+        grid = TimeGrid(start, stop, (stop - start) / (len(t) - 1))
+        if np.max(np.abs(grid.times() - t)) > 1e-9 * grid.step:
+            raise PipelineError("report", f"{name}: times are not a uniform grid")
     lo, hi = ds.shots.min(), ds.shots.max()
     if lo != hi:
         raise PipelineError("report", f"{name}: shots vary by row ({lo} to {hi})")
@@ -193,10 +196,11 @@ def report(datasets: list, runs_per_model: int = 50, base_seed: int = 0) -> Repo
     divided by the number of datasets.
 
     Datasets with identical times form one batch.  A batch is screened by
-    one ``screen_rows`` call, which refines the rates of all its datasets in
-    one search, and its accepted datasets are estimated by one
-    ``estimate_rows`` call.  Each dataset gets the same bits as
-    ``screen_dataset`` and ``estimate_pi`` give it alone.
+    one ``screen_rows`` call, which scans and refines the rates of all its
+    datasets together, its accepted datasets are estimated by one
+    ``estimate_rows`` call, and its time grid is built and checked once.
+    Each dataset gets the same bits as ``screen_dataset`` and
+    ``estimate_pi`` give it alone.
 
     A dataset is named by its label or, when that is empty, by its 1-based
     position (``dataset 2``), in the verdicts, the estimates and errors.
@@ -207,9 +211,10 @@ def report(datasets: list, runs_per_model: int = 50, base_seed: int = 0) -> Repo
         raise ValueError("need at least one dataset")
     names = [ds.label or f"dataset {i}" for i, ds in enumerate(datasets, 1)]
     fractions = [ds.fractions() for ds in datasets]
+    keys = [ds.t.tobytes() for ds in datasets]
     batches = {}
-    for k, ds in enumerate(datasets):
-        batches.setdefault(ds.t.tobytes(), []).append(k)
+    for k, key in enumerate(keys):
+        batches.setdefault(key, []).append(k)
 
     def screen(ks):
         return screen_rows(datasets[ks[0]].t, np.array([fractions[k] for k in ks]),
@@ -231,7 +236,10 @@ def report(datasets: list, runs_per_model: int = 50, base_seed: int = 0) -> Repo
     _raise_first(names, results)
     kept = [k for k, v in enumerate(screened) if v]
     estimates = [(names[k], results[k]) for k in kept]
-    experiments = [_experiment(names[k], datasets[k]) for k in kept]
+    grids, experiments = {}, []  # one grid per batch, built at its first file
+    for k in kept:
+        experiments.append(_experiment(names[k], datasets[k], grids.get(keys[k])))
+        grids[keys[k]] = experiments[-1][0]
     if len(set(experiments)) > 1:
         raise PipelineError("report", "datasets differ in time grid or shots: " +
                             ", ".join(f"{names[k]} {n} shots on t = {g.start:g}:"

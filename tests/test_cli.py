@@ -378,25 +378,31 @@ class TestPlotReport:
         assert [(c.runs_per_model, c.shots, c.base_seed) for c in ran] == [(5, 8192, 4)]
         assert np.array_equal(ran[0].grid.times(), DEFAULT_GRID.times())
 
-        # the files share their times, so they are one batch: a rate scan
-        # per file, then one search and one estimate call for all three
-        scans, batches = [], []
+        # the files share their times, so they are one batch: one rate scan,
+        # one search and one estimate call for all three
+        scans, shapes, batches = [], [], []
+        scan = rabipi.estimate._scan
         kernel = rabipi.estimate._fit_at_rates
         estimate_rows = rabipi.montecarlo.estimate_rows
 
+        def counted_scan(t, f, step):
+            scans.append(f)
+            return scan(t, f, step)
+
         def counted_kernel(t, f, c):
-            if c.shape == (2 * (len(t) - 1) - 1,):
-                scans.append(f)
+            shapes.append(c.shape)
             return kernel(t, f, c)
 
         def counted_rows(times, fractions):
             batches.append(fractions.shape)
             return estimate_rows(times, fractions)
 
+        monkeypatch.setattr(rabipi.estimate, "_scan", counted_scan)
         monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", counted_kernel)
         monkeypatch.setattr(rabipi.montecarlo, "estimate_rows", counted_rows)
         assert run(argv) == 0
         assert [f.tolist() for f in scans] == [
-            ds.fractions().tolist() for ds in datasets]
+            [ds.fractions().tolist() for ds in datasets]]
+        assert shapes == [(3, 33)] * 4 + [(3, 1)]  # 4 search rounds, 1 vertex
         assert batches == [(3, 64), (3 * 5, 64)]  # the files, then run_mc's runs
         assert capsys.readouterr().out == expected

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -1161,6 +1162,112 @@ class TestBatchedFiles:
     def test_shapes_that_do_not_match_the_times_rejected(self, shape):
         with pytest.raises(ValueError, match="one column of fractions and of shots"):
             screen_rows(GRID_TIMES, np.full(shape, 0.5), np.full(shape, 100))
+
+
+def reference_scan(t, f, step):
+    """Reference for ``_scan``: each row's own ``_fit_at_rates`` call at all
+    its 2n - 3 rates, and the first of their least RSS."""
+    rates = step * np.arange(1, 2 * (len(t) - 1))
+    return np.array([rabipi.estimate._fit_at_rates(t, row, rates)[0].argmin()
+                     for row in f])
+
+
+def scan_step(t):
+    return math.pi / (2 * (t[-1] - t[0]))
+
+
+def fit_bits_files():
+    """The 48 files ``_FIT_BITS_CHILD`` fits."""
+    for k in range(48):
+        yield sample_dataset(NoiseModel(0.85, 0.08, 0.4 * k, 0.4 + 0.05 * k),
+                             make_grid(0.0, 6.3, (0.1, 0.05)[k % 2]),
+                             (256, 8192)[k // 2 % 2], seed=k)
+
+
+def with_gap(gap):
+    """The times of ``DEFAULT_GRID`` with one more time ``gap`` after the
+    60th, as a CSV may hold."""
+    return np.insert(GRID_TIMES, 60, GRID_TIMES[59] + gap)
+
+
+class TestScan:
+    """``_scan`` picks, from power sums, the rate the kernel's own scan
+    picks, so the fit's search starts from the same bracket."""
+
+    def test_picks_the_reference_rate(self, monkeypatch):
+        datasets = [ds for _, ds in fit_corpus()] + list(fit_bits_files())
+        for i, ds in enumerate(datasets):
+            t, f = ds.times(), ds.fractions()[None]
+            assert rabipi.estimate._scan(t, f, scan_step(t)) == \
+                reference_scan(t, f, scan_step(t)), i
+        # so the fit is the same bits with the reference scan in its place
+        fits = [fit_model(ds) for ds in datasets]
+        rows = [rabipi.estimate._fit_rows(t, f)
+                for t, f, _, _ in TestBatchedFiles.batches(datasets)]
+        monkeypatch.setattr(rabipi.estimate, "_scan", reference_scan)
+        assert [fit_model(ds) for ds in datasets] == fits
+        for (t, f, _, _), got in zip(TestBatchedFiles.batches(datasets), rows):
+            for a, b in zip(got, rabipi.estimate._fit_rows(t, f)):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("cells", [3, 40, 1000])
+    def test_chunks_pick_the_rates_of_one_chunk(self, monkeypatch, cells):
+        # batches in chunks of 3 to 54 files at 1 to 18 rates, and one file
+        # in chunks of 3 or 40 rates, each rate chunk anchored on its own
+        # exp, give the rates of one chunk
+        groups = TestBatchedFiles.batches(
+            [ds for i, ds in fit_corpus() if i % 4 == 0])
+        whole = [rabipi.estimate._scan(t, f, scan_step(t)) for t, f, _, _ in groups]
+        monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", cells * len(groups[0][0]))
+        for (t, f, _, _), best in zip(groups, whole):
+            assert np.array_equal(rabipi.estimate._scan(t, f, scan_step(t)), best)
+            assert np.array_equal(rabipi.estimate._scan(t, f[:1], scan_step(t)),
+                                  best[:1])
+
+    @pytest.mark.parametrize("cells_per_time, files, gap", [
+        (3, 20, 0.0), (None, 1, 1e-3), (None, 1, 1e-9)])
+    def test_memory_held_by_the_cell_limit(self, monkeypatch, cells_per_time,
+                                           files, gap):
+        # no chunk holds more than _SCAN_CELLS (file, rate, time) cells, and
+        # the scan covers 2n - 3 rates however close two times are (up to
+        # pi / min dt, it would cover 2 * span / gap)
+        t = with_gap(gap) if gap else GRID_TIMES
+        f = np.array([sample_dataset(NoiseModel(0.8, 0.1, 0.2, 0.6 + 0.1 * k),
+                                     make_grid(0.0, 6.3, 0.1), 8192, seed=k).fractions()
+                      for k in range(files)])
+        if gap:
+            f = np.insert(f, 60, f[:, 59], axis=1)
+        n = len(t)
+        if cells_per_time:
+            monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", cells_per_time * n)
+        cells = rabipi.estimate._SCAN_CELLS
+        tracemalloc.start()
+        try:
+            best = rabipi.estimate._scan(t, f, scan_step(t))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few complex arrays of a chunk's cells, the (files, rates) RSS
+        # and copies of the fractions
+        assert peak <= 8 * 16 * min(cells, files * (2 * n - 3) * n) \
+            + 8 * files * (2 * n - 3) + 4 * 8 * f.size
+        assert np.array_equal(best, reference_scan(t, f, scan_step(t)))
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-12])
+    def test_collinear_rate_never_wins(self, gap):
+        # at the rate 10 pi every knot but the one ``gap`` after t = 5.9 has
+        # sin(ct) = 0 up to rounding, so the kernel's centred columns are
+        # collinear there; the fractions follow cos(ct), which that rate
+        # alone would fit exactly
+        t = with_gap(gap)
+        f = 0.5 + 0.4 * np.cos(10 * math.pi * t)
+        step = scan_step(t)
+        rates = step * np.arange(1, 2 * len(t) - 2)
+        rss = rabipi.estimate._fit_at_rates(t, f, rates)[0]
+        assert np.flatnonzero(np.isinf(rss)).tolist() == [125]  # c = 126 step
+        best = rabipi.estimate._scan(t, f[None], step)
+        assert best[0] != 125
+        assert np.array_equal(best, reference_scan(t, f[None], step))
 
 
 class TestScreenDataset:

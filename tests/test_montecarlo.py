@@ -458,14 +458,47 @@ class TestReportBatches:
         assert got.startswith(f"report: report: {first}")
 
     def test_one_screen_search_and_one_estimate_batch_per_batch(self, monkeypatch):
-        # three files on one grid: 3 scans, 4 search rounds and 1 vertex
-        # call, where a search per file makes 18 kernel calls
+        # three files on one grid: one rate scan, then 4 search rounds and 1
+        # vertex call, where a search per file makes 18 kernel calls
         kernel, rows = rabipi.estimate._fit_at_rates, rabipi.montecarlo.estimate_rows
-        shapes, batches = [], []
+        scan = rabipi.estimate._scan
+        shapes, scans, batches = [], [], []
         monkeypatch.setattr(rabipi.estimate, "_fit_at_rates",
                             lambda t, f, c: shapes.append(c.shape) or kernel(t, f, c))
+        monkeypatch.setattr(rabipi.estimate, "_scan",
+                            lambda t, f, step: scans.append(f.shape) or scan(t, f, step))
         monkeypatch.setattr(rabipi.montecarlo, "estimate_rows",
                             lambda t, f: batches.append(f.shape) or rows(t, f))
         report(_demo_datasets(), runs_per_model=5)
-        assert shapes == [(125,)] * 3 + [(3, 33)] * 4 + [(3, 1)]
+        assert scans == [(3, 64)]
+        assert shapes == [(3, 33)] * 4 + [(3, 1)]
         assert batches == [(3, 64), (15, 64)]
+
+    def test_one_time_grid_per_batch(self, monkeypatch):
+        q0, q1, q2 = _demo_datasets()
+        datasets = [q0, _linspace_dataset(DEMO_QUBITS[1], 1, "lin1"), q1,
+                    _linspace_dataset(DEMO_QUBITS[2], 2, "lin2"), q2]
+        built = []
+        grid = rabipi.montecarlo.TimeGrid
+        monkeypatch.setattr(rabipi.montecarlo, "TimeGrid",
+                            lambda *args: built.append(args) or grid(*args))
+        report(datasets, runs_per_model=5)
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)])
+    def test_experiments_checked_in_input_order(self, order):
+        # a file of the first batch whose shots vary by row, and a file
+        # whose times are not uniform: the first in input order is named
+        q0, q1, _ = _demo_datasets()
+        shots, ones = q1.shots.copy(), q1.ones.copy()
+        shots[5], ones[5] = 4096, ones[5] // 2
+        varied = Dataset(q1.t, shots, ones, "varied")
+        t = q0.t.copy()
+        t[1:] += 0.01 * np.arange(63) / 63
+        uneven = Dataset(t, 8192, q0.ones, "uneven")
+        datasets = [[q0, varied, uneven][k] for k in order]
+        got = _outcome(report, datasets, 5, 0)
+        assert got == _outcome(reference_report, datasets, 5, 0)
+        first = {1: "varied: shots vary by row",
+                 2: "uneven: times are not a uniform grid"}
+        assert got.startswith(f"report: report: {first[order[1]]}")
