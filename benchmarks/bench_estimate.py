@@ -1,8 +1,9 @@
 """Layer benchmark of the estimator: ``estimate_rows``, ``estimate_pi`` and
 ``run_mc`` at the sizes the paper's protocol and the low-shot Monte Carlo
 use, ``fit_model`` and ``render_svg`` on one file as triage fits and plots
-it, and ``report`` on three files as ``rabipi report`` runs it, with its
-screen, ``screen_rows``, on its own.
+it, ``fit_model`` on a file whose best curve has a clipped level, and
+``report`` on three files as ``rabipi report`` runs it, with its screen,
+``screen_rows``, on its own.
 
     python -m pytest benchmarks -q                       # time, print medians
     python -m pytest benchmarks -q --benchmark-json=out.json
@@ -92,6 +93,17 @@ def test_fit_model_one_file(benchmark, one_file):
     truth = DEMO_QUBITS[0]
     assert abs(m.alpha - truth.alpha) < 0.02 and abs(m.beta - truth.beta) < 0.02
     assert abs(m.phi0 - truth.phi0) < 0.05 and abs(m.c - truth.c) < 0.02
+
+
+def test_fit_model_constraint_bound_file(benchmark):
+    # file 92 of the tests' fit_corpus: low rate, 256 shots, and a best
+    # curve whose top level is clipped at 1.  The round's best three rates
+    # straddle a clipping switch, so the rate search zooms in on rounds
+    # instead of taking steps.
+    ds = sample_dataset(NoiseModel(0.8, 0.1, 0.0, 0.3), make_grid(0.0, 6.3, 0.05),
+                        256, seed=92)
+    m = benchmark(fit_model, ds)
+    assert m.alpha + m.beta == 1 and abs(m.c - 0.2702777) < 1e-6
 
 
 def test_render_svg_one_file(benchmark, one_file):

@@ -710,20 +710,35 @@ def _too_few_times(t) -> PipelineError:
                                       f"got {len(t)}")
 
 
+def _clipped(out):
+    """Which levels ``_fit_at_rates`` clipped at each rate, from its outputs
+    (rss, alpha, beta, phi0): 1 if the lowest level sits at 0, plus 2 if the
+    highest sits at 1 (beta + alpha is then 1 exactly).  Where the label
+    changes, the RSS can have a kink or a jump in the rate, and a local
+    minimum on either side."""
+    _, alpha, beta, _ = out
+    return (beta == 0) + 2 * (alpha + beta == 1)
+
+
 def _fit_rows(t, f):
     """``fit_model`` on each row of ``f`` (files, n), the fractions of files
     sharing the times ``t``; no row may be constant and n must be >= 4.
 
     One ``_scan`` picks every file's best scan rate, then one
     ``minimize_on_bracket`` refines every file's rate within one scan step
-    of it, one kernel call per round.  Returns alpha, beta, phi0 and c, one
-    value per file, each the bits ``fit_model`` gives the file alone.
+    of it: one kernel call for a round of 33 rates of every file, then one
+    per parabolic step for the files still stepping, three rates each, and
+    one per round for the files zooming in instead.  ``_clipped`` labels
+    the rates by the levels the kernel clips there, so a file zooms where
+    the clipping changes between its round's best three rates or under a
+    step.  Returns alpha, beta, phi0 and c, one value per file, each the
+    bits ``fit_model`` gives the file alone.
     """
     step = math.pi / (2 * (t[-1] - t[0]))
     best = step * np.arange(1, 2 * (len(t) - 1))[_scan(t, f, step)]
     res = optimize.minimize_on_bracket(
         lambda c, rows: _fit_in_batches(t, f.take(rows, axis=0), c),
-        best - step, best + step)
+        best - step, best + step, branch=_clipped)
     _, alpha, beta, phi0 = res.out
     return alpha, beta, phi0, res.x
 
@@ -736,10 +751,13 @@ def fit_model(ds: Dataset) -> NoiseModel:
     the span below the mean Nyquist rate pi (n - 1) / span.  ``_scan``
     evaluates that scan from power sums, with one ``exp`` per time and no
     per-rate trigonometry; the best scan rate is then refined within one
-    step by ``optimize.minimize_on_bracket``, 33 rates per kernel call, and
-    the levels and phase are those of the best rate it evaluated.  The
-    search is looked up as the module global ``optimize`` on every call, so
-    a caller may rebind it (a tracer counting the rates evaluated does).
+    step by ``optimize.minimize_on_bracket``: 33 rates in one kernel call,
+    then finite-difference Newton steps of three rates per call (two steps
+    on most files) where the RSS is smooth, and rounds of 33 rates where it
+    is not or a step fails.  The levels and phase are the kernel's at the
+    rate it returns.  The search is looked up as the module global
+    ``optimize`` on every call, so a caller may rebind it (a tracer
+    counting the rates evaluated does).
     At a fixed rate the offset-plus-sinusoid least-squares problem is
     solved on mean-centred cos/sin columns, as in the floating-mean
     periodogram (Zechmeister & Kuerster, A&A 496, 577, 2009).  Raises

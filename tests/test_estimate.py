@@ -928,6 +928,50 @@ class TestFitModel:
         assert float(np.sum((ds.fractions() - pred) ** 2)) \
             <= 1.05 * 0.031033610539576272
 
+    #: fit_corpus files whose best curve is constraint-bound (beta = 0 or
+    #: alpha + beta = 1), and the RSS that a rate search of rounds alone
+    #: (4 rounds of 33 rates, then a vertex) reached on each
+    CONSTRAINT_BOUND = {46: 0.02783535752635243, 92: 0.0952560910833329,
+                        139: 0.09331158500196243, 254: 0.0012513755830493396,
+                        369: 0.044231927793133216, 370: 0.07790603362588618}
+
+    def test_constraint_bound_files_reach_the_rounds_residual(self):
+        # where the kernel clips a level, the RSS has a kink in the rate;
+        # the parabolic steps must not stop above what rounds reach
+        corpus = dict(fit_corpus())
+        for i, rounds in self.CONSTRAINT_BOUND.items():
+            ds = corpus[i]
+            m = fit_model(ds)
+            assert m.beta == 0 or m.alpha + m.beta == 1, i
+            rss = rabipi.estimate._fit_at_rates(ds.times(), ds.fractions(),
+                                                np.array([m.c]))[0][0]
+            assert rss <= rounds * (1 + 1e-12), i
+
+    def test_lower_of_two_clipping_pieces_in_the_round(self):
+        # the RSS has a local minimum on each side of c = 0.9005, where the
+        # kernel stops clipping the lowest level; the round's best three
+        # rates straddle that switch.  Rounds reach the lower minimum, at
+        # c = 0.89917 with RSS 0.0671910; parabolic steps from the round's
+        # best would stop at the other, c = 0.90189 with RSS 0.0672585.
+        ds = inject_step(sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=3),
+                         4.0, 0.15)
+        m = fit_model(ds)
+        rss = rabipi.estimate._fit_at_rates(ds.times(), ds.fractions(),
+                                            np.array([m.c]))[0][0]
+        assert m.c == pytest.approx(0.8991673, abs=1e-6)
+        assert rss <= 0.0671910153889525 * (1 + 1e-12)
+
+    def test_rate_is_stationary_on_clean_files(self):
+        # on files without a step, no rate 1e-6 of c away from the fitted
+        # one has a lower RSS
+        files = [ds for i, ds in fit_corpus() if i % 5] + list(fit_bits_files())
+        for k, ds in enumerate(files):
+            t, f = ds.times(), ds.fractions()
+            c = fit_model(ds).c
+            rss = rabipi.estimate._fit_at_rates(
+                t, f, np.array([c * (1 - 1e-6), c, c * (1 + 1e-6)]))[0]
+            assert rss[1] <= rss[0] and rss[1] <= rss[2], k
+
     @pytest.mark.parametrize("gap", [1e-3, 1e-9])
     def test_scan_size_set_by_point_count(self, monkeypatch, gap):
         # two samples ``gap`` apart, as a CSV may hold: a scan up to
@@ -1124,9 +1168,9 @@ class TestBatchedFiles:
             assert not all(verdicts) and any(verdicts)
 
     def test_kernel_calls_of_a_batch_stay_within_scan_cells(self, monkeypatch):
-        # three (file, rate) pairs per call: a round's 33 rates of each file
-        # are split as one file's scan is, and the vertices of three files
-        # share a call
+        # six (file, rate) pairs per call: a round's 33 rates of each file
+        # are split into calls of one file's six rates, and the three rates
+        # of a step of two files share a call
         corpus = [ds for i, ds in fit_corpus() if i < 20 and i // 92 % 2 == 0]
         (t, f, _, group), = self.batches(corpus)
         sizes = []
@@ -1137,13 +1181,45 @@ class TestBatchedFiles:
             return kernel(t, f, c)
 
         monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", counted)
-        monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", 3 * len(t))
+        monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", 6 * len(t))
         rows = rabipi.estimate._fit_rows(t, f)
-        assert max(math.prod(size) for size in sizes) == 3
-        assert (3,) in sizes and (3, 1) in sizes
+        assert max(math.prod(size) for size in sizes) == 6
+        assert (6,) in sizes and (2, 3) in sizes
         monkeypatch.undo()
         for j, ds in enumerate(group):
             assert self.same_fit([o[j] for o in rows], fit_model(ds)), j
+
+    def test_a_row_that_zooms_and_one_that_steps_alone_and_in_batches(self,
+                                                                       monkeypatch):
+        # file 46's first round straddles a switch of the kernel's clipping,
+        # so its rate search zooms in on rounds; file 47's steps converge.
+        # Each row gets the bits it gets alone in any batch, in any order and
+        # under any _SCAN_CELLS.
+        corpus = dict(fit_corpus())
+        rounds = []
+        kernel = rabipi.estimate._fit_at_rates
+
+        def counted(t, f, c):
+            rounds[-1] += c.shape[-1] == 33
+            return kernel(t, f, c)
+
+        alone = {}
+        monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", counted)
+        for i in (46, 47, 0):
+            rounds.append(0)
+            alone[i] = fit_model(corpus[i])
+        assert rounds[0] > 1 and rounds[1] == 1
+        monkeypatch.undo()
+        for order, cells in (((46, 47, 0), None), ((0, 47, 46), None),
+                             ((47, 46), 3)):
+            if cells:
+                monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS",
+                                    cells * len(corpus[0]))
+            t = corpus[0].t
+            f = np.array([corpus[i].fractions() for i in order])
+            rows = rabipi.estimate._fit_rows(t, f)
+            for j, i in enumerate(order):
+                assert self.same_fit([o[j] for o in rows], alone[i]), (order, i)
 
     def test_constant_and_too_short_rows(self):
         flat = constant_dataset()
