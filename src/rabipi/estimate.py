@@ -559,48 +559,18 @@ def estimate_pi(ds: Dataset) -> EstimateResult:
 _EPS = np.finfo(float).eps
 
 
-def _fit_at_rates(t, f, c):
-    """RSS, alpha, beta and phi0 of the best valid curve at each rate in
-    ``c``: the least-squares k - u*cos(ct) - v*sin(ct), with its levels
-    k -/+ |(u, v)| clipped to [0, 1].
-
-    ``f`` (n,) holds one file's fractions at the times ``t`` and ``c``
-    (rates,) its rates; or ``f`` (files, n) holds several files' and ``c``
-    (files, rates) the rates of each.  The outputs have the shape of ``c``.
-
-    (u, v) solve the 2x2 normal equations of the mean-centred cos/sin
-    columns by Cramer's rule and k follows from the means.  A rate whose
-    centred columns are collinear gets RSS inf: below det = eps * (CC+SS)^2
-    the squared condition number exceeds 1/eps and the solve carries no
-    correct digits.
-
-    Every reduction is a sum over the last axis, the times, so a rate's
-    outputs depend on that rate and its file alone, not on the other rates
-    or files in the call, and no BLAS kernel (whose rounding varies with the
-    CPU) is involved.
-
-    ``fit_model`` calls it once for each round of its rate search, at 33
-    rates or at one, where the cost is per NumPy call, not per element;
-    ``report`` makes one call per round for the rates of all its files.  So
-    it uses reductions, ufuncs and in-place updates rather than ``mean``,
-    ``clip`` and ``where``, each rounding as the plain formula does: a mean
-    is NumPy's sum divided by the count, clipping to [0, 1] is a maximum
-    then a minimum on finite values, and (pred - f)^2 equals (f - pred)^2.
-    The search's path turns on every bit of the RSS, so any other rounding
-    can change the fit.
+def _solve(yc, ys, c2, s2, cs, mean_f, mean_cos, mean_sin):
+    """Whether each rate is collinear, and alpha, beta and phi0 of its best
+    valid curve k - u*cos(ct) - v*sin(ct), from sums over the times of the
+    centred fractions y and the mean-centred cos/sin columns cc and ss (yc =
+    sum y*cc, ys = sum y*ss, c2 = sum cc^2, s2 = sum ss^2, cs = sum cc*ss)
+    and the means of f, cos and sin; the arguments broadcast.  Cramer's
+    rule gives (u, v) and k follows from the means, with u = v = 0 where
+    det <= eps * (c2 + s2)^2: there the squared condition number exceeds
+    1/eps and the solve carries no correct digits.  The levels k -/+ |(u, v)|
+    are clipped to [0, 1], a maximum then a minimum as ``np.clip`` rounds;
+    ``_clipped`` reads from the outputs which level was clipped.
     """
-    n = len(t)
-    ct = np.multiply.outer(c, t)
-    cos, sin = np.cos(ct), np.sin(ct)
-    mean_cos, mean_sin = cos.sum(axis=-1) / n, sin.sum(axis=-1) / n
-    # a scalar for one file, a column for several, to broadcast against the rates
-    mean_f = f.sum(axis=-1, keepdims=f.ndim > 1) / n
-    cc, ss = cos - mean_cos[..., None], sin - mean_sin[..., None]
-    y = (f - mean_f)[..., None, :]
-    yc, ys = (cc * y).sum(axis=-1), (ss * y).sum(axis=-1)
-    c2, s2 = (cc * cc).sum(axis=-1), (ss * ss).sum(axis=-1)
-    cc *= ss
-    cs = cc.sum(axis=-1)
     det = c2 * s2 - cs * cs
     scale = c2 + s2
     collinear = det <= _EPS * (scale * scale)
@@ -610,36 +580,69 @@ def _fit_at_rates(t, f, c):
     k, r = mean_f + u * mean_cos + v * mean_sin, np.hypot(u, v)
     beta = np.minimum(np.maximum(k - r, 0.0), 1.0)
     alpha = np.minimum(np.maximum(k + r, 0.0), 1.0) - beta
-    phi0 = np.arctan2(-v, u)
+    return collinear, alpha, beta, np.arctan2(-v, u)
+
+
+def _fit_at_rates(t, f, c):
+    """RSS, alpha, beta and phi0 of the best valid curve at each rate in
+    ``c`` (files, rates), the rates of each file of ``f`` (files, n), its
+    fractions at the times ``t``; each output has the shape of ``c``.  The
+    curve is ``_solve``'s, and a collinear rate gets RSS inf.
+
+    Every reduction is a sum over the last axis, the times, so a rate's
+    outputs depend on that rate and its file alone, not on the other rates
+    or files in the call, and no BLAS kernel (whose rounding varies with the
+    CPU) is involved.
+
+    The rate search calls it (through ``_fit_in_batches``) once per round,
+    step or vertex for the rates of all its files, 33, 3 or 1 per file,
+    where the cost is per NumPy call, not per element.  So it uses
+    reductions, ufuncs and in-place updates rather than ``mean`` and
+    ``where``, each rounding as the plain formula does: a mean is NumPy's
+    sum divided by the count, and (pred - f)^2 equals (f - pred)^2.  The
+    search's path turns on every bit of the RSS, so any other rounding can
+    change the fit.
+    """
+    n = len(t)
+    ct = np.multiply.outer(c, t)
+    cos, sin = np.cos(ct), np.sin(ct)
+    mean_cos, mean_sin = cos.sum(axis=2) / n, sin.sum(axis=2) / n
+    mean_f = f.sum(axis=1, keepdims=True) / n
+    cc, ss = cos - mean_cos[..., None], sin - mean_sin[..., None]
+    y = (f - mean_f)[:, None, :]
+    yc, ys = (cc * y).sum(axis=2), (ss * y).sum(axis=2)
+    c2, s2 = (cc * cc).sum(axis=2), (ss * ss).sum(axis=2)
+    cc *= ss
+    collinear, alpha, beta, phi0 = _solve(yc, ys, c2, s2, cc.sum(axis=2), mean_f,
+                                          mean_cos, mean_sin)
     half = alpha / 2
     # beta + half * (1 - cos(ct + phi0)) - f, expanded
     pred = (half * np.cos(phi0))[..., None] * cos
     np.subtract((beta + half)[..., None], pred, out=pred)
     sin *= (half * np.sin(phi0))[..., None]
     pred += sin
-    pred -= f[..., None, :]
+    pred -= f[:, None, :]
     pred *= pred
-    rss = pred.sum(axis=-1)
+    rss = pred.sum(axis=2)
     rss[collinear] = np.inf
     return rss, alpha, beta, phi0
 
 
 def _fit_in_batches(t, f, c):
     """``_fit_at_rates`` for the files ``f`` (files, n) at their rates ``c``
-    (files, rates), in calls of at most ``_SCAN_CELLS`` (file, rate, time)
-    cells, so long files cannot make one call's arrays huge.  A call for
-    one file takes its 1-D fractions and rates."""
-    per = max(1, _SCAN_CELLS // len(t))  # rates per call
-    files = per // c.shape[1]
-    if len(f) > 1 and files > 1:
-        parts = [_fit_at_rates(t, f[i:i + files], c[i:i + files])
-                 for i in range(0, len(f), files)]
-    else:
-        parts = [_fit_at_rates(t, row, rates[i:i + per])
-                 for row, rates in zip(f, c) for i in range(0, len(rates), per)]
-    if len(parts) == 1:
-        return tuple(o.reshape(c.shape) for o in parts[0])
-    return tuple(np.concatenate(p).reshape(c.shape) for p in zip(*parts))
+    (files, rates), in blocks of files and of rates, each call within
+    ``_SCAN_CELLS`` (file, rate, time) cells, so long files cannot make one
+    call's arrays huge.  One file is a block of one."""
+    per = max(1, _SCAN_CELLS // len(t))  # (file, rate) pairs per call
+    rates = min(per, c.shape[1])
+    files = per // rates
+    out = np.empty((4,) + c.shape)
+    for i in range(0, len(f), files):
+        for j in range(0, c.shape[1], rates):
+            block = _fit_at_rates(t, f[i:i + files], c[i:i + files, j:j + rates])
+            for o, b in zip(out, block):
+                o[i:i + files, j:j + rates] = b
+    return tuple(out)
 
 
 def _scan(t, f, step):
@@ -647,21 +650,20 @@ def _scan(t, f, step):
     for each row of ``f`` (files, n), by the least RSS ``_fit_at_rates``
     gives there, the first on a tie.
 
-    The kernel's cos/sin columns at the rates k * step are the powers z^k
-    of z = exp(i step t), built by doubling: one ``exp`` per knot, not one
-    cos and one sin per (rate, knot) cell, as fast periodograms use
-    trigonometric recurrences (Press & Rybicki, ApJ 338, 277, 1989).  The
-    centred columns' sums of squares and products are shared by every
-    file; they are summed from the columns, not from sums of z^2k, whose
-    cancellation would hide a collinear rate from the kernel's test.  Each
-    file adds one sum, of (f - mean f) z^k.  The solve, its collinearity
-    test and the clipping are the kernel's, and the RSS of the clipped
-    curve, |y + d + b cc + c ss|^2 in the centred columns cc and ss, comes
-    from the same sums, with no residual matrix.  Chunks of the rates, each
-    anchored on an exact exp(i k0 step t), and of the files keep every
-    (file, rate, time) array within ``_SCAN_CELLS`` cells.  The sums round
-    otherwise than the kernel's, so the scan serves only to choose each
-    row's search bracket.
+    The cos/sin columns at the rates k * step are the powers z^k of z =
+    exp(i step t), built by doubling: one ``exp`` per knot, not one cos and
+    one sin per (rate, knot) cell, as fast periodograms use trigonometric
+    recurrences (Press & Rybicki, ApJ 338, 277, 1989).  The centred
+    columns' sums of squares and products are shared by every file; they
+    are summed from the columns, not from sums of z^2k, whose cancellation
+    would hide a collinear rate from ``_solve``'s test.  Each file adds one
+    sum, of (f - mean f) z^k.  ``_solve`` gives each curve, and the RSS of
+    the clipped curve, |y + d + b cc + c ss|^2 in the centred columns cc and
+    ss, comes from the same sums, with no residual matrix.  Chunks of the
+    rates, each anchored on an exact exp(i k0 step t), and of the files
+    keep every (file, rate, time) array within ``_SCAN_CELLS`` cells.  The
+    sums round otherwise than ``_fit_at_rates``'s, so the scan serves only
+    to choose each row's search bracket.
     """
     n = len(t)
     mean_f = f.sum(axis=1, keepdims=True) / n
@@ -684,19 +686,13 @@ def _scan(t, f, step):
         mean_cos, mean_sin = s1.real / n, s1.imag / n
         cc, ss = zk.real - mean_cos[:, None], zk.imag - mean_sin[:, None]
         c2, s2, cs = (cc * cc).sum(axis=1), (ss * ss).sum(axis=1), (cc * ss).sum(axis=1)
-        det = c2 * s2 - cs * cs
-        collinear = det <= _EPS * ((c2 + s2) * (c2 + s2))
-        det[collinear] = np.inf
         for i in range(0, len(f), group):
             yz = (zk * y[i:i + group, None, :]).sum(axis=2)
             yc, ys = yz.real, yz.imag
-            u = (ys * cs - yc * s2) / det
-            v = (yc * cs - ys * c2) / det
             mf = mean_f[i:i + group]
-            k, r = mf + u * mean_cos + v * mean_sin, np.hypot(u, v)
-            beta = np.minimum(np.maximum(k - r, 0.0), 1.0)
-            half = (np.minimum(np.maximum(k + r, 0.0), 1.0) - beta) / 2
-            phi0 = np.arctan2(-v, u)
+            collinear, alpha, beta, phi0 = _solve(yc, ys, c2, s2, cs, mf,
+                                                  mean_cos, mean_sin)
+            half = alpha / 2
             b, c = half * np.cos(phi0), -half * np.sin(phi0)
             d = mf - (beta + half) + b * mean_cos + c * mean_sin
             rss[i:i + group, k0:k0 + per] = np.where(collinear, np.inf, (
@@ -721,18 +717,19 @@ def _clipped(out):
 
 
 def _fit_rows(t, f):
-    """``fit_model`` on each row of ``f`` (files, n), the fractions of files
+    """The fit of each row of ``f`` (files, n), the fractions of files
     sharing the times ``t``; no row may be constant and n must be >= 4.
+    ``fit_model`` is this on one row.
 
     One ``_scan`` picks every file's best scan rate, then one
     ``minimize_on_bracket`` refines every file's rate within one scan step
-    of it: one kernel call for a round of 33 rates of every file, then one
-    per parabolic step for the files still stepping, three rates each, and
-    one per round for the files zooming in instead.  ``_clipped`` labels
-    the rates by the levels the kernel clips there, so a file zooms where
-    the clipping changes between its round's best three rates or under a
-    step.  Returns alpha, beta, phi0 and c, one value per file, each the
-    bits ``fit_model`` gives the file alone.
+    of it: one ``_fit_in_batches`` call for a round of 33 rates of every
+    file, then one per parabolic step for the files still stepping, three
+    rates each, and one per round for the files zooming in instead.
+    ``_clipped`` labels the rates by the levels ``_solve`` clips there, so
+    a file zooms where the clipping changes between its round's best three
+    rates or under a step.  Returns alpha, beta, phi0 and c, one value per
+    file, each the same bits in any batch.
     """
     step = math.pi / (2 * (t[-1] - t[0]))
     best = step * np.arange(1, 2 * (len(t) - 1))[_scan(t, f, step)]
@@ -762,8 +759,9 @@ def fit_model(ds: Dataset) -> NoiseModel:
     solved on mean-centred cos/sin columns, as in the floating-mean
     periodogram (Zechmeister & Kuerster, A&A 496, 577, 2009).  Raises
     ``PipelineError`` on fewer than 4 times, where any of many curves fits
-    exactly, and on constant data.  ``screen_rows`` fits many files on the
-    same times at once, with the same bits.
+    exactly, and on constant data.  The file is fitted as a batch of one
+    (``_fit_rows``), so ``screen_rows``, which fits many files on the same
+    times at once, gives it the same bits.
     """
     t, f = ds.times(), ds.fractions()
     if len(t) < 4:
@@ -829,11 +827,13 @@ def screen_rows(times, fractions, shots) -> tuple:
     """``screen_dataset`` on every row of ``fractions`` (files, n).
 
     The rows are files sharing the strictly increasing ``times`` (n,), and
-    ``shots`` (files, n) holds their shot counts.  Each row gets the
-    verdict ``screen_dataset`` gives that file alone, with the same bits,
-    or the ``PipelineError`` its fit raised.  The rows that need a rate are
-    fitted together (see ``_fit_rows``): one rate scan and one rate search
-    for all of them.
+    ``shots`` (files, n) holds their shot counts.  Raises ``ValueError`` on
+    times that are not finite and strictly increasing, on fractions that
+    are not finite and on shot counts below 1.  Each row gets the verdict
+    ``screen_dataset`` gives that file alone, with the same bits, or the
+    ``PipelineError`` its fit raised.  The rows that need a rate are fitted
+    together (see ``_fit_rows``): one rate scan and one rate search for all
+    of them.
     """
     t, f = np.asarray(times, dtype=float), np.asarray(fractions, dtype=float)
     shots = np.asarray(shots)
@@ -842,6 +842,12 @@ def screen_rows(times, fractions, shots) -> tuple:
         raise ValueError(f"need >= 2 times and one column of fractions and of shots "
                          f"per time, got times {t.shape}, fractions {f.shape} and "
                          f"shots {shots.shape}")
+    if not (np.isfinite(t).all() and np.all(t[1:] > t[:-1])):
+        raise ValueError("times must be finite and strictly increasing")
+    if not np.isfinite(f).all():
+        raise ValueError("fractions must be finite")
+    if not np.all(shots >= 1):
+        raise ValueError("shots must be >= 1")
     moving = np.flatnonzero(f.min(axis=1) != f.max(axis=1))
     verdicts = [ScreenVerdict(accepted=True)] * len(f)
     if len(moving):

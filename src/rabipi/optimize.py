@@ -1,17 +1,18 @@
 """Minimise functions of one variable on brackets, many points per call.
 
-``fit_model`` refines its rate with ``minimize_on_bracket``, and ``report``
-refines the rates of all its files with one such search.  Its kernel spends
-most of a call on per-call NumPy overhead (on a 64-point file, 33 rates cost
-about 2.4 times one rate and 3 rates about 1.2 times), so every call of the
-search asks for the points of all its brackets at once, and it makes as few
-calls as it can.  One round of 33 evenly spaced points finds each minimum to
-within a spacing; from the minimum of the quartic through the five values
-around the best, finite-difference Newton steps, three points per bracket
-and call, then converge quadratically where the function is smooth.  Where
-it is not, or a step fails, the bracket zooms in on finer rounds instead,
-as Brent's method keeps a bracketing step as the safeguard of its parabolic
-ones (Brent, Algorithms for Minimization without Derivatives, 1973).
+The fit refines the rates of a batch of files, one bracket per file, with
+one ``minimize_on_bracket``; ``fit_model`` fits a batch of one.  Its kernel
+spends most of a call on per-call NumPy overhead (on a 64-point file, 33
+rates cost about 2.4 times one rate and 3 rates about 1.2 times), so every
+call of the search asks for the points of all its brackets at once, and it
+makes as few calls as it can.  One round of 33 evenly spaced points finds
+each minimum to within a spacing; from the minimum of the quartic through
+the five values around the best, finite-difference Newton steps, three
+points per bracket and call, then converge quadratically where the function
+is smooth.  Where it is not, or a step fails, the bracket zooms in on finer
+rounds instead, as Brent's method keeps a bracketing step as the safeguard
+of its parabolic ones (Brent, Algorithms for Minimization without
+Derivatives, 1973).
 """
 
 import math
@@ -33,10 +34,10 @@ _STENCIL = np.array([-1.0, 0.0, 1.0])
 @dataclass(frozen=True)
 class Minimum:
     """The minimum found in each bracket, where the last step converged or
-    the rounds ended, ``fun``'s outputs there, as evaluated, and the number
-    of points evaluated over all brackets."""
+    the rounds ended, ``fun``'s outputs there, as evaluated, one value per
+    bracket each, and the number of points evaluated over all brackets."""
 
-    x: float | np.ndarray
+    x: np.ndarray
     out: tuple
     nfev: int
 
@@ -64,24 +65,18 @@ def _start(y, i):
     return v + m - i if abs(v + m - i) < 1 else u
 
 
-def _one_piece(out):
-    """The labels of points of a function smooth on all its bracket."""
-    return np.zeros(np.shape(out[0]), dtype=int)
+def minimize_on_bracket(fun, lo, hi, branch) -> Minimum:
+    """Minimise ``fun`` on each bracket [lo, hi] by one even grid, then
+    parabolic steps.
 
-
-def minimize_on_bracket(fun, lo, hi, branch=_one_piece) -> Minimum:
-    """Minimise ``fun`` on [lo, hi] by one even grid, then parabolic steps.
-
-    With scalar ``lo`` and ``hi``, ``fun`` takes a 1-D array of points and
-    returns a tuple of arrays of the same length, the first of which is
-    minimised; ``x`` and the outputs in ``out`` are scalars.  With arrays
-    ``lo`` and ``hi`` of shape (k,), one bracket per row, ``fun(x, rows)``
+    ``lo`` and ``hi`` have shape (k,), one bracket per row.  ``fun(x, rows)``
     takes the points x (len(rows), m) of the rows ``rows`` (indices into
-    lo) and returns arrays of that shape; ``x`` and ``out`` hold one value
-    per row.  Each point's outputs must not depend on the other points in
-    the call.  ``branch`` takes ``fun``'s outputs and labels each point by
-    the smooth piece of the first output it lies on, so between two points
-    with different labels that output may have a kink or a jump.
+    lo) and returns a tuple of arrays of that shape, the first of which is
+    minimised; ``x`` and ``out`` hold one value per row.  Each point's
+    outputs must not depend on the other points in the call.  ``branch``
+    takes ``fun``'s outputs and labels each point by the smooth piece of the
+    first output it lies on, so between two points with different labels
+    that output may have a kink or a jump.
 
     The first round evaluates ``POINTS`` evenly spaced points of every
     bracket in one call.  A bracket whose best point is inner, lower than
@@ -110,17 +105,7 @@ def minimize_on_bracket(fun, lo, hi, branch=_one_piece) -> Minimum:
     must be far above the float spacing at lo and hi.  A row's result is
     the same bits in any batch.
     """
-    scalar = np.ndim(lo) == 0
-    if scalar:
-        one, one_branch = fun, branch
-
-        def fun(x, rows):
-            return tuple(o[None] for o in one(x[0]))
-
-        def branch(out):
-            return one_branch(tuple(o[0] for o in out))[None]
-
-    lo, hi = np.ravel(lo).tolist(), np.ravel(hi).tolist()
+    lo, hi = lo.tolist(), hi.tolist()
     width = [b - a for a, b in zip(lo, hi)]
     # per row, once it is done: the best point, the outputs there and, if
     # it zoomed, its last spacing and, when the best point is inner, its
@@ -195,7 +180,5 @@ def minimize_on_bracket(fun, lo, hi, branch=_one_piece) -> Minimum:
         for j, r in enumerate(rows):
             if outp[0][j, 0] < y1[j]:
                 best[r] = xp[j], tuple(o[j, 0] for o in outp), None, None
-    if scalar:
-        return Minimum(float(best[0][0]), best[0][1], nfev)
     return Minimum(np.array([b[0] for b in best]),
                    tuple(np.array(o) for o in zip(*(b[1] for b in best))), nfev)

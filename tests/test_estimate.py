@@ -801,9 +801,25 @@ def test_row_does_not_depend_on_its_batch():
                                       equal_nan=True), (r, field.name)
 
 
+def one_file(t, f, c):
+    """``_fit_at_rates`` on one file's fractions ``f`` (n,) at its rates
+    ``c`` (rates,), a batch of one: each output's one row."""
+    return tuple(o[0] for o in rabipi.estimate._fit_at_rates(t, f[None], c[None]))
+
+
+def batched(reference):
+    """A one-file reference as a kernel of ``_fit_at_rates``'s shapes: each
+    file of ``f`` (files, n) at its row of ``c`` (files, rates)."""
+    def kernel(t, f, c):
+        return tuple(np.array(o) for o in zip(*(reference(t, fr, cr)
+                                                for fr, cr in zip(f, c))))
+    return kernel
+
+
 def pinv_fit_at_rates(t, f, c):
-    """Reference for ``_fit_at_rates``: (k, u, v) by a batched pseudo-inverse
-    of the uncentred basis (1, -cos ct, -sin ct) at each rate."""
+    """Reference for ``_fit_at_rates`` on one file ``f`` (n,) at its rates
+    ``c`` (rates,): (k, u, v) by a batched pseudo-inverse of the uncentred
+    basis (1, -cos ct, -sin ct) at each rate."""
     ct = np.multiply.outer(c, t)
     basis = np.stack((np.ones_like(ct), -np.cos(ct), -np.sin(ct)), axis=-1)
     k, u, v = np.moveaxis(np.linalg.pinv(basis) @ f, -1, 0)
@@ -815,9 +831,9 @@ def pinv_fit_at_rates(t, f, c):
 
 
 def plain_fit_at_rates(t, f, c):
-    """Reference for ``_fit_at_rates`` bit for bit: the same arithmetic
-    written plainly, with ``mean``, ``clip``, ``where`` and a temporary for
-    every step."""
+    """Reference for ``_fit_at_rates`` bit for bit, on one file ``f`` (n,)
+    at its rates ``c`` (rates,): the same arithmetic written plainly, with
+    ``mean``, ``clip``, ``where`` and a temporary for every step."""
     ct = np.multiply.outer(c, t)
     cos, sin = np.cos(ct), np.sin(ct)
     mean_cos, mean_sin, mean_f = cos.mean(axis=1), sin.mean(axis=1), f.mean()
@@ -943,8 +959,7 @@ class TestFitModel:
             ds = corpus[i]
             m = fit_model(ds)
             assert m.beta == 0 or m.alpha + m.beta == 1, i
-            rss = rabipi.estimate._fit_at_rates(ds.times(), ds.fractions(),
-                                                np.array([m.c]))[0][0]
+            rss = one_file(ds.times(), ds.fractions(), np.array([m.c]))[0][0]
             assert rss <= rounds * (1 + 1e-12), i
 
     def test_lower_of_two_clipping_pieces_in_the_round(self):
@@ -956,8 +971,7 @@ class TestFitModel:
         ds = inject_step(sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=3),
                          4.0, 0.15)
         m = fit_model(ds)
-        rss = rabipi.estimate._fit_at_rates(ds.times(), ds.fractions(),
-                                            np.array([m.c]))[0][0]
+        rss = one_file(ds.times(), ds.fractions(), np.array([m.c]))[0][0]
         assert m.c == pytest.approx(0.8991673, abs=1e-6)
         assert rss <= 0.0671910153889525 * (1 + 1e-12)
 
@@ -968,8 +982,7 @@ class TestFitModel:
         for k, ds in enumerate(files):
             t, f = ds.times(), ds.fractions()
             c = fit_model(ds).c
-            rss = rabipi.estimate._fit_at_rates(
-                t, f, np.array([c * (1 - 1e-6), c, c * (1 + 1e-6)]))[0]
+            rss = one_file(t, f, np.array([c * (1 - 1e-6), c, c * (1 + 1e-6)]))[0]
             assert rss[1] <= rss[0] and rss[1] <= rss[2], k
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-9])
@@ -984,7 +997,7 @@ class TestFitModel:
         fit_at_rates = rabipi.estimate._fit_at_rates
 
         def counted(t, f, c):
-            batches.append(len(c))
+            batches.append(c.size)
             return fit_at_rates(t, f, c)
 
         monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", counted)
@@ -1011,7 +1024,7 @@ class TestFitModel:
         fit_at_rates = rabipi.estimate._fit_at_rates
 
         def counted(t, f, c):
-            batches.append(len(c))
+            batches.append(c.size)
             return fit_at_rates(t, f, c)
 
         monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", counted)
@@ -1026,7 +1039,7 @@ class TestFitModel:
                        -2.812980156616074, 0.8502626125989203),
             DEFAULT_GRID, 256, seed=208), 2.674257395428983, -0.2)
         t, f = ds.times(), ds.fractions()
-        dense = rabipi.estimate._fit_at_rates(t, f, np.linspace(0.25, 0.75, 20001))[0]
+        dense = one_file(t, f, np.linspace(0.25, 0.75, 20001))[0]
         assert dense.min() == pytest.approx(0.0804198, abs=1e-7)
         m = fit_model(ds)
         pred = m.alpha * (1 - np.cos(m.c * t + m.phi0)) / 2 + m.beta
@@ -1049,9 +1062,9 @@ class TestFitModel:
             ds = sample_dataset(NoiseModel(0.9, 0.05, 0.3 * k, 0.6 + 0.1 * k),
                                 DEFAULT_GRID, 8192, seed=k)
             t, f = ds.times(), ds.fractions()
-            batch = rabipi.estimate._fit_at_rates(t, f, rates)
+            batch = one_file(t, f, rates)
             for j, c in enumerate(rates):
-                alone = rabipi.estimate._fit_at_rates(t, f, rates[j:j + 1])
+                alone = one_file(t, f, rates[j:j + 1])
                 for a, b in zip(alone, batch):
                     assert a[0].tobytes() == b[j].tobytes(), (k, c)
 
@@ -1081,12 +1094,11 @@ class TestFitModel:
         f = np.array([0.1, 0.9, 0.2, 0.8])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rss = rabipi.estimate._fit_at_rates(t, f, np.array([1.0]))[0]
+            rss = one_file(t, f, np.array([1.0]))[0]
         assert rss[0] == math.inf
         # alone and among other rates, bit for bit as the plain reference
         for c in (np.array([1.0]), np.array([0.5, 1.0, 0.7])):
-            for a, b in zip(rabipi.estimate._fit_at_rates(t, f, c),
-                            plain_fit_at_rates(t, f, c)):
+            for a, b in zip(one_file(t, f, c), plain_fit_at_rates(t, f, c)):
                 assert np.array_equal(a, b)
 
     def test_matches_pseudo_inverse_reference(self, monkeypatch):
@@ -1102,7 +1114,7 @@ class TestFitModel:
             return fit_model(ds)
 
         for i, ds in fit_corpus():
-            a, b = fit(closed_form, ds), fit(pinv_fit_at_rates, ds)
+            a, b = fit(closed_form, ds), fit(batched(pinv_fit_at_rates), ds)
             verdicts = []
             for m in (a, b):  # the screen's only use of the fit is its rate
                 monkeypatch.setattr(rabipi.estimate, "fit_model", lambda _: m)
@@ -1121,17 +1133,16 @@ class TestFitModel:
     def test_matches_plain_reference_bit_for_bit(self, monkeypatch):
         # the rate search's path turns on every bit of the RSS, so the
         # kernel must round every value as the plain reference does
-        kernel = rabipi.estimate._fit_at_rates
         for i, ds in fit_corpus():
             t, f = ds.times(), ds.fractions()
             fit = fit_model(ds)
             step = math.pi / (2 * (t[-1] - t[0]))
             scan = step * np.arange(1, 2 * (len(t) - 1))
             for c in (scan, scan[i % len(scan):][:1], np.array([fit.c])):
-                for a, b in zip(kernel(t, f, c), plain_fit_at_rates(t, f, c)):
+                for a, b in zip(one_file(t, f, c), plain_fit_at_rates(t, f, c)):
                     assert np.array_equal(a, b), i
             monkeypatch.setattr(rabipi.estimate, "_fit_at_rates",
-                                plain_fit_at_rates)
+                                batched(plain_fit_at_rates))
             assert fit_model(ds) == fit, i
             monkeypatch.undo()
 
@@ -1170,7 +1181,8 @@ class TestBatchedFiles:
     def test_kernel_calls_of_a_batch_stay_within_scan_cells(self, monkeypatch):
         # six (file, rate) pairs per call: a round's 33 rates of each file
         # are split into calls of one file's six rates, and the three rates
-        # of a step of two files share a call
+        # of a step of two files share a call.  A single file is a batch of
+        # one, split the same way.
         corpus = [ds for i, ds in fit_corpus() if i < 20 and i // 92 % 2 == 0]
         (t, f, _, group), = self.batches(corpus)
         sizes = []
@@ -1184,8 +1196,13 @@ class TestBatchedFiles:
         monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", 6 * len(t))
         rows = rabipi.estimate._fit_rows(t, f)
         assert max(math.prod(size) for size in sizes) == 6
-        assert (6,) in sizes and (2, 3) in sizes
+        assert (1, 6) in sizes and (2, 3) in sizes
+        sizes.clear()
+        one = fit_model(group[0])
+        assert sizes and all(size[0] == 1 and size[1] <= 6 for size in sizes)
+        assert (1, 6) in sizes and (1, 3) in sizes
         monkeypatch.undo()
+        assert self.same_fit([one.alpha, one.beta, one.phi0, one.c], fit_model(group[0]))
         for j, ds in enumerate(group):
             assert self.same_fit([o[j] for o in rows], fit_model(ds)), j
 
@@ -1239,13 +1256,37 @@ class TestBatchedFiles:
         with pytest.raises(ValueError, match="one column of fractions and of shots"):
             screen_rows(GRID_TIMES, np.full(shape, 0.5), np.full(shape, 100))
 
+    @pytest.mark.parametrize("case, match", [
+        ("shots 0", "shots must be >= 1"), ("shots -5", "shots must be >= 1"),
+        ("nan fraction", "fractions must be finite"),
+        ("reversed times", "times must be finite and strictly increasing"),
+        ("repeated time", "times must be finite and strictly increasing"),
+        ("nan time", "times must be finite and strictly increasing"),
+        ("inf time", "times must be finite and strictly increasing")])
+    def test_malformed_input_rejected(self, case, match):
+        # a file with a 0.15 step at t = 4.0, which the screen rejects; none
+        # of these inputs may give it a verdict
+        ds = inject_step(sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=0), 4.0, 0.15)
+        assert not screen_dataset(ds)
+        t, f, shots = ds.t, ds.fractions()[None], ds.shots[None]
+        if case.startswith("shots"):
+            shots = np.full(f.shape, int(case.split()[1]))
+        elif case == "nan fraction":
+            f = f.copy()
+            f[0, 5] = math.nan  # t = 0.5
+        else:
+            t = {"reversed times": t[::-1], "repeated time": np.r_[t[:10], t[9], t[11:]],
+                 "nan time": np.r_[t[:10], math.nan, t[11:]],
+                 "inf time": np.r_[t[:-1], math.inf]}[case]
+        with pytest.raises(ValueError, match=match):
+            screen_rows(t, f, shots)
+
 
 def reference_scan(t, f, step):
     """Reference for ``_scan``: each row's own ``_fit_at_rates`` call at all
     its 2n - 3 rates, and the first of their least RSS."""
     rates = step * np.arange(1, 2 * (len(t) - 1))
-    return np.array([rabipi.estimate._fit_at_rates(t, row, rates)[0].argmin()
-                     for row in f])
+    return np.array([one_file(t, row, rates)[0].argmin() for row in f])
 
 
 def scan_step(t):
@@ -1339,7 +1380,7 @@ class TestScan:
         f = 0.5 + 0.4 * np.cos(10 * math.pi * t)
         step = scan_step(t)
         rates = step * np.arange(1, 2 * len(t) - 2)
-        rss = rabipi.estimate._fit_at_rates(t, f, rates)[0]
+        rss = one_file(t, f, rates)[0]
         assert np.flatnonzero(np.isinf(rss)).tolist() == [125]  # c = 126 step
         best = rabipi.estimate._scan(t, f[None], step)
         assert best[0] != 125

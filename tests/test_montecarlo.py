@@ -472,7 +472,7 @@ class TestReportBatches:
                             lambda t, f: batches.append(f.shape) or rows(t, f))
         report(_demo_datasets(), runs_per_model=5)
         assert scans == [(3, 64)]
-        assert shapes == [(3, 33), (3, 3), (3, 3), (3,)]
+        assert shapes == [(3, 33), (3, 3), (3, 3), (1, 3)]
         assert batches == [(3, 64), (15, 64)]
 
     def test_one_time_grid_per_batch(self, monkeypatch):

@@ -7,6 +7,18 @@ import rabipi.optimize
 from rabipi.optimize import POINTS, RTOL, STEPS, minimize_on_bracket
 
 
+def one_piece(out):
+    """The labels of points of a function smooth on all its bracket."""
+    return np.zeros(np.shape(out[0]), dtype=int)
+
+
+def search(fun, lo, hi, branch=one_piece):
+    """``minimize_on_bracket`` on the one bracket [lo, hi] of ``fun``, a
+    function of the points alone, element by element."""
+    return minimize_on_bracket(lambda x, rows: fun(x), np.array([lo]),
+                               np.array([hi]), branch)
+
+
 def rounds_only(fun, lo, hi):
     """Reference for a bracket that zooms from its first round on, and for
     one whose steps fail: rounds of ``POINTS`` points, each keeping the two
@@ -36,16 +48,16 @@ def rounds_only(fun, lo, hi):
 
 
 def same_bits(res, ref):
-    """``minimize_on_bracket``'s scalar result against ``rounds_only``'s."""
-    return (np.float64(res.x).tobytes() == np.float64(ref[0]).tobytes()
-            and all(np.float64(a).tobytes() == np.float64(b).tobytes()
+    """``search``'s one-row result against ``rounds_only``'s."""
+    return (res.x.tobytes() == np.float64(ref[0]).tobytes()
+            and all(a.tobytes() == np.float64(b).tobytes()
                     for a, b in zip(res.out, ref[1])))
 
 
 def recorded(fun, sizes):
     """``fun``, appending the number of points of each call to ``sizes``."""
     def wrapped(x):
-        sizes.append(len(x))
+        sizes.append(x.size)
         return fun(x)
     return wrapped
 
@@ -63,22 +75,23 @@ def kink_side(out):
 class TestMinimizeOnBracket:
     def test_finds_smooth_minimum_and_its_outputs(self):
         # not a parabola, so the last step is not exact by construction
-        res = minimize_on_bracket(lambda x: (-np.cos(x - 0.3), 2 * x), -1.0, 2.0)
-        assert res.x == pytest.approx(0.3, abs=1e-9)
-        assert res.out[0] == pytest.approx(-math.cos(res.x - 0.3), abs=1e-15)
-        assert res.out[1] == 2 * res.x
+        res = search(lambda x: (-np.cos(x - 0.3), 2 * x), -1.0, 2.0)
+        assert res.x.shape == res.out[0].shape == res.out[1].shape == (1,)
+        assert res.x[0] == pytest.approx(0.3, abs=1e-9)
+        assert res.out[0][0] == pytest.approx(-math.cos(res.x[0] - 0.3), abs=1e-15)
+        assert res.out[1][0] == 2 * res.x[0]
 
     @pytest.mark.parametrize("sign, edge", [(1.0, 0.5), (-1.0, 2.0)])
     def test_minimum_at_an_edge_returns_the_edge(self, sign, edge):
         sizes = []
 
         def fun(x):
-            sizes.append(len(x))
+            sizes.append(x.size)
             return (sign * x,)
 
-        res = minimize_on_bracket(fun, 0.5, 2.0)
-        assert res.x == edge
-        assert res.out == (sign * edge,)
+        res = search(fun, 0.5, 2.0)
+        assert res.x[0] == edge
+        assert res.out[0][0] == sign * edge
         # a best point at an edge takes no step: rounds only, and the last
         # round's outputs are returned, no call following it
         assert sizes == [POINTS] * len(sizes)
@@ -87,13 +100,15 @@ class TestMinimizeOnBracket:
         def fun(x):
             return (np.abs(x - 1.234567) + 0.1 * (x - 1.2) ** 2,)
 
-        first = minimize_on_bracket(fun, 0.0, 3.0)
-        assert minimize_on_bracket(fun, 0.0, 3.0) == first
+        first, again = search(fun, 0.0, 3.0), search(fun, 0.0, 3.0)
+        assert again.x.tobytes() == first.x.tobytes()
+        assert again.out[0].tobytes() == first.out[0].tobytes()
+        assert again.nfev == first.nfev
 
     def test_nfev_counts_every_point(self):
         sizes = []
-        res = minimize_on_bracket(recorded(lambda x: ((x - 0.7) ** 2 + x ** 4,),
-                                           sizes), 0.0, 1.0)
+        res = search(recorded(lambda x: ((x - 0.7) ** 2 + x ** 4,), sizes),
+                     0.0, 1.0)
         assert res.nfev == sum(sizes)
         # one round, then steps of three points
         assert sizes == [POINTS] + [3] * (len(sizes) - 1)
@@ -109,19 +124,18 @@ class TestMinimizeOnBracket:
     ])
     def test_smooth_minimum_takes_one_round_and_a_few_steps(self, fun, lo, hi, xmin):
         sizes = []
-        res = minimize_on_bracket(recorded(fun, sizes), lo, hi)
+        res = search(recorded(fun, sizes), lo, hi)
         assert sizes[0] == POINTS and set(sizes[1:]) == {3}
         assert len(sizes) - 1 <= 3
-        assert res.x == pytest.approx(xmin, abs=1e-9 * (hi - lo))
+        assert res.x[0] == pytest.approx(xmin, abs=1e-9 * (hi - lo))
 
     def test_parabola_takes_one_step(self):
         # the quartic through the round's five best values is the parabola,
         # so the first step finds its start already at the minimum
         sizes = []
-        res = minimize_on_bracket(recorded(lambda x: ((x - 0.7) ** 2,), sizes),
-                                  0.0, 1.0)
+        res = search(recorded(lambda x: ((x - 0.7) ** 2,), sizes), 0.0, 1.0)
         assert sizes == [POINTS, 3]
-        assert res.x == pytest.approx(0.7, abs=1e-12)
+        assert res.x[0] == pytest.approx(0.7, abs=1e-12)
 
     def test_steps_stay_within_the_rounds_two_spacings(self):
         # a V, so the parabolas through the steps' points are no guide
@@ -131,10 +145,10 @@ class TestMinimizeOnBracket:
             xs.append(x)
             return (np.abs(x - 1.234567) + 0.1 * (x - 1.2) ** 2,)
 
-        minimize_on_bracket(fun, -4.0, 7.0)
-        first, h = xs[0], 11.0 / (POINTS - 1)
+        search(fun, -4.0, 7.0)
+        first, h = xs[0][0], 11.0 / (POINTS - 1)
         best = first[np.argmin(fun(first)[0])]
-        centres = [x[1] for x in xs if len(x) == 3]
+        centres = [x[0, 1] for x in xs if x.size == 3]
         assert centres and all(best - h <= c <= best + h for c in centres)
 
 
@@ -146,8 +160,7 @@ class TestFailedSteps:
     def test_a_round_across_a_kink_zooms_without_steps(self):
         # the round's best three lie on both sides of the kink
         sizes = []
-        res = minimize_on_bracket(recorded(kinked, sizes), 0.0, 1.0,
-                                  branch=kink_side)
+        res = search(recorded(kinked, sizes), 0.0, 1.0, kink_side)
         assert sizes == [POINTS] * 4 + [1]
         assert same_bits(res, rounds_only(kinked, 0.0, 1.0))
 
@@ -162,13 +175,13 @@ class TestFailedSteps:
             return np.abs(out[1] - 0.39) < 0.005
 
         sizes = []
-        res = minimize_on_bracket(recorded(fun, sizes), 0.0, 1.0, branch=island)
+        res = search(recorded(fun, sizes), 0.0, 1.0, island)
         ref = rounds_only(fun, 0.0, 1.0)
         assert sizes == [POINTS, 3] + [POINTS] * 3 + [1]
         assert same_bits(res, ref)
         assert res.nfev == ref[2] + 3
         # without the labels one step finds the minimum
-        assert minimize_on_bracket(fun, 0.0, 1.0).nfev == POINTS + 3
+        assert search(fun, 0.0, 1.0).nfev == POINTS + 3
 
     def test_no_positive_curvature_falls_back_to_rounds(self):
         # flat within 1e-4 of 0.5, where the steps' points lie
@@ -176,7 +189,7 @@ class TestFailedSteps:
             return (np.maximum((x - 0.5) ** 2, 1e-8),)
 
         sizes = []
-        res = minimize_on_bracket(recorded(fun, sizes), 0.0, 1.0)
+        res = search(recorded(fun, sizes), 0.0, 1.0)
         assert sizes[:3] == [POINTS, 3, POINTS]
         assert same_bits(res, rounds_only(fun, 0.0, 1.0))
 
@@ -186,7 +199,7 @@ class TestFailedSteps:
             return (np.abs(x - 1.234567) + 0.1 * (x - 1.2) ** 2,)
 
         sizes = []
-        res = minimize_on_bracket(recorded(fun, sizes), -4.0, 7.0)
+        res = search(recorded(fun, sizes), -4.0, 7.0)
         ref = rounds_only(fun, -4.0, 7.0)
         assert sizes == [POINTS, 3, 3, POINTS, POINTS, POINTS, 1]
         assert same_bits(res, ref)
@@ -199,7 +212,7 @@ class TestFailedSteps:
             return (np.abs(x - 0.4) ** 2.5,)
 
         sizes = []
-        res = minimize_on_bracket(recorded(fun, sizes), 0.0, 1.0)
+        res = search(recorded(fun, sizes), 0.0, 1.0)
         ref = rounds_only(fun, 0.0, 1.0)
         assert sizes == [POINTS] + [3] * STEPS + [POINTS] * 3 + [1]
         assert same_bits(res, ref)
@@ -216,7 +229,8 @@ def _rows_of(fun):
 
 
 class TestVectorBrackets:
-    """One bracket per row: each row must be its scalar search, bit for bit."""
+    """One bracket per row: each row must be its search alone, a batch of
+    one bracket, bit for bit."""
 
     @staticmethod
     def row_fun(x, r):
@@ -249,28 +263,27 @@ class TestVectorBrackets:
     LO = np.array([-1.0, 0.5, 0.5, 0.0, 0.0, -4.0, 0.0])
     HI = np.array([2.0, 2.0, 2.0, 1.0, 1.5 + 1.5 / 32 * 16, 7.0, 1.0])
 
-    def same_as_scalar_searches(self, **branch):
+    def same_as_searches_alone(self, branch):
         vec = minimize_on_bracket(_rows_of(self.row_fun), self.LO, self.HI,
-                                  **branch)
+                                  branch)
         nfev = 0
         for r, (lo, hi) in enumerate(zip(self.LO, self.HI)):
-            one = minimize_on_bracket(lambda x, r=r: self.row_fun(x, r), lo, hi,
-                                      **branch)
-            assert vec.x[r].tobytes() == np.float64(one.x).tobytes(), r
+            one = search(lambda x, r=r: self.row_fun(x, r), lo, hi, branch)
+            assert vec.x[r].tobytes() == one.x.tobytes(), r
             for a, b in zip(vec.out, one.out):
-                assert a[r].tobytes() == np.float64(b).tobytes(), r
+                assert a[r].tobytes() == b.tobytes(), r
             nfev += one.nfev
         assert vec.nfev == nfev
         assert vec.x[1] == 0.5 and vec.x[2] == 2.0  # best at lo and at hi
         assert vec.x[0] == pytest.approx(0.3, abs=1e-9)
 
     def test_each_row_is_its_scalar_search(self):
-        self.same_as_scalar_searches()
+        self.same_as_searches_alone(one_piece)
 
     def test_each_labelled_row_is_its_scalar_search(self):
         # row 6 now zooms from its first round on, as its round straddles
         # its kink
-        self.same_as_scalar_searches(branch=self.row_label)
+        self.same_as_searches_alone(self.row_label)
 
     def test_vertex_only_for_inner_rows_with_finite_positive_curvature(self):
         calls = []
@@ -303,14 +316,8 @@ class TestVectorBrackets:
             return (np.where(np.array(rows)[:, None] == 0, x,
                              np.where(x > 0.55, np.inf, (x - 0.55) ** 2)),)
 
-        res = minimize_on_bracket(fun, np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+        res = minimize_on_bracket(fun, np.array([0.0, 0.0]), np.array([1.0, 1.0]),
+                                  one_piece)
         assert rows_seen == [[0, 1]] * 3 + [[1]]  # no vertex beside inf
         assert res.x[0] == 0.0 and res.x[1] == pytest.approx(0.55, abs=1e-5)
         assert res.nfev == 7 * POINTS
-
-    def test_scalar_brackets_give_scalars(self):
-        res = minimize_on_bracket(lambda x: ((x - 0.7) ** 2 + x ** 4,), 0.0, 1.0)
-        assert isinstance(res.x, float)
-        assert np.ndim(res.out[0]) == 0
-        # one round of 33 points, then steps of three
-        assert (res.nfev - POINTS) % 3 == 0 and res.nfev > POINTS
