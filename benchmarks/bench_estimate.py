@@ -1,7 +1,8 @@
 """Layer benchmark of the estimator: ``estimate_rows``, ``estimate_pi`` and
 ``run_mc`` at the sizes the paper's protocol and the low-shot Monte Carlo
 use, ``fit_model`` and ``render_svg`` on one file as triage fits and plots
-it, ``fit_model`` on a file whose best curve has a clipped level, and
+it, ``fit_model`` on a file whose best curve has a clipped level and on
+files of two grids in turn (so no scan finds its grid's columns built), and
 ``report`` on three files as ``rabipi report`` runs it, with its screen,
 ``screen_rows``, on its own.
 
@@ -57,6 +58,14 @@ def one_file():
 
 
 @pytest.fixture(scope="module")
+def two_grid_files():
+    """The first demo qubit at 8192 shots on DEFAULT_GRID and on its 64
+    times shifted by 0.05: two grids of one length and step."""
+    return [sample_dataset(DEMO_QUBITS[0], grid, 8192, seed=5)
+            for grid in (DEFAULT_GRID, make_grid(0.05, 6.35, 0.1))]
+
+
+@pytest.fixture(scope="module")
 def three_files():
     """One file of each demo qubit at 8192 shots on DEFAULT_GRID, as the
     ``report`` workload's triplets are."""
@@ -104,6 +113,16 @@ def test_fit_model_constraint_bound_file(benchmark):
                         256, seed=92)
     m = benchmark(fit_model, ds)
     assert m.alpha + m.beta == 1 and abs(m.c - 0.2702777) < 1e-6
+
+
+def test_fit_model_alternating_grids(benchmark, two_grid_files):
+    # each fit's grid differs from the one before it, so every scan builds
+    # its columns afresh: the cost of a fit before the columns were cached
+    models = benchmark(lambda: [fit_model(ds) for ds in two_grid_files])
+    truth = DEMO_QUBITS[0]
+    for m in models:
+        assert abs(m.alpha - truth.alpha) < 0.02 and abs(m.beta - truth.beta) < 0.02
+        assert abs(m.phi0 - truth.phi0) < 0.05 and abs(m.c - truth.c) < 0.02
 
 
 def test_render_svg_one_file(benchmark, one_file):

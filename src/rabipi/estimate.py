@@ -37,6 +37,7 @@ search for all of them, each getting the bits that ``screen_dataset`` and
 ``fit_model`` give it alone.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -645,47 +646,73 @@ def _fit_in_batches(t, f, c):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=1)
+def _columns(tkey, step, k0, count):
+    """The scan columns of one chunk of rates, (k0 + 1 ... k0 + count) *
+    step, at the float64 times whose bytes are ``tkey``: the powers z^k of
+    z = exp(i step t) (count, n), built by doubling from one ``exp`` per
+    time and multiplied, past the first chunk, by the chunk's exact anchor
+    exp(i k0 step t); the means of their cos and sin parts; and the centred
+    columns' sums of squares and products c2, s2 and cs.
+
+    They depend on the times alone, so every fit on one grid shares them.
+    The cache keeps the last chunk only: at most ``_SCAN_CELLS`` complex
+    cells, and on a grid of one chunk every later scan of that grid is a
+    hit.  The arrays are read-only, as every caller gets the same ones.
+    """
+    t = np.frombuffer(tkey)
+    n = len(t)
+    z = np.empty((count, n), dtype=complex)  # z[j] = exp(i (j + 1) step t)
+    z[0] = np.exp(1j * step * t)
+    m = 1
+    while m < count:
+        z[m:2 * m] = z[:min(m, count - m)] * z[m - 1]
+        m *= 2
+    if k0:
+        z *= np.exp(1j * (k0 * step) * t)
+    s1 = z.sum(axis=1)
+    mean_cos, mean_sin = s1.real / n, s1.imag / n
+    cc, ss = z.real - mean_cos[:, None], z.imag - mean_sin[:, None]
+    columns = (z, mean_cos, mean_sin, (cc * cc).sum(axis=1), (ss * ss).sum(axis=1),
+               (cc * ss).sum(axis=1))
+    for a in columns:
+        a.flags.writeable = False
+    return columns
+
+
 def _scan(t, f, step):
     """The index k - 1 of the best of the rates k * step, k = 1 ... 2n - 3,
     for each row of ``f`` (files, n), by the least RSS ``_fit_at_rates``
     gives there, the first on a tie.
 
     The cos/sin columns at the rates k * step are the powers z^k of z =
-    exp(i step t), built by doubling: one ``exp`` per knot, not one cos and
-    one sin per (rate, knot) cell, as fast periodograms use trigonometric
-    recurrences (Press & Rybicki, ApJ 338, 277, 1989).  The centred
-    columns' sums of squares and products are shared by every file; they
-    are summed from the columns, not from sums of z^2k, whose cancellation
-    would hide a collinear rate from ``_solve``'s test.  Each file adds one
-    sum, of (f - mean f) z^k.  ``_solve`` gives each curve, and the RSS of
-    the clipped curve, |y + d + b cc + c ss|^2 in the centred columns cc and
-    ss, comes from the same sums, with no residual matrix.  Chunks of the
-    rates, each anchored on an exact exp(i k0 step t), and of the files
-    keep every (file, rate, time) array within ``_SCAN_CELLS`` cells.  The
-    sums round otherwise than ``_fit_at_rates``'s, so the scan serves only
-    to choose each row's search bracket.
+    exp(i step t) (``_columns``), built by doubling: one ``exp`` per time,
+    not one cos and one sin per (rate, time) cell, as fast periodograms use
+    trigonometric recurrences (Press & Rybicki, ApJ 338, 277, 1989).  They
+    and the centred columns' sums of squares and products depend on the
+    times alone, so they are built once per grid and shared by every file
+    and every later scan on the same times; the sums are taken from the
+    columns, not from sums of z^2k, whose cancellation would hide a
+    collinear rate from ``_solve``'s test.  Each file adds one sum, of
+    (f - mean f) z^k.  ``_solve`` gives each curve, and the RSS of the
+    clipped curve, |y + d + b cc + c ss|^2 in the centred columns cc and ss,
+    comes from the same sums, with no residual matrix.  Chunks of the rates,
+    each anchored on an exact exp(i k0 step t), and of the files keep every
+    (file, rate, time) array within ``_SCAN_CELLS`` cells.  The sums round
+    otherwise than ``_fit_at_rates``'s, so the scan serves only to choose
+    each row's search bracket.
     """
     n = len(t)
+    tkey = np.asarray(t, dtype=float).tobytes()
     mean_f = f.sum(axis=1, keepdims=True) / n
     y = f - mean_f
     yy = (y * y).sum(axis=1, keepdims=True)
     group = max(1, min(len(f), _SCAN_CELLS // n))  # files per chunk
     per = max(1, min(2 * n - 3, _SCAN_CELLS // (group * n)))  # rates per chunk
-    z = np.empty((per, n), dtype=complex)  # z[j] = exp(i (j + 1) step t)
-    z[0] = np.exp(1j * step * t)
-    m = 1
-    while m < per:
-        z[m:2 * m] = z[:min(m, per - m)] * z[m - 1]
-        m *= 2
     rss = np.empty((len(f), 2 * n - 3))
     for k0 in range(0, 2 * n - 3, per):
-        zk = z[:2 * n - 3 - k0]
-        if k0:
-            zk = zk * np.exp(1j * (k0 * step) * t)
-        s1 = zk.sum(axis=1)
-        mean_cos, mean_sin = s1.real / n, s1.imag / n
-        cc, ss = zk.real - mean_cos[:, None], zk.imag - mean_sin[:, None]
-        c2, s2, cs = (cc * cc).sum(axis=1), (ss * ss).sum(axis=1), (cc * ss).sum(axis=1)
+        zk, mean_cos, mean_sin, c2, s2, cs = _columns(tkey, step, k0,
+                                                      min(per, 2 * n - 3 - k0))
         for i in range(0, len(f), group):
             yz = (zk * y[i:i + group, None, :]).sum(axis=2)
             yc, ys = yz.real, yz.imag
@@ -721,11 +748,13 @@ def _fit_rows(t, f):
     sharing the times ``t``; no row may be constant and n must be >= 4.
     ``fit_model`` is this on one row.
 
-    One ``_scan`` picks every file's best scan rate, then one
-    ``minimize_on_bracket`` refines every file's rate within one scan step
-    of it: one ``_fit_in_batches`` call for a round of 33 rates of every
-    file, then one per parabolic step for the files still stepping, three
-    rates each, and one per round for the files zooming in instead.
+    One ``_scan`` picks every file's best scan rate, from the scan columns
+    of the times (built on the first scan of these times and kept for the
+    next, see ``_columns``), then one ``minimize_on_bracket`` refines every
+    file's rate within one scan step of it: one ``_fit_in_batches`` call
+    for a round of 33 rates of every file, then one per parabolic step for
+    the files still stepping, three rates each, and one per round for the
+    files zooming in instead.
     ``_clipped`` labels the rates by the levels ``_solve`` clips there, so
     a file zooms where the clipping changes between its round's best three
     rates or under a step.  Returns alpha, beta, phi0 and c, one value per
@@ -746,8 +775,11 @@ def fit_model(ds: Dataset) -> NoiseModel:
     Variable projection (Golub & Pereyra 1973): amplitude, offset and phase
     are closed-form at each of the < 2n rates c in quarter-period steps over
     the span below the mean Nyquist rate pi (n - 1) / span.  ``_scan``
-    evaluates that scan from power sums, with one ``exp`` per time and no
-    per-rate trigonometry; the best scan rate is then refined within one
+    evaluates that scan from power sums, with no per-rate trigonometry.
+    Its columns depend on the times alone, so they are built, with one
+    ``exp`` per time, only when the times differ from the last scan's: the
+    screen, fit and plot of one file share them.  The best scan rate is
+    then refined within one
     step by ``optimize.minimize_on_bracket``: 33 rates in one kernel call,
     then finite-difference Newton steps of three rates per call (two steps
     on most files) where the RSS is smooth, and rounds of 33 rates where it

@@ -1387,6 +1387,99 @@ class TestScan:
         assert np.array_equal(best, reference_scan(t, f[None], step))
 
 
+class TestScanColumns:
+    """``_columns`` builds a grid's scan columns once and keeps the last
+    chunk, so every fit on one grid shares them; a fit must not depend on
+    which grid's columns the cache holds."""
+
+    #: The 0.1 grid, its times shifted by 0.05 (the same length and step)
+    #: and the 0.05 grid.
+    GRIDS = [make_grid(0.0, 6.3, 0.1), make_grid(0.05, 6.35, 0.1),
+             make_grid(0.0, 6.3, 0.05)]
+
+    @staticmethod
+    def cold(call, *args):
+        rabipi.estimate._columns.cache_clear()
+        return call(*args)
+
+    @classmethod
+    def files(cls):
+        """Twelve files on the three grids in turn, every 4th stepped."""
+        for i in range(12):
+            ds = sample_dataset(NoiseModel(0.85, 0.08, 0.3 * i, 0.5 + 0.2 * i),
+                                cls.GRIDS[i % 3], (256, 8192)[i // 3 % 2], seed=i)
+            yield inject_step(ds, 3.0, 0.15) if i % 4 == 0 else ds
+
+    def test_alternating_grids_give_the_bits_of_a_cold_cache(self):
+        files = list(self.files())
+        bits = [[float(v).hex() for v in dataclasses.astuple(m)]
+                for m in map(fit_model, files)]
+        assert bits == [[float(v).hex() for v in dataclasses.astuple(
+            self.cold(fit_model, ds))] for ds in files]
+        assert [screen_dataset(ds) for ds in files] == \
+            [self.cold(screen_dataset, ds) for ds in files]
+        groups = [TestBatchedFiles.batches(files[g::3])[0] for g in range(3)]
+        warm = [(screen_rows(t, f, shots), rabipi.estimate._fit_rows(t, f))
+                for t, f, shots, _ in groups * 2]
+        for (t, f, shots, _), (verdicts, rows) in zip(groups * 2, warm):
+            assert self.cold(screen_rows, t, f, shots) == verdicts
+            for a, b in zip(self.cold(rabipi.estimate._fit_rows, t, f), rows):
+                assert a.tobytes() == b.tobytes()
+
+    def test_a_time_one_ulp_off_gets_its_own_columns(self):
+        t = GRID_TIMES
+        nudged = t.copy()
+        nudged[40] = np.nextafter(t[40], np.inf)
+        step, count = scan_step(t), 2 * len(t) - 3
+        assert scan_step(nudged) == step
+        f = sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=0).fractions()[None]
+        columns = rabipi.estimate._columns
+        base = [a.copy() for a in self.cold(columns, t.tobytes(), step, 0, count)]
+        rabipi.estimate._scan(t, f, step)
+        rabipi.estimate._scan(nudged, f, step)
+        held = [a.copy() for a in columns(nudged.tobytes(), step, 0, count)]
+        fresh = self.cold(columns, nudged.tobytes(), step, 0, count)
+        assert base[0].tobytes() != fresh[0].tobytes()
+        for a, b in zip(held, fresh):
+            assert a.tobytes() == b.tobytes()
+
+    def test_columns_are_read_only(self):
+        t = GRID_TIMES
+        f = sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=0).fractions()[None]
+        rabipi.estimate._scan(t, f, scan_step(t))
+        held = rabipi.estimate._columns(t.tobytes(), scan_step(t), 0, 2 * len(t) - 3)
+        assert rabipi.estimate._columns.cache_info().currsize == 1
+        for a in held:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    @pytest.mark.parametrize("cells_per_time", [None, 5, 40])
+    def test_cache_holds_at_most_one_chunk(self, monkeypatch, cells_per_time):
+        # 631 times: 1259 rates in 4 chunks at the default cell limit
+        t = make_grid(0.0, 6.3, 0.01).times()
+        n = len(t)
+        f = sample_dataset(IDEAL, make_grid(0.0, 6.3, 0.01), 8192, seed=0).fractions()
+        if cells_per_time:
+            monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", cells_per_time * n)
+        cells = rabipi.estimate._SCAN_CELLS
+        per = cells // n
+        # the 0.1 grid's columns are held first; the long grid's replace them
+        rabipi.estimate._scan(GRID_TIMES, f[None, :64], scan_step(GRID_TIMES))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            best = rabipi.estimate._scan(t, f[None], scan_step(t))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(best, reference_scan(t, f[None], scan_step(t)))
+        assert rabipi.estimate._columns.cache_info().currsize == 1
+        # one chunk's complex columns, its four sums per rate, the times'
+        # bytes in the key and a little for the objects holding them
+        assert held <= 16 * cells + 4 * 8 * per + 8 * n + 4096
+
+
 class TestScreenDataset:
     def test_clean_accepted(self):
         ds = sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=0)
