@@ -117,7 +117,7 @@ def test_fit_model_constraint_bound_file(benchmark):
 
 def test_fit_model_alternating_grids(benchmark, two_grid_files):
     # each fit's grid differs from the one before it, so every scan builds
-    # its columns afresh: the cost of a fit before the columns were cached
+    # its columns afresh
     models = benchmark(lambda: [fit_model(ds) for ds in two_grid_files])
     truth = DEMO_QUBITS[0]
     for m in models:

@@ -503,10 +503,10 @@ def trapezoid_integral(curve: NormalizedCurve, t1: float, t2: float) -> float:
 def estimate_rows(times, fractions) -> RowEstimates:
     """Run the nine-step pipeline on every row of ``fractions``.
 
-    ``times`` holds the strictly increasing sample times shared by all rows,
-    ``fractions`` one row of |1> fractions per dataset.  A failing row does
-    not stop the batch; ``errors`` names the first step it failed and ``ok``
-    marks the rows that passed every step.
+    ``times`` holds the finite, strictly increasing sample times shared by
+    all rows, ``fractions`` one row of |1> fractions per dataset.  A failing
+    row does not stop the batch; ``errors`` names the first step it failed
+    and ``ok`` marks the rows that passed every step.
 
     Cost per row of n knots: O(n) for the minimum and maximum, the two
     normalizations, the flags of the knots at or above 1/2 and the running
@@ -521,8 +521,9 @@ def estimate_rows(times, fractions) -> RowEstimates:
     if t.ndim != 1 or len(t) < 2 or f.ndim != 2 or f.shape[1] != len(t):
         raise ValueError(f"need >= 2 times and one column of fractions per "
                          f"time, got times {t.shape} and fractions {f.shape}")
-    if not np.all(t[1:] > t[:-1]):  # the slab widths divide by the least step
-        raise ValueError("times must be strictly increasing")
+    # the slab widths divide by the least step
+    if not (np.isfinite(t).all() and np.all(t[1:] > t[:-1])):
+        raise ValueError("times must be finite and strictly increasing")
     fails = _Failures(len(f))
     with np.errstate(all="ignore"):
         alpha1, beta1 = _rough_alpha_beta(f, fails)
@@ -584,11 +585,27 @@ def _solve(yc, ys, c2, s2, cs, mean_f, mean_cos, mean_sin):
     return collinear, alpha, beta, np.arctan2(-v, u)
 
 
+def _basis(c, t):
+    """cos, sin and their centred cc and ss at the rates ``c`` (any shape)
+    and times ``t`` (n,), each c.shape + (n,), then mean_cos, mean_sin, c2 =
+    sum cc^2, s2 = sum ss^2 and cs = sum cc*ss over the times, each of the
+    shape of ``c``: a rate's values depend on that rate and ``t`` alone."""
+    n = len(t)
+    ct = np.multiply.outer(c, t)
+    cos, sin = np.cos(ct), np.sin(ct)
+    mean_cos, mean_sin = cos.sum(axis=-1) / n, sin.sum(axis=-1) / n
+    cc, ss = cos - mean_cos[..., None], sin - mean_sin[..., None]
+    c2, s2 = (cc * cc).sum(axis=-1), (ss * ss).sum(axis=-1)
+    cs = np.multiply(cc, ss, out=ct).sum(axis=-1)
+    return cos, sin, cc, ss, mean_cos, mean_sin, c2, s2, cs
+
+
 def _fit_at_rates(t, f, c):
     """RSS, alpha, beta and phi0 of the best valid curve at each rate in
     ``c`` (files, rates), the rates of each file of ``f`` (files, n), its
     fractions at the times ``t``; each output has the shape of ``c``.  The
-    curve is ``_solve``'s, and a collinear rate gets RSS inf.
+    columns are ``_basis``'s, the curve is ``_solve``'s, and a collinear
+    rate gets RSS inf.
 
     Every reduction is a sum over the last axis, the times, so a rate's
     outputs depend on that rate and its file alone, not on the other rates
@@ -604,18 +621,11 @@ def _fit_at_rates(t, f, c):
     search's path turns on every bit of the RSS, so any other rounding can
     change the fit.
     """
-    n = len(t)
-    ct = np.multiply.outer(c, t)
-    cos, sin = np.cos(ct), np.sin(ct)
-    mean_cos, mean_sin = cos.sum(axis=2) / n, sin.sum(axis=2) / n
-    mean_f = f.sum(axis=1, keepdims=True) / n
-    cc, ss = cos - mean_cos[..., None], sin - mean_sin[..., None]
+    cos, sin, cc, ss, mean_cos, mean_sin, c2, s2, cs = _basis(c, t)
+    mean_f = f.sum(axis=1, keepdims=True) / len(t)
     y = (f - mean_f)[:, None, :]
-    yc, ys = (cc * y).sum(axis=2), (ss * y).sum(axis=2)
-    c2, s2 = (cc * cc).sum(axis=2), (ss * ss).sum(axis=2)
-    cc *= ss
-    collinear, alpha, beta, phi0 = _solve(yc, ys, c2, s2, cc.sum(axis=2), mean_f,
-                                          mean_cos, mean_sin)
+    collinear, alpha, beta, phi0 = _solve((cc * y).sum(axis=2), (ss * y).sum(axis=2),
+                                          c2, s2, cs, mean_f, mean_cos, mean_sin)
     half = alpha / 2
     # beta + half * (1 - cos(ct + phi0)) - f, expanded
     pred = (half * np.cos(phi0))[..., None] * cos
@@ -629,52 +639,39 @@ def _fit_at_rates(t, f, c):
     return rss, alpha, beta, phi0
 
 
+def _blocks(files, rates, n):
+    """(files, rates) slices, rates outer, splitting fits on n times into
+    blocks within ``_SCAN_CELLS`` (file, rate, time) cells, so long files
+    cannot make one call's arrays huge: min(rates, _SCAN_CELLS // n) rates
+    each, and as many files as fill the cells at that, at least one of
+    each.  A block's rates do not depend on the number of files."""
+    per = max(1, min(rates, _SCAN_CELLS // n))
+    group = max(1, _SCAN_CELLS // (per * n))
+    for j in range(0, rates, per):
+        for i in range(0, files, group):
+            yield slice(i, min(i + group, files)), slice(j, min(j + per, rates))
+
+
 def _fit_in_batches(t, f, c):
     """``_fit_at_rates`` for the files ``f`` (files, n) at their rates ``c``
-    (files, rates), in blocks of files and of rates, each call within
-    ``_SCAN_CELLS`` (file, rate, time) cells, so long files cannot make one
-    call's arrays huge.  One file is a block of one."""
-    per = max(1, _SCAN_CELLS // len(t))  # (file, rate) pairs per call
-    rates = min(per, c.shape[1])
-    files = per // rates
+    (files, rates), one call per block of ``_blocks``."""
     out = np.empty((4,) + c.shape)
-    for i in range(0, len(f), files):
-        for j in range(0, c.shape[1], rates):
-            block = _fit_at_rates(t, f[i:i + files], c[i:i + files, j:j + rates])
-            for o, b in zip(out, block):
-                o[i:i + files, j:j + rates] = b
+    for rows, ks in _blocks(len(f), c.shape[1], len(t)):
+        for o, b in zip(out, _fit_at_rates(t, f[rows], c[rows, ks])):
+            o[rows, ks] = b
     return tuple(out)
 
 
 @functools.lru_cache(maxsize=1)
 def _columns(tkey, step, k0, count):
-    """The scan columns of one chunk of rates, (k0 + 1 ... k0 + count) *
-    step, at the float64 times whose bytes are ``tkey``: the powers z^k of
-    z = exp(i step t) (count, n), built by doubling from one ``exp`` per
-    time and multiplied, past the first chunk, by the chunk's exact anchor
-    exp(i k0 step t); the means of their cos and sin parts; and the centred
-    columns' sums of squares and products c2, s2 and cs.
-
-    They depend on the times alone, so every fit on one grid shares them.
-    The cache keeps the last chunk only: at most ``_SCAN_CELLS`` complex
-    cells, and on a grid of one chunk every later scan of that grid is a
-    hit.  The arrays are read-only, as every caller gets the same ones.
-    """
-    t = np.frombuffer(tkey)
-    n = len(t)
-    z = np.empty((count, n), dtype=complex)  # z[j] = exp(i (j + 1) step t)
-    z[0] = np.exp(1j * step * t)
-    m = 1
-    while m < count:
-        z[m:2 * m] = z[:min(m, count - m)] * z[m - 1]
-        m *= 2
-    if k0:
-        z *= np.exp(1j * (k0 * step) * t)
-    s1 = z.sum(axis=1)
-    mean_cos, mean_sin = s1.real / n, s1.imag / n
-    cc, ss = z.real - mean_cos[:, None], z.imag - mean_sin[:, None]
-    columns = (z, mean_cos, mean_sin, (cc * cc).sum(axis=1), (ss * ss).sum(axis=1),
-               (cc * ss).sum(axis=1))
+    """``_basis`` less cos and sin at the rates (k0 + 1 ... k0 + count) *
+    step and the float64 times whose bytes are ``tkey``, with cc and ss as
+    one (2, count, n) array.  They depend on the times alone, so every scan
+    on one grid shares them; the cache keeps the last chunk only, and the
+    arrays are read-only, as every caller gets the same ones."""
+    _, _, cc, ss, *sums = _basis(step * np.arange(k0 + 1, k0 + count + 1),
+                                 np.frombuffer(tkey))
+    columns = (np.stack((cc, ss)), *sums)
     for a in columns:
         a.flags.writeable = False
     return columns
@@ -682,49 +679,35 @@ def _columns(tkey, step, k0, count):
 
 def _scan(t, f, step):
     """The index k - 1 of the best of the rates k * step, k = 1 ... 2n - 3,
-    for each row of ``f`` (files, n), by the least RSS ``_fit_at_rates``
-    gives there, the first on a tie.
-
-    The cos/sin columns at the rates k * step are the powers z^k of z =
-    exp(i step t) (``_columns``), built by doubling: one ``exp`` per time,
-    not one cos and one sin per (rate, time) cell, as fast periodograms use
-    trigonometric recurrences (Press & Rybicki, ApJ 338, 277, 1989).  They
-    and the centred columns' sums of squares and products depend on the
-    times alone, so they are built once per grid and shared by every file
-    and every later scan on the same times; the sums are taken from the
-    columns, not from sums of z^2k, whose cancellation would hide a
-    collinear rate from ``_solve``'s test.  Each file adds one sum, of
-    (f - mean f) z^k.  ``_solve`` gives each curve, and the RSS of the
-    clipped curve, |y + d + b cc + c ss|^2 in the centred columns cc and ss,
-    comes from the same sums, with no residual matrix.  Chunks of the rates,
-    each anchored on an exact exp(i k0 step t), and of the files keep every
-    (file, rate, time) array within ``_SCAN_CELLS`` cells.  The sums round
-    otherwise than ``_fit_at_rates``'s, so the scan serves only to choose
-    each row's search bracket.
-    """
-    n = len(t)
+    for each row of ``f`` (files, n), the first on a tie.  Each block of
+    ``_blocks`` takes its columns from ``_columns`` and each file's sums of
+    y cc and y ss, y the centred fractions, as ``_fit_at_rates`` does, so
+    ``_solve`` gets the kernel's own inputs.  Both sums come from one
+    product: two half-size products in turn kept glibc's mmap threshold low
+    enough that ``report`` mapped and faulted in ≈100 pages on every call.
+    The RSS of the clipped curve, |y + d + b cc + c ss|^2, comes from the
+    same sums, with no residual matrix; it rounds otherwise than
+    ``_fit_at_rates``'s, so the scan serves only to choose each row's search
+    bracket."""
+    n, count = len(t), 2 * len(t) - 3
     tkey = np.asarray(t, dtype=float).tobytes()
     mean_f = f.sum(axis=1, keepdims=True) / n
     y = f - mean_f
     yy = (y * y).sum(axis=1, keepdims=True)
-    group = max(1, min(len(f), _SCAN_CELLS // n))  # files per chunk
-    per = max(1, min(2 * n - 3, _SCAN_CELLS // (group * n)))  # rates per chunk
-    rss = np.empty((len(f), 2 * n - 3))
-    for k0 in range(0, 2 * n - 3, per):
-        zk, mean_cos, mean_sin, c2, s2, cs = _columns(tkey, step, k0,
-                                                      min(per, 2 * n - 3 - k0))
-        for i in range(0, len(f), group):
-            yz = (zk * y[i:i + group, None, :]).sum(axis=2)
-            yc, ys = yz.real, yz.imag
-            mf = mean_f[i:i + group]
-            collinear, alpha, beta, phi0 = _solve(yc, ys, c2, s2, cs, mf,
-                                                  mean_cos, mean_sin)
-            half = alpha / 2
-            b, c = half * np.cos(phi0), -half * np.sin(phi0)
-            d = mf - (beta + half) + b * mean_cos + c * mean_sin
-            rss[i:i + group, k0:k0 + per] = np.where(collinear, np.inf, (
-                yy[i:i + group] + 2 * (b * yc + c * ys) + b * b * c2 + c * c * s2
-                + 2 * b * c * cs + n * d * d))
+    rss = np.empty((len(f), count))
+    for rows, ks in _blocks(len(f), count, n):
+        ccss, mean_cos, mean_sin, c2, s2, cs = _columns(tkey, step, ks.start,
+                                                        ks.stop - ks.start)
+        mf = mean_f[rows]
+        yc, ys = (ccss[:, None] * y[rows, None, :]).sum(axis=3)
+        collinear, alpha, beta, phi0 = _solve(yc, ys, c2, s2, cs, mf,
+                                              mean_cos, mean_sin)
+        half = alpha / 2
+        b, c = half * np.cos(phi0), -half * np.sin(phi0)
+        d = mf - (beta + half) + b * mean_cos + c * mean_sin
+        rss[rows, ks] = np.where(collinear, np.inf, (
+            yy[rows] + 2 * (b * yc + c * ys) + b * b * c2 + c * c * s2
+            + 2 * b * c * cs + n * d * d))
     return rss.argmin(axis=1)
 
 
@@ -748,13 +731,12 @@ def _fit_rows(t, f):
     sharing the times ``t``; no row may be constant and n must be >= 4.
     ``fit_model`` is this on one row.
 
-    One ``_scan`` picks every file's best scan rate, from the scan columns
-    of the times (built on the first scan of these times and kept for the
-    next, see ``_columns``), then one ``minimize_on_bracket`` refines every
-    file's rate within one scan step of it: one ``_fit_in_batches`` call
-    for a round of 33 rates of every file, then one per parabolic step for
-    the files still stepping, three rates each, and one per round for the
-    files zooming in instead.
+    One ``_scan`` picks every file's best scan rate on the kernel's columns
+    of the times, kept for the next scan (``_columns``), then one
+    ``minimize_on_bracket`` refines every file's rate within one scan step
+    of it: one ``_fit_in_batches`` call for a round of 33 rates of every
+    file, then one per parabolic step for the files still stepping, three
+    rates each, and one per round for the files zooming in instead.
     ``_clipped`` labels the rates by the levels ``_solve`` clips there, so
     a file zooms where the clipping changes between its round's best three
     rates or under a step.  Returns alpha, beta, phi0 and c, one value per
@@ -775,11 +757,10 @@ def fit_model(ds: Dataset) -> NoiseModel:
     Variable projection (Golub & Pereyra 1973): amplitude, offset and phase
     are closed-form at each of the < 2n rates c in quarter-period steps over
     the span below the mean Nyquist rate pi (n - 1) / span.  ``_scan``
-    evaluates that scan from power sums, with no per-rate trigonometry.
-    Its columns depend on the times alone, so they are built, with one
-    ``exp`` per time, only when the times differ from the last scan's: the
-    screen, fit and plot of one file share them.  The best scan rate is
-    then refined within one
+    evaluates that scan on the kernel's cos/sin columns, which depend on
+    the times alone, so they are built only when the times differ from the
+    last scan's: the screen, fit and plot of one file share them.  The best
+    scan rate is then refined within one
     step by ``optimize.minimize_on_bracket``: 33 rates in one kernel call,
     then finite-difference Newton steps of three rates per call (two steps
     on most files) where the RSS is smooth, and rounds of 33 rates where it

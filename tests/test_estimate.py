@@ -511,7 +511,9 @@ class TestEstimateRows:
         assert list(rows.ok) == [e is None for e in rows.errors]
 
     @pytest.mark.parametrize("times", [[0.0, 0.1, 0.1, 0.3], [0.0, 0.2, 0.1, 0.3],
-                                       [0.0, np.nan, 0.2, 0.3]])
+                                       [0.0, np.nan, 0.2, 0.3],
+                                       [0.0, 0.1, 0.2, np.inf],
+                                       [-np.inf, 0.1, 0.2, 0.3]])
     def test_times_not_increasing_rejected(self, times):
         with pytest.raises(ValueError, match="strictly increasing"):
             estimate_rows(times, np.full((2, 4), 0.5))
@@ -1308,8 +1310,9 @@ def with_gap(gap):
 
 
 class TestScan:
-    """``_scan`` picks, from power sums, the rate the kernel's own scan
-    picks, so the fit's search starts from the same bracket."""
+    """``_scan`` picks, from sums over the kernel's columns, the rate the
+    kernel's own scan picks, so the fit's search starts from the same
+    bracket."""
 
     def test_picks_the_reference_rate(self, monkeypatch):
         datasets = [ds for _, ds in fit_corpus()] + list(fit_bits_files())
@@ -1329,9 +1332,8 @@ class TestScan:
 
     @pytest.mark.parametrize("cells", [3, 40, 1000])
     def test_chunks_pick_the_rates_of_one_chunk(self, monkeypatch, cells):
-        # batches in chunks of 3 to 54 files at 1 to 18 rates, and one file
-        # in chunks of 3 or 40 rates, each rate chunk anchored on its own
-        # exp, give the rates of one chunk
+        # batches and one file in chunks of 3 or 40 rates, or of all rates,
+        # give the rates of one chunk
         groups = TestBatchedFiles.batches(
             [ds for i, ds in fit_corpus() if i % 4 == 0])
         whole = [rabipi.estimate._scan(t, f, scan_step(t)) for t, f, _, _ in groups]
@@ -1364,8 +1366,8 @@ class TestScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a few complex arrays of a chunk's cells, the (files, rates) RSS
-        # and copies of the fractions
+        # a few arrays of a chunk's cells, the (files, rates) RSS and copies
+        # of the fractions
         assert peak <= 8 * 16 * min(cells, files * (2 * n - 3) * n) \
             + 8 * files * (2 * n - 3) + 4 * 8 * f.size
         assert np.array_equal(best, reference_scan(t, f, scan_step(t)))
@@ -1475,9 +1477,48 @@ class TestScanColumns:
             tracemalloc.stop()
         assert np.array_equal(best, reference_scan(t, f[None], scan_step(t)))
         assert rabipi.estimate._columns.cache_info().currsize == 1
-        # one chunk's complex columns, its four sums per rate, the times'
-        # bytes in the key and a little for the objects holding them
+        # one chunk's cc and ss columns, its sums per rate, the times' bytes
+        # in the key and a little for the objects holding them
         assert held <= 16 * cells + 4 * 8 * per + 8 * n + 4096
+
+    @pytest.mark.parametrize("files", [33, 200])
+    def test_a_big_batch_finds_the_kept_columns(self, files):
+        # the rates of a chunk do not depend on the number of files, so the
+        # 125 rates of the 0.1 grid are one chunk for any batch
+        f = np.array([sample_dataset(NoiseModel(0.8, 0.1, 0.2, 0.5 + 0.01 * k),
+                                     DEFAULT_GRID, 8192, seed=k).fractions()
+                      for k in range(files)])
+        best = self.cold(rabipi.estimate._scan, GRID_TIMES, f, scan_step(GRID_TIMES))
+        assert np.array_equal(rabipi.estimate._scan(GRID_TIMES, f, scan_step(GRID_TIMES)),
+                              best)
+        info = rabipi.estimate._columns.cache_info()
+        assert (info.misses, info.hits > 0) == (1, True)
+
+    @pytest.mark.parametrize("grid, cells_per_time", [
+        (DEFAULT_GRID, None), (make_grid(0.0, 6.3, 0.01), 40)])
+    def test_chunks_are_the_kernel_columns(self, monkeypatch, grid, cells_per_time):
+        # every chunk the scan keeps is ``_basis`` at its own rates, and the
+        # same rows of ``_basis`` at all the grid's rates
+        t = grid.times()
+        n, step = len(t), scan_step(t)
+        if cells_per_time:
+            monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", cells_per_time * n)
+        columns, chunks = rabipi.estimate._columns, []
+
+        def kept(*key):
+            chunks.append((key, columns(*key)))
+            return chunks[-1][1]
+
+        columns.cache_clear()
+        monkeypatch.setattr(rabipi.estimate, "_columns", kept)
+        f = sample_dataset(IDEAL, grid, 8192, seed=0).fractions()[None]
+        rabipi.estimate._scan(t, f, step)
+        assert sum(key[3] for key, _ in chunks) == 2 * n - 3
+        whole = rabipi.estimate._basis(step * np.arange(1, 2 * n - 2), t)[2:]
+        for (_, _, k0, count), (ccss, *sums) in chunks:
+            own = rabipi.estimate._basis(step * np.arange(k0 + 1, k0 + count + 1), t)
+            for a, b, c in zip([*ccss, *sums], own[2:], whole):
+                assert a.tobytes() == b.tobytes() == c[k0:k0 + count].tobytes()
 
 
 class TestScreenDataset:
