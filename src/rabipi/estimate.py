@@ -559,19 +559,19 @@ def estimate_pi(ds: Dataset) -> EstimateResult:
 
 
 _EPS = np.finfo(float).eps
+_EDGES, _SIGNS = np.array([[0.0], [1.0]]), np.array([[1.0], [-1.0]])  # (e, s) of _edge
 
 
-def _solve(yc, ys, c2, s2, cs, mean_f, mean_cos, mean_sin):
+def _solve(yc, ys, c2, s2, cs, mean_f, mean_cos, mean_sin, n):
     """Whether each rate is collinear, and alpha, beta and phi0 of its best
-    valid curve k - u*cos(ct) - v*sin(ct), from sums over the times of the
-    centred fractions y and the mean-centred cos/sin columns cc and ss (yc =
-    sum y*cc, ys = sum y*ss, c2 = sum cc^2, s2 = sum ss^2, cs = sum cc*ss)
-    and the means of f, cos and sin; the arguments broadcast.  Cramer's
-    rule gives (u, v) and k follows from the means, with u = v = 0 where
-    det <= eps * (c2 + s2)^2: there the squared condition number exceeds
-    1/eps and the solve carries no correct digits.  The levels k -/+ |(u, v)|
-    are clipped to [0, 1], a maximum then a minimum as ``np.clip`` rounds;
-    ``_clipped`` reads from the outputs which level was clipped.
+    valid curve, from sums over the n times of the centred fractions y and
+    the mean-centred cos/sin columns cc and ss (yc = sum y*cc, ys = sum
+    y*ss, c2 = sum cc^2, s2 = sum ss^2, cs = sum cc*ss) and the means of f,
+    cos and sin; the arguments broadcast.  Cramer's rule gives the
+    unconstrained curve k - u*cos(ct) - v*sin(ct), with u = v = 0 where det
+    <= eps * (c2 + s2)^2: there the squared condition number exceeds 1/eps
+    and the solve carries no correct digits.  ``_edge`` refits the levels
+    k -/+ |(u, v)| at its phase where they leave [0, 1] and (u, v) != 0.
     """
     det = c2 * s2 - cs * cs
     scale = c2 + s2
@@ -580,9 +580,32 @@ def _solve(yc, ys, c2, s2, cs, mean_f, mean_cos, mean_sin):
     u = (ys * cs - yc * s2) / det
     v = (yc * cs - ys * c2) / det
     k, r = mean_f + u * mean_cos + v * mean_sin, np.hypot(u, v)
-    beta = np.minimum(np.maximum(k - r, 0.0), 1.0)
-    alpha = np.minimum(np.maximum(k + r, 0.0), 1.0) - beta
-    return collinear, alpha, beta, np.arctan2(-v, u)
+    beta, high = k - r, k + r
+    out = (beta < 0) | (high > 1)
+    if out.any():
+        out &= r > 0
+        beta[out], high[out] = _edge(k[out], r[out], (u * yc + v * ys)[out] / n,
+                                     np.where(out, mean_f, 0.0)[out])
+    return collinear, high - beta, beta, np.arctan2(-v, u)
+
+
+def _edge(k, r0, uy, mean_f):
+    """The levels (k - r, k + r) of the least-squares curve at the phase of
+    the unconstrained (k, r0) on the edge k = e + s*r, r in [0, 1/2], of the
+    valid (k, r) that it crosses: (e, s) = (0, 1), beta = 0, or (1, -1),
+    alpha + beta = 1; where it crosses both, the edge of lower RSS.  With
+    uy = (u*yc + v*ys)/n and a = s*r0 - (k - mean_f), the RSS of e + r*(s -
+    q), q the phase's unit sinusoid, is n/r0^2 * ((r0*(e - mean_f) + r*a)^2 -
+    uy*(r - r0)^2) plus a constant, least at r = r0*((mean_f - e)*a - uy) /
+    (a^2 - uy)."""
+    a = _SIGNS * r0 - (k - mean_f)
+    r = np.minimum(np.maximum(r0 * ((mean_f - _EDGES) * a - uy) / (a * a - uy), 0.0), 0.5)
+    top = k + r0 > 1
+    both = top & (k < r0)
+    if both.any():
+        rss = (r0 * (_EDGES - mean_f) + r * a) ** 2 - uy * (r - r0) ** 2
+        top &= ~both | (rss[1] < rss[0])
+    return np.where(top, 1 - 2 * r[1], 0.0), np.where(top, 1.0, 2 * r[0])
 
 
 def _basis(c, t):
@@ -625,7 +648,7 @@ def _fit_at_rates(t, f, c):
     mean_f = f.sum(axis=1, keepdims=True) / len(t)
     y = (f - mean_f)[:, None, :]
     collinear, alpha, beta, phi0 = _solve((cc * y).sum(axis=2), (ss * y).sum(axis=2),
-                                          c2, s2, cs, mean_f, mean_cos, mean_sin)
+                                          c2, s2, cs, mean_f, mean_cos, mean_sin, len(t))
     half = alpha / 2
     # beta + half * (1 - cos(ct + phi0)) - f, expanded
     pred = (half * np.cos(phi0))[..., None] * cos
@@ -685,7 +708,7 @@ def _scan(t, f, step):
     ``_solve`` gets the kernel's own inputs.  Both sums come from one
     product: two half-size products in turn kept glibc's mmap threshold low
     enough that ``report`` mapped and faulted in ≈100 pages on every call.
-    The RSS of the clipped curve, |y + d + b cc + c ss|^2, comes from the
+    The RSS of ``_solve``'s curve, |y + d + b cc + c ss|^2, comes from the
     same sums, with no residual matrix; it rounds otherwise than
     ``_fit_at_rates``'s, so the scan serves only to choose each row's search
     bracket."""
@@ -700,8 +723,7 @@ def _scan(t, f, step):
                                                         ks.stop - ks.start)
         mf = mean_f[rows]
         yc, ys = (ccss[:, None] * y[rows, None, :]).sum(axis=3)
-        collinear, alpha, beta, phi0 = _solve(yc, ys, c2, s2, cs, mf,
-                                              mean_cos, mean_sin)
+        collinear, alpha, beta, phi0 = _solve(yc, ys, c2, s2, cs, mf, mean_cos, mean_sin, n)
         half = alpha / 2
         b, c = half * np.cos(phi0), -half * np.sin(phi0)
         d = mf - (beta + half) + b * mean_cos + c * mean_sin
@@ -716,16 +738,6 @@ def _too_few_times(t) -> PipelineError:
                                       f"got {len(t)}")
 
 
-def _clipped(out):
-    """Which levels ``_fit_at_rates`` clipped at each rate, from its outputs
-    (rss, alpha, beta, phi0): 1 if the lowest level sits at 0, plus 2 if the
-    highest sits at 1 (beta + alpha is then 1 exactly).  Where the label
-    changes, the RSS can have a kink or a jump in the rate, and a local
-    minimum on either side."""
-    _, alpha, beta, _ = out
-    return (beta == 0) + 2 * (alpha + beta == 1)
-
-
 def _fit_rows(t, f):
     """The fit of each row of ``f`` (files, n), the fractions of files
     sharing the times ``t``; no row may be constant and n must be >= 4.
@@ -736,17 +748,15 @@ def _fit_rows(t, f):
     ``minimize_on_bracket`` refines every file's rate within one scan step
     of it: one ``_fit_in_batches`` call for a round of 33 rates of every
     file, then one per parabolic step for the files still stepping, three
-    rates each, and one per round for the files zooming in instead.
-    ``_clipped`` labels the rates by the levels ``_solve`` clips there, so
-    a file zooms where the clipping changes between its round's best three
-    rates or under a step.  Returns alpha, beta, phi0 and c, one value per
-    file, each the same bits in any batch.
+    rates each, and one per round for the files whose round or steps failed.
+    Returns alpha, beta, phi0 and c, one value per file, each the same bits
+    in any batch.
     """
     step = math.pi / (2 * (t[-1] - t[0]))
     best = step * np.arange(1, 2 * (len(t) - 1))[_scan(t, f, step)]
     res = optimize.minimize_on_bracket(
         lambda c, rows: _fit_in_batches(t, f.take(rows, axis=0), c),
-        best - step, best + step, branch=_clipped)
+        best - step, best + step)
     _, alpha, beta, phi0 = res.out
     return alpha, beta, phi0, res.x
 
@@ -760,14 +770,15 @@ def fit_model(ds: Dataset) -> NoiseModel:
     evaluates that scan on the kernel's cos/sin columns, which depend on
     the times alone, so they are built only when the times differ from the
     last scan's: the screen, fit and plot of one file share them.  The best
-    scan rate is then refined within one
-    step by ``optimize.minimize_on_bracket``: 33 rates in one kernel call,
-    then finite-difference Newton steps of three rates per call (two steps
-    on most files) where the RSS is smooth, and rounds of 33 rates where it
-    is not or a step fails.  The levels and phase are the kernel's at the
-    rate it returns.  The search is looked up as the module global
-    ``optimize`` on every call, so a caller may rebind it (a tracer
-    counting the rates evaluated does).
+    scan rate is then refined within one step by
+    ``optimize.minimize_on_bracket``: 33 rates in one kernel call, then
+    finite-difference Newton steps of three rates per call (two on most
+    files), and rounds of 33 rates where a step fails.  The levels and
+    phase are the kernel's at the rate it returns: the best levels in
+    [0, 1] at the least-squares curve's phase, which keeps the RSS smooth
+    in the rate.  The search is looked up as the module global ``optimize``
+    on every call, so a caller may rebind it (a tracer counting the rates
+    evaluated does).
     At a fixed rate the offset-plus-sinusoid least-squares problem is
     solved on mean-centred cos/sin columns, as in the floating-mean
     periodogram (Zechmeister & Kuerster, A&A 496, 577, 2009).  Raises

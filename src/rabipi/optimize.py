@@ -9,10 +9,10 @@ makes as few calls as it can.  One round of 33 evenly spaced points finds
 each minimum to within a spacing; from the minimum of the quartic through
 the five values around the best, finite-difference Newton steps, three
 points per bracket and call, then converge quadratically where the function
-is smooth.  Where it is not, or a step fails, the bracket zooms in on finer
-rounds instead, as Brent's method keeps a bracketing step as the safeguard
-of its parabolic ones (Brent, Algorithms for Minimization without
-Derivatives, 1973).
+is smooth.  Where a step fails, the bracket zooms in on finer rounds
+instead, as Brent's method keeps a bracketing step as the safeguard of its
+parabolic ones (Brent, Algorithms for Minimization without Derivatives,
+1973).
 """
 
 import math
@@ -65,7 +65,7 @@ def _start(y, i):
     return v + m - i if abs(v + m - i) < 1 else u
 
 
-def minimize_on_bracket(fun, lo, hi, branch) -> Minimum:
+def minimize_on_bracket(fun, lo, hi) -> Minimum:
     """Minimise ``fun`` on each bracket [lo, hi] by one even grid, then
     parabolic steps.
 
@@ -73,22 +73,18 @@ def minimize_on_bracket(fun, lo, hi, branch) -> Minimum:
     takes the points x (len(rows), m) of the rows ``rows`` (indices into
     lo) and returns a tuple of arrays of that shape, the first of which is
     minimised; ``x`` and ``out`` hold one value per row.  Each point's
-    outputs must not depend on the other points in the call.  ``branch``
-    takes ``fun``'s outputs and labels each point by the smooth piece of the
-    first output it lies on, so between two points with different labels
-    that output may have a kink or a jump.
+    outputs must not depend on the other points in the call.
 
     The first round evaluates ``POINTS`` evenly spaced points of every
-    bracket in one call.  A bracket whose best point is inner, lower than
-    its two neighbours by a finite positive curvature and on one piece
-    with them then takes steps from the point ``_start`` finds: each step
-    evaluates c - e, c and c + e, e being ``DX`` of the first hi - lo, and
-    moves c to the vertex of the parabola through them, clamped to the two
-    spacings around the round's best.  Once a step is at most ``XTOL`` of
-    the first hi - lo, the result is c, with the outputs there.  A step
-    fails when its three points have no finite positive curvature or lie
-    off the piece of the round's best three, when it is not under half the
-    step before it (Brent's test of progress), or when it is the bracket's
+    bracket in one call.  A bracket whose best point is inner and lower
+    than its two neighbours by a finite positive curvature then takes steps
+    from the point ``_start`` finds: each step evaluates c - e, c and c + e,
+    e being ``DX`` of the first hi - lo, and moves c to the vertex of the
+    parabola through them, clamped to the two spacings around the round's
+    best.  Once a step is at most ``XTOL`` of the first hi - lo, the result
+    is c, with the outputs there.  A step fails when its three points have
+    no finite positive curvature, when it is not under half the step before
+    it (Brent's test of progress), or when it is the bracket's
     ``STEPS``-th.  The bracket then zooms in from the two spacings around
     the round's best, as one whose round gave no steps does.  Each round of
     zooming evaluates ``POINTS`` points of every such bracket and keeps the
@@ -98,12 +94,10 @@ def minimize_on_bracket(fun, lo, hi, branch) -> Minimum:
     parabola through it and its two neighbours, all three from the last
     round, has its vertex within h/2 of the best point; the vertices of all
     such brackets are evaluated in one more call and each kept if it is
-    lower.  So a bracket that zooms gets the result of rounds alone: where
-    its smooth pieces meet, rounds pick the lowest of their points, where
-    steps would find the minimum of one piece.  Each loop makes one call
-    for all brackets stepping and one for all brackets zooming.  hi - lo
-    must be far above the float spacing at lo and hi.  A row's result is
-    the same bits in any batch.
+    lower.  So a bracket that zooms gets the result of rounds alone.  Each
+    loop makes one call for all brackets stepping and one for all brackets
+    zooming.  hi - lo must be far above the float spacing at lo and hi.  A
+    row's result is the same bits in any batch.
     """
     lo, hi = lo.tolist(), hi.tolist()
     width = [b - a for a, b in zip(lo, hi)]
@@ -111,9 +105,7 @@ def minimize_on_bracket(fun, lo, hi, branch) -> Minimum:
     # it zoomed, its last spacing and, when the best point is inner, its
     # first output and its neighbours'
     best = [None] * len(lo)
-    # per row stepping: its point c, steps taken, c's clamps, the last
-    # step and the label of the round's best three
-    steps = {}
+    steps = {}  # per row stepping: its point c, steps taken, c's clamps, the last step
     rows = list(range(len(lo)))  # zooming
     nfev = 0
     first = True
@@ -124,19 +116,17 @@ def minimize_on_bracket(fun, lo, hi, branch) -> Minimum:
             x = _STENCIL * ce[:, 1:] + ce[:, :1]
             out = fun(x, stepping)
             nfev += x.size
-            for j, (r, e, (y0, y1, y2), labels) in enumerate(zip(
-                    stepping, ce[:, 1].tolist(), out[0].tolist(),
-                    branch(out).tolist())):
-                c, taken, (a, b), last, label = steps.pop(r)
+            for j, (r, e, (y0, y1, y2)) in enumerate(zip(
+                    stepping, ce[:, 1].tolist(), out[0].tolist())):
+                c, taken, (a, b), last = steps.pop(r)
                 curv = y0 - 2 * y1 + y2
-                if labels == [label] * 3 and 0 < curv < math.inf:
+                if 0 < curv < math.inf:
                     d = e * (y0 - y2) / (2 * curv)
                     if abs(d) <= XTOL * width[r]:
                         best[r] = x[j, 1], tuple(o[j, 1] for o in out), None, None
                         continue
                     if taken + 1 < STEPS and abs(d) < last / 2:
-                        steps[r] = (min(max(c + d, a), b), taken + 1, (a, b), abs(d),
-                                    label)
+                        steps[r] = min(max(c + d, a), b), taken + 1, (a, b), abs(d)
                         continue
                 lo[r], hi[r] = a, b  # the step failed: zoom in instead
                 rows.append(r)
@@ -150,17 +140,15 @@ def minimize_on_bracket(fun, lo, hi, branch) -> Minimum:
         out = fun(x, rows)
         nfev += x.size
         zooming = []
-        labels = branch(out).tolist() if first else None
         for j, (r, i) in enumerate(zip(rows, out[0].argmin(axis=1).tolist())):
             ys = out[0][j, i - 1:i + 2].tolist() if 0 < i < POINTS - 1 else None
             if h[j] <= RTOL * width[r]:
                 best[r] = x[j, i], tuple(o[j, i] for o in out), h[j], ys
                 continue
             kept = x[j, max(i - 1, 0)], x[j, min(i + 1, POINTS - 1)]
-            if first and ys and 0 < ys[0] - 2 * ys[1] + ys[2] < math.inf \
-                    and labels[j][i - 1:i + 2] == [labels[j][i]] * 3:
+            if first and ys and 0 < ys[0] - 2 * ys[1] + ys[2] < math.inf:
                 c = x[j, i] + h[j] * _start(out[0][j].tolist(), i)
-                steps[r] = c, 0, kept, math.inf, labels[j][i]
+                steps[r] = c, 0, kept, math.inf
             else:
                 lo[r], hi[r] = kept
                 zooming.append(r)

@@ -821,21 +821,57 @@ def batched(reference):
 def pinv_fit_at_rates(t, f, c):
     """Reference for ``_fit_at_rates`` on one file ``f`` (n,) at its rates
     ``c`` (rates,): (k, u, v) by a batched pseudo-inverse of the uncentred
-    basis (1, -cos ct, -sin ct) at each rate."""
+    basis (1, -cos ct, -sin ct) at each rate.  Where a level k -/+ |(u, v)|
+    is off [0, 1], the curve k - r q, q the unit sinusoid of that phase, is
+    refitted on each edge crossed, k = r or k = 1 - r, by a one-column
+    least-squares fit of r, clipped to [0, 1/2]; the edge of lower RSS wins."""
     ct = np.multiply.outer(c, t)
     basis = np.stack((np.ones_like(ct), -np.cos(ct), -np.sin(ct)), axis=-1)
     k, u, v = np.moveaxis(np.linalg.pinv(basis) @ f, -1, 0)
-    beta = np.clip(k - np.hypot(u, v), 0.0, 1.0)
-    alpha = np.clip(k + np.hypot(u, v), 0.0, 1.0) - beta
+    r = np.hypot(u, v)
+    low, high = k - r, k + r
+    for j in np.flatnonzero(((low < 0) | (high > 1)) & (r > 0)):
+        q = (u[j] * np.cos(ct[j]) + v[j] * np.sin(ct[j])) / r[j]
+        edges = []
+        for e, crossed in ((0.0, low[j] < 0), (1.0, high[j] > 1)):
+            if crossed:  # f - e = r * (1 - 2e - q) on this edge
+                x = 1 - 2 * e - q
+                re = min(max(np.dot(f - e, x) / np.dot(x, x), 0.0), 0.5)
+                edges.append((((f - e - re * x) ** 2).sum(), e, re))
+        _, e, re = min(edges)
+        low[j], high[j] = (0.0, 2 * re) if e == 0 else (1 - 2 * re, 1.0)
+    alpha, beta = high - low, low
     phi0 = np.arctan2(-v, u)
     pred = alpha[:, None] * (1 - np.cos(ct + phi0[:, None])) / 2 + beta[:, None]
     return ((f - pred) ** 2).sum(axis=1), alpha, beta, phi0
 
 
+def plain_levels(k, r, uy, mean_f):
+    """Reference for ``_solve``'s alpha and beta bit for bit, from the
+    unconstrained (k, r) at each rate, uy = (u*yc + v*ys)/n and the mean
+    fraction: the levels k -/+ r where both lie in [0, 1]; elsewhere, where
+    r > 0, the best curve of that phase on each edge crossed, k = e + s*r
+    with (e, s) = (0, 1) or (1, -1), and of those the one of lower RSS, the
+    first on a tie, each computed rate by rate as ``_edge`` writes it."""
+    low, high = k - r, k + r
+    for j in np.flatnonzero(((low < 0) | (high > 1)) & (r > 0)):
+        edges = []
+        for e, s, crossed in ((0.0, 1.0, low[j] < 0), (1.0, -1.0, high[j] > 1)):
+            if crossed:
+                a = s * r[j] - (k[j] - mean_f)
+                re = np.clip(r[j] * ((mean_f - e) * a - uy[j]) / (a * a - uy[j]), 0.0, 0.5)
+                edges.append(((r[j] * (e - mean_f) + re * a) ** 2 - uy[j] * (re - r[j]) ** 2,
+                              e, re))
+        _, e, re = min(edges)
+        low[j], high[j] = (0.0, 2 * re) if e == 0 else (1 - 2 * re, 1.0)
+    return high - low, low
+
+
 def plain_fit_at_rates(t, f, c):
     """Reference for ``_fit_at_rates`` bit for bit, on one file ``f`` (n,)
     at its rates ``c`` (rates,): the same arithmetic written plainly, with
-    ``mean``, ``clip``, ``where`` and a temporary for every step."""
+    ``mean``, ``clip``, ``where`` and a temporary for every step, and the
+    levels off [0, 1] refitted rate by rate (``plain_levels``)."""
     ct = np.multiply.outer(c, t)
     cos, sin = np.cos(ct), np.sin(ct)
     mean_cos, mean_sin, mean_f = cos.mean(axis=1), sin.mean(axis=1), f.mean()
@@ -849,8 +885,7 @@ def plain_fit_at_rates(t, f, c):
     u = (ys * cs - yc * s2) / det
     v = (yc * cs - ys * c2) / det
     k, r = mean_f + u * mean_cos + v * mean_sin, np.hypot(u, v)
-    beta = np.clip(k - r, 0.0, 1.0)
-    alpha = np.clip(k + r, 0.0, 1.0) - beta
+    alpha, beta = plain_levels(k, r, (u * yc + v * ys) / len(t), mean_f)
     phi0 = np.arctan2(-v, u)
     half = alpha / 2
     pred = ((beta + half)[:, None] - (half * np.cos(phi0))[:, None] * cos
@@ -954,8 +989,9 @@ class TestFitModel:
                         369: 0.044231927793133216, 370: 0.07790603362588618}
 
     def test_constraint_bound_files_reach_the_rounds_residual(self):
-        # where the kernel clips a level, the RSS has a kink in the rate;
-        # the parabolic steps must not stop above what rounds reach
+        # the rounds' residuals are those of levels clipped to [0, 1]; the
+        # levels fitted on the edge and the parabolic steps must not stop
+        # above them
         corpus = dict(fit_corpus())
         for i, rounds in self.CONSTRAINT_BOUND.items():
             ds = corpus[i]
@@ -964,17 +1000,43 @@ class TestFitModel:
             rss = one_file(ds.times(), ds.fractions(), np.array([m.c]))[0][0]
             assert rss <= rounds * (1 + 1e-12), i
 
+    def test_levels_are_the_best_valid_ones_at_the_fitted_phase(self):
+        # at the fitted rate and phase, no levels 0 <= beta <= alpha + beta
+        # <= 1 give a lower RSS, on a grid over all of them and a finer one
+        # around the fit's; the unconstrained curve's levels, clipped to
+        # [0, 1], fail this
+        corpus = dict(fit_corpus())
+        coarse, fine = np.linspace(0.0, 1.0, 201), np.arange(-100, 101) * 1e-5
+
+        def rss(f, q, low, high):
+            low, high = (a.ravel() for a in np.meshgrid(low, high))
+            valid = (0 <= low) & (low <= high) & (high <= 1)
+            low, high = low[valid, None], high[valid, None]
+            return (((f - (low + (high - low) * (1 - q) / 2)) ** 2).sum(axis=1))
+
+        for i in self.CONSTRAINT_BOUND:
+            ds = corpus[i]
+            f, m = ds.fractions(), fit_model(ds)
+            q = np.cos(m.c * ds.times() + m.phi0)
+            fit = ((f - (m.beta + m.alpha * (1 - q) / 2)) ** 2).sum()
+            best = min(rss(f, q, coarse, coarse).min(),
+                       rss(f, q, m.beta + fine, m.alpha + m.beta + fine).min())
+            assert fit <= best * (1 + 1e-12), i
+
     def test_lower_of_two_clipping_pieces_in_the_round(self):
-        # the RSS has a local minimum on each side of c = 0.9005, where the
-        # kernel stops clipping the lowest level; the round's best three
-        # rates straddle that switch.  Rounds reach the lower minimum, at
-        # c = 0.89917 with RSS 0.0671910; parabolic steps from the round's
-        # best would stop at the other, c = 0.90189 with RSS 0.0672585.
+        # with the levels clipped to [0, 1] the RSS had a local minimum on
+        # each side of c = 0.9005, where the clipping of the lowest level
+        # switched: rounds reached the lower, c = 0.89917 with RSS 0.0671910,
+        # and parabolic steps from the round's best would stop at the
+        # other, c = 0.90189 with RSS 0.0672585.  Levels fitted on the edge
+        # of [0, 1] leave one minimum, c = 0.9029662 with RSS 0.0671169, and
+        # the search must reach it and stay below the old one.
         ds = inject_step(sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=3),
                          4.0, 0.15)
         m = fit_model(ds)
         rss = one_file(ds.times(), ds.fractions(), np.array([m.c]))[0][0]
-        assert m.c == pytest.approx(0.8991673, abs=1e-6)
+        assert m.c == pytest.approx(0.9029662, abs=1e-6)
+        assert rss == pytest.approx(0.0671169, abs=1e-7)
         assert rss <= 0.0671910153889525 * (1 + 1e-12)
 
     def test_rate_is_stationary_on_clean_files(self):
@@ -1042,7 +1104,7 @@ class TestFitModel:
             DEFAULT_GRID, 256, seed=208), 2.674257395428983, -0.2)
         t, f = ds.times(), ds.fractions()
         dense = one_file(t, f, np.linspace(0.25, 0.75, 20001))[0]
-        assert dense.min() == pytest.approx(0.0804198, abs=1e-7)
+        assert dense.min() == pytest.approx(0.0764735, abs=1e-7)
         m = fit_model(ds)
         pred = m.alpha * (1 - np.cos(m.c * t + m.phi0)) / 2 + m.beta
         assert float(np.sum((f - pred) ** 2)) <= dense.min() + 1e-9
@@ -1102,6 +1164,18 @@ class TestFitModel:
         for c in (np.array([1.0]), np.array([0.5, 1.0, 0.7])):
             for a, b in zip(one_file(t, f, c), plain_fit_at_rates(t, f, c)):
                 assert np.array_equal(a, b)
+
+    def test_collinear_rate_of_fractions_above_one_is_not_refitted(self):
+        # screen_rows takes any finite fractions: at a collinear rate u = v
+        # = 0 and both levels are the mean 1.5, off [0, 1], but with no
+        # phase there is no edge to refit them on, and no division by 0
+        t = np.array([0.0, math.pi, 2 * math.pi, 3 * math.pi])
+        f = np.array([1.1, 1.9, 1.2, 1.8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rss, alpha, beta, _ = one_file(t, f, np.array([0.5, 1.0, 0.7]))
+        assert rss[1] == math.inf and alpha[1] == 0 and beta[1] == 1.5
+        assert (alpha[[0, 2]] + beta[[0, 2]] == 1).all()
 
     def test_matches_pseudo_inverse_reference(self, monkeypatch):
         # on ``fit_corpus`` both reach the same residual to 1e-12; the
@@ -1210,8 +1284,9 @@ class TestBatchedFiles:
 
     def test_a_row_that_zooms_and_one_that_steps_alone_and_in_batches(self,
                                                                        monkeypatch):
-        # file 46's first round straddles a switch of the kernel's clipping,
-        # so its rate search zooms in on rounds; file 47's steps converge.
+        # file 46's minimum lies where its lowest level comes to sit at 0, so
+        # the RSS's curvature jumps there, its steps fail and its rate search
+        # zooms in on rounds; file 47's steps converge.
         # Each row gets the bits it gets alone in any batch, in any order and
         # under any _SCAN_CELLS.
         corpus = dict(fit_corpus())

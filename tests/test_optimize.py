@@ -7,16 +7,11 @@ import rabipi.optimize
 from rabipi.optimize import POINTS, RTOL, STEPS, minimize_on_bracket
 
 
-def one_piece(out):
-    """The labels of points of a function smooth on all its bracket."""
-    return np.zeros(np.shape(out[0]), dtype=int)
-
-
-def search(fun, lo, hi, branch=one_piece):
+def search(fun, lo, hi):
     """``minimize_on_bracket`` on the one bracket [lo, hi] of ``fun``, a
     function of the points alone, element by element."""
     return minimize_on_bracket(lambda x, rows: fun(x), np.array([lo]),
-                               np.array([hi]), branch)
+                               np.array([hi]))
 
 
 def rounds_only(fun, lo, hi):
@@ -66,10 +61,6 @@ def kinked(x):
     # C1 with a curvature jump at its minimum, 0.4: the parabola through
     # three points on both sides of it has its vertex off the minimum
     return np.where(x < 0.4, 1.0, 9.0) * (x - 0.4) ** 2, x
-
-
-def kink_side(out):
-    return out[1] < 0.4
 
 
 class TestMinimizeOnBracket:
@@ -153,35 +144,16 @@ class TestMinimizeOnBracket:
 
 
 class TestFailedSteps:
-    """A bracket whose round straddles a kink, or whose step fails, zooms in
-    from its first round's two spacings, so it gets the bits of a search of
-    rounds alone."""
+    """A bracket whose step fails zooms in from its first round's two
+    spacings, so it gets the bits of a search of rounds alone."""
 
-    def test_a_round_across_a_kink_zooms_without_steps(self):
-        # the round's best three lie on both sides of the kink
-        sizes = []
-        res = search(recorded(kinked, sizes), 0.0, 1.0, kink_side)
-        assert sizes == [POINTS] * 4 + [1]
-        assert same_bits(res, rounds_only(kinked, 0.0, 1.0))
-
-    def test_a_step_onto_another_piece_falls_back_to_rounds(self):
-        # a smooth minimum at 0.39 inside a labelled island that holds none
-        # of the round's points, so the round's best three share a label
-        # and the first step's three points have another
-        def fun(x):
-            return (x - 0.39) ** 2, x
-
-        def island(out):
-            return np.abs(out[1] - 0.39) < 0.005
-
-        sizes = []
-        res = search(recorded(fun, sizes), 0.0, 1.0, island)
-        ref = rounds_only(fun, 0.0, 1.0)
-        assert sizes == [POINTS, 3] + [POINTS] * 3 + [1]
-        assert same_bits(res, ref)
-        assert res.nfev == ref[2] + 3
-        # without the labels one step finds the minimum
-        assert search(fun, 0.0, 1.0).nfev == POINTS + 3
+    def test_a_kink_at_the_minimum_ends_within_rtol(self):
+        # the steps' three points straddle the kink once they near it, so
+        # their parabolas miss the minimum; the search must still end as
+        # close as rounds alone would
+        res = search(kinked, 0.0, 1.0)
+        assert abs(res.x[0] - 0.4) <= RTOL
+        assert res.out[0][0] <= rounds_only(kinked, 0.0, 1.0)[1][0]
 
     def test_no_positive_curvature_falls_back_to_rounds(self):
         # flat within 1e-4 of 0.5, where the steps' points lie
@@ -194,7 +166,7 @@ class TestFailedSteps:
         assert same_bits(res, rounds_only(fun, 0.0, 1.0))
 
     def test_steps_that_do_not_halve_fall_back_to_rounds(self):
-        # a V without labels: the second step is not under half the first
+        # a V: the second step is not under half the first
         def fun(x):
             return (np.abs(x - 1.234567) + 0.1 * (x - 1.2) ** 2,)
 
@@ -237,7 +209,7 @@ class TestVectorBrackets:
         # row 0: smooth inner minimum; 1: best at lo; 2: best at hi; 3: a
         # flat row, whose first point is its best; 4: inf beside the best,
         # so no finite curvature; 5: a kink in a wider bracket; 6: a kink
-        # at the minimum, which row_label marks
+        # at the minimum, where the steps fail
         if r == 0:
             y = -np.cos(x - 0.3)
         elif r == 1:
@@ -254,21 +226,14 @@ class TestVectorBrackets:
             y = kinked(x)[0]
         return y, 2 * x + r
 
-    @staticmethod
-    def row_label(out):
-        # the side of row 6's kink, from its second output 2 x + 6; constant
-        # on every other row's bracket
-        return out[1] < 2 * 0.4 + 6
-
     LO = np.array([-1.0, 0.5, 0.5, 0.0, 0.0, -4.0, 0.0])
     HI = np.array([2.0, 2.0, 2.0, 1.0, 1.5 + 1.5 / 32 * 16, 7.0, 1.0])
 
-    def same_as_searches_alone(self, branch):
-        vec = minimize_on_bracket(_rows_of(self.row_fun), self.LO, self.HI,
-                                  branch)
+    def test_each_row_is_its_scalar_search(self):
+        vec = minimize_on_bracket(_rows_of(self.row_fun), self.LO, self.HI)
         nfev = 0
         for r, (lo, hi) in enumerate(zip(self.LO, self.HI)):
-            one = search(lambda x, r=r: self.row_fun(x, r), lo, hi, branch)
+            one = search(lambda x, r=r: self.row_fun(x, r), lo, hi)
             assert vec.x[r].tobytes() == one.x.tobytes(), r
             for a, b in zip(vec.out, one.out):
                 assert a[r].tobytes() == b.tobytes(), r
@@ -276,14 +241,6 @@ class TestVectorBrackets:
         assert vec.nfev == nfev
         assert vec.x[1] == 0.5 and vec.x[2] == 2.0  # best at lo and at hi
         assert vec.x[0] == pytest.approx(0.3, abs=1e-9)
-
-    def test_each_row_is_its_scalar_search(self):
-        self.same_as_searches_alone(one_piece)
-
-    def test_each_labelled_row_is_its_scalar_search(self):
-        # row 6 now zooms from its first round on, as its round straddles
-        # its kink
-        self.same_as_searches_alone(self.row_label)
 
     def test_vertex_only_for_inner_rows_with_finite_positive_curvature(self):
         calls = []
@@ -293,15 +250,17 @@ class TestVectorBrackets:
             calls.append((x.shape, list(rows)))
             return inner(x, rows)
 
-        minimize_on_bracket(fun, self.LO, self.HI, branch=self.row_label)
-        # rows 0 and 5 step; rows 1 to 4 zoom, and so do row 6, whose
-        # round straddles its kink, and row 5 once its steps fail.  A best
-        # point at an edge (rows 1, 2, 3) or beside inf (4) gets no vertex;
-        # rows 5 and 6 share one call of one point each
+        minimize_on_bracket(fun, self.LO, self.HI)
+        # rows 0, 5 and 6 step; rows 1 to 4 zoom, and so do rows 5 and 6
+        # once their steps fail.  A best point at an edge (rows 1, 2, 3) or
+        # beside inf (4) gets no vertex; rows 5 and 6 share one call of one
+        # point each
         assert calls[0] == ((7, POINTS), list(range(7)))
         assert calls[-1] == ((2, 1), [5, 6])
         assert all(shape[1] in (3, POINTS) for shape, _ in calls[:-1])
-        assert all(set(rows) <= {0, 5} for shape, rows in calls if shape[1] == 3)
+        stepped = [set(rows) for shape, rows in calls if shape[1] == 3]
+        assert stepped[0] == {0, 5, 6}
+        assert all(rows <= {0, 5, 6} for rows in stepped)
 
     def test_a_row_leaves_once_its_own_stop_is_met(self, monkeypatch):
         # rows that zoom: a round keeps 1/32 of a bracket whose best is at an
@@ -316,8 +275,7 @@ class TestVectorBrackets:
             return (np.where(np.array(rows)[:, None] == 0, x,
                              np.where(x > 0.55, np.inf, (x - 0.55) ** 2)),)
 
-        res = minimize_on_bracket(fun, np.array([0.0, 0.0]), np.array([1.0, 1.0]),
-                                  one_piece)
+        res = minimize_on_bracket(fun, np.array([0.0, 0.0]), np.array([1.0, 1.0]))
         assert rows_seen == [[0, 1]] * 3 + [[1]]  # no vertex beside inf
         assert res.x[0] == 0.0 and res.x[1] == pytest.approx(0.55, abs=1e-5)
         assert res.nfev == 7 * POINTS
