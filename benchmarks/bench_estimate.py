@@ -1,10 +1,10 @@
 """Layer benchmark of the estimator: ``estimate_rows``, ``estimate_pi`` and
 ``run_mc`` at the sizes the paper's protocol and the low-shot Monte Carlo
 use, ``fit_model`` and ``render_svg`` on one file as triage fits and plots
-it, ``fit_model`` on a file whose best curve has a level at 1 and on
-files of two grids in turn (so no scan finds its grid's columns built), and
-``report`` on three files as ``rabipi report`` runs it, with its screen,
-``screen_rows``, on its own.
+it, ``fit_model`` on a file whose best curve has a level at 1, on one whose
+rate search bisects, and on files of two grids in turn (so no scan finds
+its grid's columns built), and ``report`` on three files as ``rabipi
+report`` runs it, with its screen, ``screen_rows``, on its own.
 
     python -m pytest benchmarks -q                       # time, print medians
     python -m pytest benchmarks -q --benchmark-json=out.json
@@ -108,11 +108,21 @@ def test_fit_model_constraint_bound_file(benchmark):
     # file 92 of the tests' fit_corpus: low rate, 256 shots, and a best
     # curve whose top level sits at 1.  The kernel fits the levels on that
     # edge wherever the unconstrained top level is above 1, and the rate
-    # search takes four parabolic steps after its round.
+    # search takes four parabolic steps after its round, none a bisection.
     ds = sample_dataset(NoiseModel(0.8, 0.1, 0.0, 0.3), make_grid(0.0, 6.3, 0.05),
                         256, seed=92)
     m = benchmark(fit_model, ds)
     assert m.alpha + m.beta == 1 and abs(m.c - 0.2702695) < 1e-6
+
+
+def test_fit_model_kinked_file(benchmark):
+    # file 46 of the tests' fit_corpus: its minimum lies where its lowest
+    # level comes to sit at 0, so the residual's curvature jumps there.  The
+    # parabolic steps fail and the search bisects its bracket: 8 steps after
+    # its round, 57 rates, where zooming in on rounds took 142.
+    ds = sample_dataset(NoiseModel(0.8, 0.1, 2.0, 0.3), DEFAULT_GRID, 256, seed=46)
+    m = benchmark(fit_model, ds)
+    assert m.beta == 0 and abs(m.c - 0.2789382) < 1e-6
 
 
 def test_fit_model_alternating_grids(benchmark, two_grid_files):

@@ -635,9 +635,9 @@ def _fit_at_rates(t, f, c):
     or files in the call, and no BLAS kernel (whose rounding varies with the
     CPU) is involved.
 
-    The rate search calls it (through ``_fit_in_batches``) once per round,
-    step or vertex for the rates of all its files, 33, 3 or 1 per file,
-    where the cost is per NumPy call, not per element.  So it uses
+    The rate search calls it (through ``_fit_in_batches``) once for its
+    round and once per step, for the rates of all its files, 33 or 3 per
+    file, where the cost is per NumPy call, not per element.  So it uses
     reductions, ufuncs and in-place updates rather than ``mean`` and
     ``where``, each rounding as the plain formula does: a mean is NumPy's
     sum divided by the count, and (pred - f)^2 equals (f - pred)^2.  The
@@ -747,8 +747,7 @@ def _fit_rows(t, f):
     of the times, kept for the next scan (``_columns``), then one
     ``minimize_on_bracket`` refines every file's rate within one scan step
     of it: one ``_fit_in_batches`` call for a round of 33 rates of every
-    file, then one per parabolic step for the files still stepping, three
-    rates each, and one per round for the files whose round or steps failed.
+    file, then one per step for the files still stepping, three rates each.
     Returns alpha, beta, phi0 and c, one value per file, each the same bits
     in any batch.
     """
@@ -773,7 +772,8 @@ def fit_model(ds: Dataset) -> NoiseModel:
     scan rate is then refined within one step by
     ``optimize.minimize_on_bracket``: 33 rates in one kernel call, then
     finite-difference Newton steps of three rates per call (two on most
-    files), and rounds of 33 rates where a step fails.  The levels and
+    files), each narrowing a bracket that the next step bisects where a
+    parabolic step would not make progress.  The levels and
     phase are the kernel's at the rate it returns: the best levels in
     [0, 1] at the least-squares curve's phase, which keeps the RSS smooth
     in the rate.  The search is looked up as the module global ``optimize``

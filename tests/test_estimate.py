@@ -1282,27 +1282,34 @@ class TestBatchedFiles:
         for j, ds in enumerate(group):
             assert self.same_fit([o[j] for o in rows], fit_model(ds)), j
 
-    def test_a_row_that_zooms_and_one_that_steps_alone_and_in_batches(self,
-                                                                       monkeypatch):
+    def test_a_row_that_bisects_and_one_that_steps_in_any_batch(self, monkeypatch):
         # file 46's minimum lies where its lowest level comes to sit at 0, so
-        # the RSS's curvature jumps there, its steps fail and its rate search
-        # zooms in on rounds; file 47's steps converge.
+        # the RSS's curvature jumps there, its parabolic steps fail and its
+        # rate search bisects its bracket; file 47's steps converge after two.
         # Each row gets the bits it gets alone in any batch, in any order and
         # under any _SCAN_CELLS.
         corpus = dict(fit_corpus())
-        rounds = []
+        centres = []  # per fit, the rate of each step's centre
         kernel = rabipi.estimate._fit_at_rates
 
         def counted(t, f, c):
-            rounds[-1] += c.shape[-1] == 33
+            if c.shape[-1] == 3:
+                centres[-1].append(c[0, 1])
+                assert len(centres[-1]) < 100, "the search does not end"
             return kernel(t, f, c)
 
         alone = {}
         monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", counted)
         for i in (46, 47, 0):
-            rounds.append(0)
+            centres.append([])
             alone[i] = fit_model(corpus[i])
-        assert rounds[0] > 1 and rounds[1] == 1
+
+        def bisected(cs):
+            return any(cs[k] == (a + b) / 2 for k in range(len(cs))
+                       for a in cs[:k] for b in cs[:k])
+
+        assert bisected(centres[0]) and len(centres[0]) <= 10
+        assert len(centres[1]) == 2 and not bisected(centres[1])
         monkeypatch.undo()
         for order, cells in (((46, 47, 0), None), ((0, 47, 46), None),
                              ((47, 46), 3)):

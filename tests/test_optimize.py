@@ -3,50 +3,48 @@ import math
 import numpy as np
 import pytest
 
-import rabipi.optimize
-from rabipi.optimize import POINTS, RTOL, STEPS, minimize_on_bracket
+from rabipi.optimize import DX, POINTS, minimize_on_bracket
+
+
+#: Calls after which a search counts as one that does not end.
+RUNAWAY = 100
 
 
 def search(fun, lo, hi):
     """``minimize_on_bracket`` on the one bracket [lo, hi] of ``fun``, a
-    function of the points alone, element by element."""
-    return minimize_on_bracket(lambda x, rows: fun(x), np.array([lo]),
-                               np.array([hi]))
+    function of the points alone, element by element; a search that makes
+    ``RUNAWAY`` calls fails rather than runs on."""
+    calls = []
+
+    def one(x, rows):
+        calls.append(x.size)
+        assert len(calls) < RUNAWAY, "the search does not end"
+        return fun(x)
+
+    return minimize_on_bracket(one, np.array([lo]), np.array([hi]))
 
 
 def rounds_only(fun, lo, hi):
-    """Reference for a bracket that zooms from its first round on, and for
-    one whose steps fail: rounds of ``POINTS`` points, each keeping the two
-    spacings around the best, down to a spacing of ``RTOL`` of hi - lo, then
-    the vertex of the last round's best three if it is lower.  Returns x,
-    the outputs there and the number of points evaluated."""
-    stop, nfev = RTOL * (hi - lo), 0
+    """The accuracy reference for a function that is not smooth at its
+    minimum: rounds of ``POINTS`` points, each keeping the two spacings
+    around the best, down to a spacing of e = ``DX`` of hi - lo, then the
+    vertex of the last round's best three if it is lower.  Returns that
+    point."""
+    stop = DX * (hi - lo)
     while True:
         x, h = np.linspace(lo, hi, POINTS), (hi - lo) / (POINTS - 1)
-        out = fun(x)
-        nfev += POINTS
-        i = int(np.argmin(out[0]))
+        y = fun(x)[0]
+        i = int(np.argmin(y))
         if h <= stop:
             break
         lo, hi = x[max(i - 1, 0)], x[min(i + 1, POINTS - 1)]
-    best = x[i], tuple(o[i] for o in out)
     if 0 < i < POINTS - 1:
-        y0, y1, y2 = out[0][i - 1:i + 2]
-        curv = y0 - 2 * y1 + y2
+        curv = y[i - 1] - 2 * y[i] + y[i + 1]
         if 0 < curv < math.inf:
-            xp = x[i] + h * (y0 - y2) / (2 * curv)
-            outp = fun(np.array([xp]))
-            nfev += 1
-            if outp[0][0] < y1:
-                best = xp, tuple(o[0] for o in outp)
-    return best[0], best[1], nfev
-
-
-def same_bits(res, ref):
-    """``search``'s one-row result against ``rounds_only``'s."""
-    return (res.x.tobytes() == np.float64(ref[0]).tobytes()
-            and all(a.tobytes() == np.float64(b).tobytes()
-                    for a, b in zip(res.out, ref[1])))
+            xp = x[i] + h * (y[i - 1] - y[i + 1]) / (2 * curv)
+            if fun(np.array([xp]))[0][0] < y[i]:
+                return xp
+    return x[i]
 
 
 def recorded(fun, sizes):
@@ -103,7 +101,7 @@ class TestMinimizeOnBracket:
         assert res.nfev == sum(sizes)
         # one round, then steps of three points
         assert sizes == [POINTS] + [3] * (len(sizes) - 1)
-        assert 1 <= len(sizes) - 1 <= STEPS
+        assert 1 <= len(sizes) - 1 <= 3
 
     @pytest.mark.parametrize("fun, lo, hi, xmin", [
         (lambda x: (-np.cos(x - 0.3),), -1.0, 2.0, 0.3),
@@ -143,58 +141,78 @@ class TestMinimizeOnBracket:
         assert centres and all(best - h <= c <= best + h for c in centres)
 
 
+def v_shape(x):
+    # a V: the parabolas through three points that straddle its kink are no
+    # guide to its minimum, 1.234567
+    return (np.abs(x - 1.234567) + 0.1 * (x - 1.2) ** 2,)
+
+
+def power_2_5(x):
+    # |x - 0.4|^2.5: its curvature vanishes at the minimum, and each
+    # parabolic step cuts the distance to it to a third only
+    return (np.abs(x - 0.4) ** 2.5,)
+
+
 class TestFailedSteps:
-    """A bracket whose step fails zooms in from its first round's two
-    spacings, so it gets the bits of a search of rounds alone."""
+    """Where a function is not smooth at its minimum, the parabolas through
+    the steps' points miss it: the steps converge slowly, or fail and the
+    bracket they keep bisects.  The search still ends within e = ``DX`` of
+    hi - lo of the minimum, as rounds alone do, in one round and a few
+    steps of three points, once that bracket is no wider than 2e."""
 
-    def test_a_kink_at_the_minimum_ends_within_rtol(self):
-        # the steps' three points straddle the kink once they near it, so
-        # their parabolas miss the minimum; the search must still end as
-        # close as rounds alone would
-        res = search(kinked, 0.0, 1.0)
-        assert abs(res.x[0] - 0.4) <= RTOL
-        assert res.out[0][0] <= rounds_only(kinked, 0.0, 1.0)[1][0]
+    @pytest.mark.parametrize("fun, lo, hi, xmin, calls", [
+        (kinked, 0.0, 1.0, 0.4, 5),
+        (v_shape, -4.0, 7.0, 1.234567, 14),
+        (power_2_5, 0.0, 1.0, 0.4, 8),
+    ], ids=["kinked", "v_shape", "power_2_5"])
+    def test_ends_within_e_of_the_minimum(self, fun, lo, hi, xmin, calls):
+        e = DX * (hi - lo)
+        assert abs(rounds_only(fun, lo, hi) - xmin) <= e
+        sizes = []
+        res = search(recorded(fun, sizes), lo, hi)
+        assert abs(res.x[0] - xmin) <= e
+        assert sizes[0] == POINTS and set(sizes[1:]) == {3}
+        assert len(sizes) <= calls
+        assert res.nfev == sum(sizes)
 
-    def test_no_positive_curvature_falls_back_to_rounds(self):
-        # flat within 1e-4 of 0.5, where the steps' points lie
+    def test_steps_that_do_not_halve_bisect(self):
+        # the V's first step lies left of its kink, where the three points
+        # are all but collinear: the parabola's vertex is far off, so the
+        # second step stops at the bracket's right end, the round's point
+        # 1.5.  The step after that would not be under half the second, so
+        # the third point bisects the bracket the first two leave
+        centres = []
+
+        def fun(x):
+            if x.size == 3:
+                centres.append(x[0, 1])
+            return v_shape(x)
+
+        search(fun, -4.0, 7.0)
+        assert centres[0] < 1.234567 and centres[1] == 1.5
+        assert centres[2] == (centres[0] + centres[1]) / 2
+
+    def test_no_positive_curvature_ends_where_the_points_are_level(self):
+        # flat within 1e-4 of 0.5, where the step's points lie: c - e and
+        # c + e are equal, so the search ends at c
         def fun(x):
             return (np.maximum((x - 0.5) ** 2, 1e-8),)
 
         sizes = []
         res = search(recorded(fun, sizes), 0.0, 1.0)
-        assert sizes[:3] == [POINTS, 3, POINTS]
-        assert same_bits(res, rounds_only(fun, 0.0, 1.0))
-
-    def test_steps_that_do_not_halve_fall_back_to_rounds(self):
-        # a V: the second step is not under half the first
-        def fun(x):
-            return (np.abs(x - 1.234567) + 0.1 * (x - 1.2) ** 2,)
-
-        sizes = []
-        res = search(recorded(fun, sizes), -4.0, 7.0)
-        ref = rounds_only(fun, -4.0, 7.0)
-        assert sizes == [POINTS, 3, 3, POINTS, POINTS, POINTS, 1]
-        assert same_bits(res, ref)
-        assert res.nfev == ref[2] + 3 * 2
-
-    def test_steps_that_do_not_converge_fall_back_to_rounds(self):
-        # |x - 0.4|^2.5: each step cuts the distance to the minimum to a
-        # third, too slowly to converge within STEPS steps
-        def fun(x):
-            return (np.abs(x - 0.4) ** 2.5,)
-
-        sizes = []
-        res = search(recorded(fun, sizes), 0.0, 1.0)
-        ref = rounds_only(fun, 0.0, 1.0)
-        assert sizes == [POINTS] + [3] * STEPS + [POINTS] * 3 + [1]
-        assert same_bits(res, ref)
-        assert res.nfev == ref[2] + 3 * STEPS
+        assert sizes == [POINTS, 3]
+        assert abs(res.x[0] - 0.5) <= 1e-4 and res.out[0][0] == 1e-8
 
 
 def _rows_of(fun):
     """``fun`` of one bracket's points as a ``fun(x, rows)`` of many: row r
-    of x is evaluated as ``fun(x[j], r)`` would be alone."""
+    of x is evaluated as ``fun(x[j], r)`` would be alone.  A search that
+    makes ``RUNAWAY`` calls fails rather than runs on."""
+    calls = []
+
     def batched(x, rows):
+        calls.append(len(rows))
+        assert len(calls) < RUNAWAY, "the search does not end"
         outs = [fun(xr, r) for xr, r in zip(x, rows)]
         return tuple(np.array(o) for o in zip(*outs))
     return batched
@@ -208,8 +226,8 @@ class TestVectorBrackets:
     def row_fun(x, r):
         # row 0: smooth inner minimum; 1: best at lo; 2: best at hi; 3: a
         # flat row, whose first point is its best; 4: inf beside the best,
-        # so no finite curvature; 5: a kink in a wider bracket; 6: a kink
-        # at the minimum, where the steps fail
+        # so no finite curvature; 5: a kink in a wider bracket; 6: a jump
+        # in curvature at the minimum
         if r == 0:
             y = -np.cos(x - 0.3)
         elif r == 1:
@@ -242,40 +260,42 @@ class TestVectorBrackets:
         assert vec.x[1] == 0.5 and vec.x[2] == 2.0  # best at lo and at hi
         assert vec.x[0] == pytest.approx(0.3, abs=1e-9)
 
-    def test_vertex_only_for_inner_rows_with_finite_positive_curvature(self):
+    def test_one_round_then_steps_of_three_for_inner_rows(self):
         calls = []
         inner = _rows_of(self.row_fun)
 
         def fun(x, rows):
-            calls.append((x.shape, list(rows)))
+            calls.append((x, list(rows)))
             return inner(x, rows)
 
-        minimize_on_bracket(fun, self.LO, self.HI)
-        # rows 0, 5 and 6 step; rows 1 to 4 zoom, and so do rows 5 and 6
-        # once their steps fail.  A best point at an edge (rows 1, 2, 3) or
-        # beside inf (4) gets no vertex; rows 5 and 6 share one call of one
-        # point each
-        assert calls[0] == ((7, POINTS), list(range(7)))
-        assert calls[-1] == ((2, 1), [5, 6])
-        assert all(shape[1] in (3, POINTS) for shape, _ in calls[:-1])
-        stepped = [set(rows) for shape, rows in calls if shape[1] == 3]
-        assert stepped[0] == {0, 5, 6}
-        assert all(rows <= {0, 5, 6} for rows in stepped)
+        res = minimize_on_bracket(fun, self.LO, self.HI)
+        # one call of the round for every row; a best point at an edge
+        # (rows 1, 2, 3) is the row's result.  The inner rows step, three
+        # points each per call; row 4 from its best point, as inf beside it
+        # leaves no finite curvature, and it ends below 1.5, where its
+        # values are finite
+        assert calls[0][0].shape == (7, POINTS) and calls[0][1] == list(range(7))
+        assert all(x.shape == (len(rows), 3) for x, rows in calls[1:])
+        assert calls[1][1] == [0, 4, 5, 6]
+        assert all(set(rows) <= {0, 4, 5, 6} for _, rows in calls[1:])
+        assert calls[1][0][1, 1] == 21 * 2.25 / 32
+        e = DX * (self.HI[4] - self.LO[4])
+        assert 1.5 - 2 * e <= res.x[4] < 1.5 and res.out[0][4] == -res.x[4]
 
-    def test_a_row_leaves_once_its_own_stop_is_met(self, monkeypatch):
-        # rows that zoom: a round keeps 1/32 of a bracket whose best is at an
-        # edge and 1/16 of one whose best is inner.  At RTOL = 1e-4 the edge
-        # row (0) stops after 3 rounds, the inner one (1), whose best is
-        # beside inf in every round, after 4.
-        monkeypatch.setattr(rabipi.optimize, "RTOL", 1e-4)
+    def test_a_row_leaves_once_its_own_stop_is_met(self):
+        # row 0's best is at an edge, so it leaves after the round; row 1, a
+        # parabola, after one step; row 2, a V, bisects for nine steps more
         rows_seen = []
 
         def fun(x, rows):
             rows_seen.append(list(rows))
-            return (np.where(np.array(rows)[:, None] == 0, x,
-                             np.where(x > 0.55, np.inf, (x - 0.55) ** 2)),)
+            assert len(rows_seen) < RUNAWAY, "the search does not end"
+            row = np.array(rows)[:, None]
+            return (np.where(row == 0, x, np.where(row == 1, (x - 0.55) ** 2,
+                                                   np.abs(x - 0.55))),)
 
-        res = minimize_on_bracket(fun, np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-        assert rows_seen == [[0, 1]] * 3 + [[1]]  # no vertex beside inf
-        assert res.x[0] == 0.0 and res.x[1] == pytest.approx(0.55, abs=1e-5)
-        assert res.nfev == 7 * POINTS
+        res = minimize_on_bracket(fun, np.zeros(3), np.ones(3))
+        assert rows_seen == [[0, 1, 2], [1, 2]] + [[2]] * 9
+        assert res.x[0] == 0.0 and res.x[1] == pytest.approx(0.55, abs=1e-12)
+        assert abs(res.x[2] - 0.55) <= DX
+        assert res.nfev == 3 * POINTS + 3 * 2 + 3 * 9
