@@ -108,7 +108,7 @@ def test_fit_model_constraint_bound_file(benchmark):
     # file 92 of the tests' fit_corpus: low rate, 256 shots, and a best
     # curve whose top level sits at 1.  The kernel fits the levels on that
     # edge wherever the unconstrained top level is above 1, and the rate
-    # search takes four parabolic steps after its round, none a bisection.
+    # search takes eight steps, two of them bisections.
     ds = sample_dataset(NoiseModel(0.8, 0.1, 0.0, 0.3), make_grid(0.0, 6.3, 0.05),
                         256, seed=92)
     m = benchmark(fit_model, ds)
@@ -117,9 +117,9 @@ def test_fit_model_constraint_bound_file(benchmark):
 
 def test_fit_model_kinked_file(benchmark):
     # file 46 of the tests' fit_corpus: its minimum lies where its lowest
-    # level comes to sit at 0, so the residual's curvature jumps there.  The
-    # parabolic steps fail and the search bisects its bracket: 8 steps after
-    # its round, 57 rates, where zooming in on rounds took 142.
+    # level comes to sit at 0, so the residual's curvature jumps there.
+    # Three parabolic steps fail and the search bisects its bracket: 9 steps
+    # of 3 rates.
     ds = sample_dataset(NoiseModel(0.8, 0.1, 2.0, 0.3), DEFAULT_GRID, 256, seed=46)
     m = benchmark(fit_model, ds)
     assert m.beta == 0 and abs(m.c - 0.2789382) < 1e-6

@@ -635,9 +635,9 @@ def _fit_at_rates(t, f, c):
     or files in the call, and no BLAS kernel (whose rounding varies with the
     CPU) is involved.
 
-    The rate search calls it (through ``_fit_in_batches``) once for its
-    round and once per step, for the rates of all its files, 33 or 3 per
-    file, where the cost is per NumPy call, not per element.  So it uses
+    The rate search calls it (through ``_fit_in_batches``) once per step,
+    for three rates of each of its files still stepping, where the cost is
+    per NumPy call, not per element.  So it uses
     reductions, ufuncs and in-place updates rather than ``mean`` and
     ``where``, each rounding as the plain formula does: a mean is NumPy's
     sum divided by the count, and (pred - f)^2 equals (f - pred)^2.  The
@@ -746,10 +746,10 @@ def _fit_rows(t, f):
     One ``_scan`` picks every file's best scan rate on the kernel's columns
     of the times, kept for the next scan (``_columns``), then one
     ``minimize_on_bracket`` refines every file's rate within one scan step
-    of it: one ``_fit_in_batches`` call for a round of 33 rates of every
-    file, then one per step for the files still stepping, three rates each.
-    Returns alpha, beta, phi0 and c, one value per file, each the same bits
-    in any batch.
+    of it, its steps starting at that best rate: one ``_fit_in_batches``
+    call per step for the files still stepping, three rates each.  Returns
+    alpha, beta, phi0 and c, one value per file, each the same bits in any
+    batch.
     """
     step = math.pi / (2 * (t[-1] - t[0]))
     best = step * np.arange(1, 2 * (len(t) - 1))[_scan(t, f, step)]
@@ -770,10 +770,10 @@ def fit_model(ds: Dataset) -> NoiseModel:
     the times alone, so they are built only when the times differ from the
     last scan's: the screen, fit and plot of one file share them.  The best
     scan rate is then refined within one step by
-    ``optimize.minimize_on_bracket``: 33 rates in one kernel call, then
-    finite-difference Newton steps of three rates per call (two on most
-    files), each narrowing a bracket that the next step bisects where a
-    parabolic step would not make progress.  The levels and
+    ``optimize.minimize_on_bracket``: finite-difference Newton steps of
+    three rates per kernel call from the best scan rate (four or five on
+    most files), each narrowing a bracket that the next step bisects where
+    a parabolic step would not make progress.  The levels and
     phase are the kernel's at the rate it returns: the best levels in
     [0, 1] at the least-squares curve's phase, which keeps the RSS smooth
     in the rate.  The search is looked up as the module global ``optimize``

@@ -403,6 +403,6 @@ class TestPlotReport:
         assert run(argv) == 0
         assert [f.tolist() for f in scans] == [
             [ds.fractions().tolist() for ds in datasets]]
-        assert shapes == [(3, 33), (3, 3), (3, 3)]  # 1 search round, 2 steps
+        assert shapes == [(3, 3)] * 4  # 1 search: 4 steps of the 3 files
         assert batches == [(3, 64), (3 * 5, 64)]  # the files, then run_mc's runs
         assert capsys.readouterr().out == expected

@@ -1119,8 +1119,9 @@ class TestFitModel:
             fit_model(ds)
 
     def test_kernel_row_does_not_depend_on_its_batch(self):
-        # the rate search keeps the outputs of its last round, so a rate
-        # must give the same bits alone as among 32 others
+        # the rate search keeps the outputs of a step's best point, which
+        # shared its call with other rates and files, so a rate must give
+        # the same bits alone as among 32 others
         rates = np.linspace(0.5, 2.5, 33)
         for k in range(20):
             ds = sample_dataset(NoiseModel(0.9, 0.05, 0.3 * k, 0.6 + 0.1 * k),
@@ -1255,10 +1256,10 @@ class TestBatchedFiles:
             assert not all(verdicts) and any(verdicts)
 
     def test_kernel_calls_of_a_batch_stay_within_scan_cells(self, monkeypatch):
-        # six (file, rate) pairs per call: a round's 33 rates of each file
-        # are split into calls of one file's six rates, and the three rates
-        # of a step of two files share a call.  A single file is a batch of
-        # one, split the same way.
+        # at six (file, rate) pairs per call, the three rates of a step of
+        # two files share a call; at two, a step's three rates are split
+        # into calls of two rates and one, one file each.  A single file is
+        # a batch of one, split the same way.
         corpus = [ds for i, ds in fit_corpus() if i < 20 and i // 92 % 2 == 0]
         (t, f, _, group), = self.batches(corpus)
         sizes = []
@@ -1272,22 +1273,27 @@ class TestBatchedFiles:
         monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", 6 * len(t))
         rows = rabipi.estimate._fit_rows(t, f)
         assert max(math.prod(size) for size in sizes) == 6
-        assert (1, 6) in sizes and (2, 3) in sizes
+        assert (2, 3) in sizes
+        sizes.clear()
+        monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", 2 * len(t))
+        split = rabipi.estimate._fit_rows(t, f)
+        assert set(sizes) == {(1, 2), (1, 1)}
         sizes.clear()
         one = fit_model(group[0])
-        assert sizes and all(size[0] == 1 and size[1] <= 6 for size in sizes)
-        assert (1, 6) in sizes and (1, 3) in sizes
+        assert set(sizes) == {(1, 2), (1, 1)}
         monkeypatch.undo()
         assert self.same_fit([one.alpha, one.beta, one.phi0, one.c], fit_model(group[0]))
         for j, ds in enumerate(group):
-            assert self.same_fit([o[j] for o in rows], fit_model(ds)), j
+            alone = fit_model(ds)
+            assert self.same_fit([o[j] for o in rows], alone), j
+            assert self.same_fit([o[j] for o in split], alone), j
 
     def test_a_row_that_bisects_and_one_that_steps_in_any_batch(self, monkeypatch):
         # file 46's minimum lies where its lowest level comes to sit at 0, so
         # the RSS's curvature jumps there, its parabolic steps fail and its
-        # rate search bisects its bracket; file 47's steps converge after two.
-        # Each row gets the bits it gets alone in any batch, in any order and
-        # under any _SCAN_CELLS.
+        # rate search bisects its bracket; file 47 converges in five steps,
+        # none of them a bisection.  Each row gets the bits it gets alone in
+        # any batch, in any order and under any _SCAN_CELLS.
         corpus = dict(fit_corpus())
         centres = []  # per fit, the rate of each step's centre
         kernel = rabipi.estimate._fit_at_rates
@@ -1309,7 +1315,7 @@ class TestBatchedFiles:
                        for a in cs[:k] for b in cs[:k])
 
         assert bisected(centres[0]) and len(centres[0]) <= 10
-        assert len(centres[1]) == 2 and not bisected(centres[1])
+        assert len(centres[1]) == 5 and not bisected(centres[1])
         monkeypatch.undo()
         for order, cells in (((46, 47, 0), None), ((0, 47, 46), None),
                              ((47, 46), 3)):
