@@ -150,8 +150,8 @@ class NormalizedCurve:
     f1: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        f1 = np.asarray(self.f1, dtype=float)
+        t = np.ascontiguousarray(self.t, dtype=float)
+        f1 = np.ascontiguousarray(self.f1, dtype=float)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "f1", f1)
         if t.shape != f1.shape or t.ndim != 1 or len(t) < 2:
@@ -182,8 +182,8 @@ class _Failures:
     def check(self, good, step: str, describe):
         """Fail each row still ok where ``good`` is false; ``describe(r)``
         gives row r's message."""
-        bad = self.ok & ~good
-        if bad.any():
+        bad = self.ok > good  # ok and not good
+        if np.count_nonzero(bad):
             for r in np.flatnonzero(bad):
                 self.errors[r] = PipelineError(step, describe(r))
             self.ok &= ~bad
@@ -201,10 +201,12 @@ def _rough_alpha_beta(f, fails):
     return hi - lo, lo
 
 
-def _normalize(f, alpha, beta, fails):
+def _normalize(f, alpha, beta, fails, out=None):
     fails.check(alpha > 0, "normalize",
                 lambda r: f"alpha_hat must be > 0, got {alpha[r]}")
-    return (f - beta[:, None]) / alpha[:, None]
+    f1 = np.subtract(f, beta[:, None], out=out)
+    f1 /= alpha[:, None]
+    return f1
 
 
 #: Distances closer than this many grid steps count as equal, so that float
@@ -235,9 +237,14 @@ def _segment_zeros(ta, tb, ga, gb):
 
 
 def _slab(t, f1, centers, half, step):
-    """The times and values of a run of knots around each of ``centers``
-    (k, rows), both (k, rows, width), holding every knot within ``half``
-    of its centre (and a tie more, against rounding).
+    """The runs of knots around ``centers`` (k, rows) that hold every knot
+    within ``half`` of their centre (and a tie more, against rounding), as
+    (tr, i, fr, j): ``tr[i]`` is a new (k, rows, width) array of the runs'
+    times and ``fr[j]`` one of their values in the rows of ``f1``.  ``tr``
+    and ``fr`` are strided views of every run of ``width`` knots of ``t`` and
+    of ``f1``'s flat rows, which must be C-contiguous float arrays (every
+    caller's are), so no index array of a slab's size is built, ``f1`` is
+    never written and a step may read a slab again rather than keep it.
 
     ``width`` follows from ``half`` and the smallest step of ``t`` alone, so
     a row reads the same slab in any batch.  Masked to its window and summed
@@ -248,7 +255,7 @@ def _slab(t, f1, centers, half, step):
     pairwise sum groups its values as over the whole row (blocks of 8, then
     the row's last n mod 8 one by one).
     """
-    n = len(t)
+    n, rows = len(t), len(f1)
     reach = half + _TIE_STEPS * step
     most = int(2 * reach / step) + 1  # knots within reach of a centre
     first = t.searchsorted(centers - reach)
@@ -259,8 +266,15 @@ def _slab(t, f1, centers, half, step):
         # then the row's last n mod 8
         width = min(n, (most + 14) // 8 * 8 + n % 8)
         first &= -8  # the multiple of 8 at or below the first knot
-    knots = np.minimum(first, n - width)[..., None] + np.arange(width)
-    return t.take(knots), f1.take(knots + n * np.arange(len(f1))[:, None])
+    i = np.minimum(first, n - width)
+    tr = np.ndarray((n - width + 1, width), float, t, 0, (8, 8))
+    fr = np.ndarray((max(rows * n - width + 1, 0), width), float, f1, 0, (8, 8))
+    return tr, i, fr, i + n * np.arange(rows)
+
+
+def _masked_sum(w, x):
+    """(w * x).sum(axis=-1), computed in place of ``x``."""
+    return np.multiply(w, x, out=x).sum(axis=-1)
 
 
 def _runs(t, f1, level):
@@ -275,7 +289,7 @@ def _runs(t, f1, level):
     # at p = i and p = j + 1 for each run of knots i..j, in pairs
     above = np.zeros((rows, n + 2), dtype=bool)
     np.greater_equal(f1, level, out=above[:, 1:-1])
-    flips = np.flatnonzero(above[:, 1:] != above[:, :-1])
+    flips = (above[:, 1:] != above[:, :-1]).ravel().nonzero()[0]
     flips = np.concatenate(
         (flips, ((n + 1) * np.arange(rows)[:, None] + (0, 1)).ravel()))
     row, p = np.divmod(flips, n + 1)
@@ -308,7 +322,7 @@ def _find_half_period(t, f1, level, fails):
     np.maximum.at(longest, row, length)
     # each row's first longest run; the stand-in, its last, only when the
     # row has no other
-    win = np.flatnonzero(length == longest[row])
+    win = (length == longest[row]).nonzero()[0]
     first = np.arange(len(length) - rows, len(length))
     np.minimum.at(first, row[win], win)
     (t1, t2), (start, stop) = ends[first].T, bounds[first].T
@@ -326,13 +340,15 @@ def _refine_alpha_beta(t, f1, t1, t2, delta, fails):
     step = _min_step(t)
     tie = _TIE_STEPS * step
     t_minval = np.where(below >= t_lo - tie, below, np.where(
-        above <= t_hi + tie, above, np.clip(below, t_lo, t_hi)))
+        above <= t_hi + tie, above, np.minimum(np.maximum(below, t_lo), t_hi)))
     # both plateau means in one pass over the knots near either centre
     centers = np.array((t_minval, t_maxval))
-    tk, fk = _slab(t, f1, centers, delta - tie, step)
-    inside = np.abs(tk - centers[..., None]) < delta - tie
+    tr, i, fr, j = _slab(t, f1, centers, delta - tie, step)
+    d = tr[i]
+    d -= centers[..., None]
+    inside = np.abs(d, out=d) < delta - tie
     n_min, n_max = n = inside.sum(axis=2)
-    beta, top = (fk * inside).sum(axis=2) / n
+    beta, top = _masked_sum(inside, fr[j]) / n
     fails.check((n_min > 0) & (n_max > 0), "refine_alpha_beta",
                 lambda r: f"no grid points within {delta} of " + (
                     f"t_minval={t_minval[r]}" if n_min[r] == 0
@@ -342,17 +358,36 @@ def _refine_alpha_beta(t, f1, t1, t2, delta, fails):
 
 def _refine_crossing_linear(t, f1, t_i, window, level, fails):
     """Refine each of the crossings ``t_i`` (k, rows) of every row at once;
-    a row fails at its first crossing that fails, for the first reason."""
+    a row fails at its first crossing that fails, for the first reason.
+
+    The closed-form least-squares line through each window's points comes
+    from masked sums over its slab, each taken in place on a slab read for
+    it, so that no more than two slab-sized arrays are held at once,
+    NumPy's buffer for a broadcast or a cast included: the times are read
+    three times, for the window, their mean and their deviations dt, and
+    the values once for their mean, then once per crossing for the slope."""
     step = _min_step(t)
     half = window + _TIE_STEPS * step
-    tk, fk = _slab(t, f1, t_i, half, step)
-    w = np.abs(tk - t_i[..., None]) <= half
+    tr, i, fr, j = _slab(t, f1, t_i, half, step)
+    d = tr[i]
+    d -= t_i[..., None]
+    w = np.abs(d, out=d) <= half
+    del d  # before the next slab is read
     n = w.sum(axis=2)
-    # closed-form least-squares line through the windowed points
-    t_mean = (w * tk).sum(axis=2) / n
-    f_mean = (w * fk).sum(axis=2) / n
-    dt = w * (tk - t_mean[..., None])
-    slope = (dt * (fk - f_mean[..., None])).sum(axis=2) / (dt * dt).sum(axis=2)
+    t_mean = _masked_sum(w, tr[i]) / n
+    f_mean = _masked_sum(w, fr[j]) / n
+    dt = tr[i]
+    dt -= t_mean[..., None]
+    dt *= w
+    # the values one crossing at a time: beside dt, a slab of them and
+    # NumPy's buffer for the broadcast f_mean, as large as its result,
+    # would make three
+    sxy = np.empty(t_i.shape)
+    for jc, mean, dtc, out in zip(j, f_mean[..., None], dt, sxy):
+        fc = fr[jc]
+        fc -= mean
+        np.multiply(dtc, fc, out=fc).sum(axis=1, out=out)
+    slope = sxy / np.multiply(dt, dt, out=dt).sum(axis=2)
     t_hat = t_mean + (level - f_mean) / slope
     fit = (n >= 2) & (np.abs(slope) >= 1e-12)
     good = fit & (t[0] <= t_hat) & (t_hat <= t[-1])
@@ -370,28 +405,33 @@ def _refine_crossing_linear(t, f1, t_i, window, level, fails):
     return t_hat
 
 
-def _trapezoid_integral(t, f1, t1, t2, level, fails):
+def _trapezoid_integral(t, f1, t1, t2, level, fails, out=None):
     fails.check((t[0] <= t1) & (t1 < t2) & (t2 <= t[-1]), "trapezoid_integral",
                 lambda r: f"limits [{t1[r]}, {t2[r]}] invalid for range "
                           f"[{t[0]}, {t[-1]}]")
     rows, n = f1.shape
-    g = (f1 - level).ravel()
-    # running sums of each row's panels: column k is the integral of the
-    # interpolant from t[0] to knot k + 1.  The panels are taken over the
-    # flat rows, so each row's last column joins it to the next row and is
-    # never read.
-    panels = np.zeros((rows, n))
-    np.add(g[:-1], g[1:], out=panels.ravel()[:-1])
-    to_next = np.cumsum(panels / 2 * np.append(t[1:] - t[:-1], 0), axis=1)
+    g = np.subtract(f1, level, out=out)
+    flat = g.reshape(-1)
     # both limits in one pass: whole panels to the knot k at or left of the
-    # limit, plus a partial panel from it
+    # limit, plus a partial panel from it, whose values are read first
     x = np.array((t1, t2))
     k = np.minimum(np.maximum(t.searchsorted(x, side="right") - 1, 0), n - 2)
     at = k + n * np.arange(rows)
-    gk, tk = g.take(at), t.take(k)
-    w = (x - tk) / (t.take(k + 1) - tk)
-    to = (np.where(k > 0, to_next.take(at - 1), 0)
-          + (gk + (gk * (1 - w) + g.take(at + 1) * w)) / 2 * (x - tk))
+    gk, tk = flat.take(at), t.take(k)
+    dx = x - tk
+    w = dx / (t.take(k + 1) - tk)
+    partial = (gk + (gk * (1 - w) + flat.take(at + 1) * w)) / 2 * dx
+    # then, in place of g, the running sums of each row's panels: column k
+    # is the integral of the interpolant from t[0] to knot k + 1.  The
+    # panels are taken over the flat rows, so each row's last column joins
+    # it to the next row and is never read.
+    np.add(flat[:-1], flat[1:], out=flat[:-1])
+    g /= 2
+    widths = np.zeros(n)  # of the panels, 0 in each row's last column
+    np.subtract(t[1:], t[:-1], out=widths[:-1])
+    g *= widths
+    np.cumsum(g, axis=1, out=g)
+    to = np.where(k > 0, flat.take(at - 1), 0) + partial
     return to[1] - to[0]
 
 
@@ -515,19 +555,30 @@ def estimate_rows(times, fractions) -> RowEstimates:
     windows read only a slab of the knots they hold, whose width depends on
     the times and the window alone.  A row's results do not depend on the
     batch it is in.
+
+    Memory: ``fractions`` is only read.  Both normalizations and the
+    integral's running sums are written into one (rows, n) float buffer.
+    Beside it a call holds per-row values and at most two (2, rows, width)
+    slabs' worth of arrays in the line fits, or NumPy's buffer for one
+    broadcast (at most 8192 values) elsewhere: 3.1 times the input's bytes
+    on the 150-run protocol (150 x 64) and 2.7 times on 50 low-shot rows of
+    127 times, which ``tests/test_workspace.py`` bounds at 3.5.
     """
-    t = np.asarray(times, dtype=float)
+    t = np.ascontiguousarray(times, dtype=float)
     f = np.asarray(fractions, dtype=float)
     if t.ndim != 1 or len(t) < 2 or f.ndim != 2 or f.shape[1] != len(t):
         raise ValueError(f"need >= 2 times and one column of fractions per "
                          f"time, got times {t.shape} and fractions {f.shape}")
     # the slab widths divide by the least step
-    if not (np.isfinite(t).all() and np.all(t[1:] > t[:-1])):
+    if not (np.isfinite(t).all() and (t[1:] > t[:-1]).all()):
         raise ValueError("times must be finite and strictly increasing")
     fails = _Failures(len(f))
+    # the workspace: both normalizations and the integral write it, and
+    # ``f`` is only read
+    f1 = np.empty(f.shape)
     with np.errstate(all="ignore"):
         alpha1, beta1 = _rough_alpha_beta(f, fails)
-        f1 = _normalize(f, alpha1, beta1, fails)
+        _normalize(f, alpha1, beta1, fails, out=f1)
         t1_rough, t2_rough = _find_half_period(t, f1, LEVEL, fails)
         alpha5, beta5, t_minval, t_maxval = _refine_alpha_beta(
             t, f1, t1_rough, t2_rough, DELTA, fails)
@@ -537,13 +588,13 @@ def estimate_rows(times, fractions) -> RowEstimates:
         # the second normalization acts on raw fractions
         alpha_hat = alpha1 * alpha5
         beta_hat = beta1 + alpha1 * beta5
-        f1 = _normalize(f, alpha_hat, beta_hat, fails)
+        _normalize(f, alpha_hat, beta_hat, fails, out=f1)
         t1_hat, t2_hat = _refine_crossing_linear(
             t, f1, np.array((t1_rough, t2_rough)), REFINE_WINDOW, LEVEL, fails)
         fails.check(t1_hat < t2_hat, "refine_crossing_linear",
                     lambda r: f"refined crossings out of order: "
                               f"{t1_hat[r]} >= {t2_hat[r]}")
-        integral = _trapezoid_integral(t, f1, t1_hat, t2_hat, LEVEL, fails)
+        integral = _trapezoid_integral(t, f1, t1_hat, t2_hat, LEVEL, fails, out=f1)
         fails.check(integral > 0, "trapezoid_integral",
                     lambda r: f"integral {integral[r]} is not positive")
         pi_hat = (t2_hat - t1_hat) / integral

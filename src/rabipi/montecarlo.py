@@ -101,32 +101,42 @@ def run_mc(models: list, cfg: McConfig = McConfig()) -> McSummary:
     """
     if not models:
         raise ValueError("need at least one model")
-    ones = np.concatenate([
-        sample_counts(model, cfg.grid, cfg.shots, _run_seed(cfg.base_seed, model, 0),
-                      cfg.runs_per_model)
-        for model in models])
-    rows = estimate_rows(cfg.grid.times(), ones / cfg.shots)
+    runs = cfg.runs_per_model
+    times = cfg.grid.times()
+    # each model's counts are divided into its block of one fraction array,
+    # so no array of all the counts is kept while the batch is estimated
+    f = np.empty((len(models) * runs, len(times)))
+    for m, model in enumerate(models):
+        np.divide(sample_counts(model, cfg.grid, cfg.shots,
+                                _run_seed(cfg.base_seed, model, 0), runs),
+                  cfg.shots, out=f[m * runs:(m + 1) * runs])
+    rows = estimate_rows(times, f)
     ok = rows.ok
     failed = dict(sorted(Counter(
         rows.errors[r].step for r in np.flatnonzero(~ok)).items()))
-    n_runs = len(ones)
-    rates = np.repeat([model.c for model in models], cfg.runs_per_model)
-    # canonical (sorted) order makes the pooled statistics bitwise invariant
-    # under permutation of the model list
-    pis, dts, integrals = (np.sort(v[ok]) for v in (
-        rows.pi_hat, (rows.t2_hat - rows.t1_hat) * rates, rows.integral_I * rates))
-    if not len(pis):
+    n_runs = len(f)
+    rates = np.repeat([model.c for model in models], runs)
+    # pi_hat, the spacing and the integral of each successful run, one row
+    # each, C-ordered so that every statistic sums along a contiguous row as
+    # on its own, and sorted (canonical order makes the pooled statistics
+    # bitwise invariant under permutation of the model list)
+    pooled = np.compress(ok, (rows.pi_hat, (rows.t2_hat - rows.t1_hat) * rates,
+                              rows.integral_I * rates), axis=1)
+    pooled.sort(axis=1)
+    n_ok = pooled.shape[1]
+    if not n_ok:
         raise PipelineError("run_mc", f"all {n_runs} runs failed: {_steps(failed)}")
-    if len(pis) < 2:
+    if n_ok < 2:
         raise PipelineError("run_mc", f"{n_runs - 1} of {n_runs} runs failed: "
                             f"{_steps(failed)}; fewer than 2 successful runs, "
                             "standard deviation undefined")
+    std_pi, std_dt, std_I = pooled.std(axis=1, ddof=1).tolist()
     return McSummary(
         n_runs=n_runs,
-        mean_pi=float(np.mean(pis)),
-        std_pi=float(np.std(pis, ddof=1)),
-        std_dt=float(np.std(dts, ddof=1)),
-        std_I=float(np.std(integrals, ddof=1)),
+        mean_pi=float(pooled[0].mean()),
+        std_pi=std_pi,
+        std_dt=std_dt,
+        std_I=std_I,
         failures=sum(failed.values()),
         failures_by_step=failed,
     )
