@@ -1,7 +1,7 @@
 """Layer benchmark of the estimator: ``estimate_rows``, ``estimate_pi`` and
 ``run_mc`` at the sizes the paper's protocol and the low-shot Monte Carlo
-use, ``fit_model`` and ``render_svg`` on one file as triage fits and plots
-it, ``fit_model`` on a file whose best curve has a level at 1, on one whose
+use, ``load_csv``, ``fit_model`` and ``render_svg`` on one file as triage
+reads, fits and plots it, ``fit_model`` on a file whose best curve has a level at 1, on one whose
 rate search bisects, and on files of two grids in turn (so no scan finds
 its grid's columns built), and ``report`` on three files as ``rabipi
 report`` runs it, with its screen, ``screen_rows``, on its own.
@@ -23,6 +23,7 @@ import pytest
 
 from rabipi import (DEFAULT_GRID, Dataset, McConfig, NoiseModel, estimate_pi,
                     make_grid, report, run_mc)
+from rabipi.dataio import load_csv, save_csv
 from rabipi.estimate import estimate_rows, fit_model, screen_dataset, screen_rows
 from rabipi.plotting import render_svg
 from rabipi.simulate import sample_counts, sample_dataset
@@ -55,6 +56,15 @@ def lowshot_batch():
 def one_file():
     """The first demo qubit at 8192 shots on DEFAULT_GRID, a triage file."""
     return sample_dataset(DEMO_QUBITS[0], DEFAULT_GRID, 8192, seed=5)
+
+
+@pytest.fixture(scope="module")
+def one_file_on_disk(one_file, tmp_path_factory):
+    """``one_file`` written as ``rabipi simulate`` writes it, labelled as a
+    triage file is."""
+    path = tmp_path_factory.mktemp("csv") / "f0.csv"
+    save_csv(Dataset(one_file.t, one_file.shots, one_file.ones, label="f0"), path)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +105,12 @@ def test_run_mc_demo_qubits(benchmark):
     s = benchmark(run_mc, DEMO_QUBITS, McConfig(runs_per_model=50))
     assert s.n_runs == 150 and s.failures == 0
     assert abs(s.mean_pi - math.pi) < 0.01
+
+
+def test_load_csv_one_file(benchmark, one_file, one_file_on_disk):
+    ds = benchmark(load_csv, one_file_on_disk)
+    assert ds.label == "f0" and ds == Dataset(one_file.t, one_file.shots, one_file.ones,
+                                              label="f0")
 
 
 def test_fit_model_one_file(benchmark, one_file):

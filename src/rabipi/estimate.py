@@ -613,24 +613,30 @@ _EPS = np.finfo(float).eps
 _EDGES, _SIGNS = np.array([[0.0], [1.0]]), np.array([[1.0], [-1.0]])  # (e, s) of _edge
 
 
-def _solve(yc, ys, c2, s2, cs, mean_f, mean_cos, mean_sin, n):
-    """Whether each rate is collinear, and alpha, beta and phi0 of its best
-    valid curve, from sums over the n times of the centred fractions y and
-    the mean-centred cos/sin columns cc and ss (yc = sum y*cc, ys = sum
-    y*ss, c2 = sum cc^2, s2 = sum ss^2, cs = sum cc*ss) and the means of f,
-    cos and sin; the arguments broadcast.  Cramer's rule gives the
-    unconstrained curve k - u*cos(ct) - v*sin(ct), with u = v = 0 where det
-    <= eps * (c2 + s2)^2: there the squared condition number exceeds 1/eps
-    and the solve carries no correct digits.  ``_edge`` refits the levels
-    k -/+ |(u, v)| at its phase where they leave [0, 1] and (u, v) != 0.
-    """
+def _unconstrained(yc, ys, c2, s2, cs, mean_f, mean_cos, mean_sin):
+    """Whether each rate is collinear, and u, v, k and r = |(u, v)| of its
+    unconstrained least-squares curve k - u*cos(ct) - v*sin(ct), from sums
+    over the times of the centred fractions y and the mean-centred cos/sin
+    columns cc and ss (yc = sum y*cc, ys = sum y*ss, c2 = sum cc^2, s2 =
+    sum ss^2, cs = sum cc*ss) and the means of f, cos and sin; the
+    arguments broadcast.  Cramer's rule gives u and v, with u = v = 0 where
+    det <= eps * (c2 + s2)^2: there the squared condition number exceeds
+    1/eps and the solve carries no correct digits."""
     det = c2 * s2 - cs * cs
     scale = c2 + s2
     collinear = det <= _EPS * (scale * scale)
     det[collinear] = np.inf  # u = v = 0 there, and no warning
     u = (ys * cs - yc * s2) / det
     v = (yc * cs - ys * c2) / det
-    k, r = mean_f + u * mean_cos + v * mean_sin, np.hypot(u, v)
+    return collinear, u, v, mean_f + u * mean_cos + v * mean_sin, np.hypot(u, v)
+
+
+def _solve(yc, ys, c2, s2, cs, mean_f, mean_cos, mean_sin, n):
+    """Whether each rate is collinear, and alpha, beta and phi0 of its best
+    valid curve, from ``_unconstrained``'s sums on n times: its curve where
+    the levels k -/+ r lie in [0, 1], else, where r > 0, ``_edge``'s levels
+    at its phase."""
+    collinear, u, v, k, r = _unconstrained(yc, ys, c2, s2, cs, mean_f, mean_cos, mean_sin)
     beta, high = k - r, k + r
     out = (beta < 0) | (high > 1)
     if out.any():
@@ -728,9 +734,13 @@ def _blocks(files, rates, n):
 
 def _fit_in_batches(t, f, c):
     """``_fit_at_rates`` for the files ``f`` (files, n) at their rates ``c``
-    (files, rates), one call per block of ``_blocks``."""
+    (files, rates), one call per block of ``_blocks``; a lone block's
+    outputs are returned as they are."""
+    blocks = list(_blocks(len(f), c.shape[1], len(t)))
+    if len(blocks) == 1:
+        return _fit_at_rates(t, f, c)
     out = np.empty((4,) + c.shape)
-    for rows, ks in _blocks(len(f), c.shape[1], len(t)):
+    for rows, ks in blocks:
         for o, b in zip(out, _fit_at_rates(t, f[rows], c[rows, ks])):
             o[rows, ks] = b
     return tuple(out)
@@ -756,13 +766,22 @@ def _scan(t, f, step):
     for each row of ``f`` (files, n), the first on a tie.  Each block of
     ``_blocks`` takes its columns from ``_columns`` and each file's sums of
     y cc and y ss, y the centred fractions, as ``_fit_at_rates`` does, so
-    ``_solve`` gets the kernel's own inputs.  Both sums come from one
-    product: two half-size products in turn kept glibc's mmap threshold low
-    enough that ``report`` mapped and faulted in ≈100 pages on every call.
-    The RSS of ``_solve``'s curve, |y + d + b cc + c ss|^2, comes from the
-    same sums, with no residual matrix; it rounds otherwise than
-    ``_fit_at_rates``'s, so the scan serves only to choose each row's search
-    bracket."""
+    ``_unconstrained`` gets the kernel's own inputs.  Both sums come from
+    one product: two half-size products in turn kept glibc's mmap threshold
+    low enough that ``report`` mapped and faulted in ≈100 pages on every
+    call.
+
+    A rate's curve is ``_solve``'s, but only the rates that can win are
+    refitted on an edge of [0, 1].  The RSS of the unconstrained curve, yy +
+    u*yc + v*ys with yy = sum y^2, is a lower bound on the RSS of any curve
+    at its rate.  A rate out of range whose bound is above the least
+    in-range bound of its file in the block by more than 1e-9 * yy, far
+    above the rounding of either, lies above that in-range rate: like a
+    collinear rate, it gets RSS inf.  So each file's first least RSS is at
+    the rate where refitting every rate puts it, and most files refit none.
+    The RSS of a curve, |y + d + b cc + c ss|^2, comes from the same sums,
+    with no residual matrix; it rounds otherwise than ``_fit_at_rates``'s,
+    so the scan serves only to choose each row's search bracket."""
     n, count = len(t), 2 * len(t) - 3
     tkey = np.asarray(t, dtype=float).tobytes()
     mean_f = f.sum(axis=1, keepdims=True) / n
@@ -772,14 +791,25 @@ def _scan(t, f, step):
     for rows, ks in _blocks(len(f), count, n):
         ccss, mean_cos, mean_sin, c2, s2, cs = _columns(tkey, step, ks.start,
                                                         ks.stop - ks.start)
-        mf = mean_f[rows]
+        mf, yyf = mean_f[rows], yy[rows]
         yc, ys = (ccss[:, None] * y[rows, None, :]).sum(axis=3)
-        collinear, alpha, beta, phi0 = _solve(yc, ys, c2, s2, cs, mf, mean_cos, mean_sin, n)
-        half = alpha / 2
+        lost, u, v, k, r = _unconstrained(yc, ys, c2, s2, cs, mf, mean_cos, mean_sin)
+        uy = u * yc + v * ys
+        beta, high = k - r, k + r
+        out = (beta < 0) | (high > 1)
+        if out.any():
+            lower = yyf + uy
+            least = np.where(out | lost, np.inf, lower).min(axis=1, keepdims=True)
+            lost = lost | (out & (lower > least + 1e-9 * yyf))
+            out &= ~lost & (r > 0)
+        if out.any():
+            beta[out], high[out] = _edge(k[out], r[out], uy[out] / n,
+                                         np.where(out, mf, 0.0)[out])
+        half, phi0 = (high - beta) / 2, np.arctan2(-v, u)
         b, c = half * np.cos(phi0), -half * np.sin(phi0)
         d = mf - (beta + half) + b * mean_cos + c * mean_sin
-        rss[rows, ks] = np.where(collinear, np.inf, (
-            yy[rows] + 2 * (b * yc + c * ys) + b * b * c2 + c * c * s2
+        rss[rows, ks] = np.where(lost, np.inf, (
+            yyf + 2 * (b * yc + c * ys) + b * b * c2 + c * c * s2
             + 2 * b * c * cs + n * d * d))
     return rss.argmin(axis=1)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -1391,10 +1392,61 @@ def fit_bits_files():
                              (256, 8192)[k // 2 % 2], seed=k)
 
 
+def triage_stepped_files(seed=0):
+    """The 12 stepped files of ``rabibench``'s ``triage`` workload at
+    ``seed``: alpha 0.80-0.95, beta 0.02-0.05, a 0.15-0.25 step away from
+    the nearer bound.  At seed 0, 7 of them fit with beta = 0 or
+    alpha + beta = 1."""
+    rng = random.Random(seed)
+    steps = set(rng.sample(range(48), 12))
+    for k in range(48):
+        model = NoiseModel(rng.uniform(0.80, 0.95), rng.uniform(0.02, 0.05), 0.0, 1.0)
+        ds = sample_dataset(model, DEFAULT_GRID, 8192, seed=rng.getrandbits(63))
+        if k in steps:
+            t_jump = rng.uniform(1.0, 5.5)
+            sign = -1.0 if noisy_prob(model, t_jump) > 0.5 else 1.0
+            yield inject_step(ds, t_jump, sign * rng.uniform(0.15, 0.25))
+
+
+def edge_bound_files():
+    """Files whose best curves have a level on the edge of [0, 1]: the
+    ``triage`` stepped files, and the CI's k92 (top level at 1) and k46
+    (lowest level at 0)."""
+    yield from triage_stepped_files()
+    yield sample_dataset(NoiseModel(0.8, 0.1, 0.0, 0.3), make_grid(0.0, 6.3, 0.05),
+                         256, seed=92)
+    yield sample_dataset(NoiseModel(0.8, 0.1, 2.0, 0.3), DEFAULT_GRID, 256, seed=46)
+
+
 def with_gap(gap):
     """The times of ``DEFAULT_GRID`` with one more time ``gap`` after the
     60th, as a CSV may hold."""
     return np.insert(GRID_TIMES, 60, GRID_TIMES[59] + gap)
+
+
+def ill_conditioned_gap_file():
+    """A file on ``with_gap(1e-8)`` whose scan rate 126 step is ill
+    conditioned but not collinear: its centred sin column is ≈3e-7 at the
+    gap's time alone, so its unconstrained curve, r ≈ 1.5e5, leaves [0, 1]
+    far, and that curve's RSS is only ≈2e-5 * sum y^2 above the best
+    in-range rate's, 125 step."""
+    t = with_gap(1e-8)
+    n, step = len(t), scan_step(t)
+    f = 0.5 + 0.45 * np.cos(125.55 * step * t) + 0.01 * np.sin(4 * np.arange(n) ** 2)
+    return Dataset(t, 8192, np.round(f * 8192).astype(np.int64))
+
+
+def scan_levels(t, f):
+    """Whether each scan rate of the file ``f`` is collinear, and k and r of
+    its unconstrained curve, from the kernel's columns as ``_scan`` takes
+    them."""
+    _, _, cc, ss, mean_cos, mean_sin, c2, s2, cs = rabipi.estimate._basis(
+        scan_step(t) * np.arange(1, 2 * len(t) - 2), t)
+    mean_f = f.sum() / len(t)
+    y = f - mean_f
+    collinear, _, _, k, r = rabipi.estimate._unconstrained(
+        (cc * y).sum(axis=1), (ss * y).sum(axis=1), c2, s2, cs, mean_f, mean_cos, mean_sin)
+    return collinear, k, r
 
 
 class TestScan:
@@ -1403,7 +1455,8 @@ class TestScan:
     bracket."""
 
     def test_picks_the_reference_rate(self, monkeypatch):
-        datasets = [ds for _, ds in fit_corpus()] + list(fit_bits_files())
+        datasets = [ds for _, ds in fit_corpus()] + list(fit_bits_files()) \
+            + list(edge_bound_files()) + [ill_conditioned_gap_file()]
         for i, ds in enumerate(datasets):
             t, f = ds.times(), ds.fractions()[None]
             assert rabipi.estimate._scan(t, f, scan_step(t)) == \
@@ -1417,6 +1470,47 @@ class TestScan:
         for (t, f, _, _), got in zip(TestBatchedFiles.batches(datasets), rows):
             for a, b in zip(got, rabipi.estimate._fit_rows(t, f)):
                 assert a.tobytes() == b.tobytes()
+
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        """The k arrays ``_edge`` is called with."""
+        calls = []
+        edge = rabipi.estimate._edge
+        monkeypatch.setattr(rabipi.estimate, "_edge",
+                            lambda k, *args: calls.append(k) or edge(k, *args))
+        return calls
+
+    def test_refits_only_rates_that_can_win(self, handed):
+        # the rates handed to _edge are found by their unconstrained k
+        chosen_refitted = refitted_and_lost = refitted = off_range = 0
+        for ds in edge_bound_files():
+            t, f = ds.times(), ds.fractions()
+            _, k, r = scan_levels(t, f)
+            off = np.flatnonzero((k - r < 0) | (k + r > 1))
+            handed.clear()
+            best = rabipi.estimate._scan(t, f[None], scan_step(t))[0]
+            assert len(handed) <= 1
+            rates = np.flatnonzero(np.isin(k, handed[0])) if handed else []
+            assert set(rates) <= set(off)
+            assert len(rates) == sum(map(len, handed))
+            chosen_refitted += best in rates
+            refitted_and_lost += len(rates) - (best in rates)
+            refitted += len(rates)
+            off_range += len(off)
+        assert chosen_refitted > 0 and refitted_and_lost > 0
+        assert refitted < off_range
+
+    def test_an_ill_conditioned_rate_that_cannot_win_is_not_refitted(self, handed):
+        # its curve's RSS from the scan's sums would round with its huge
+        # amplitude; it is never computed, the rate's RSS is inf
+        ds = ill_conditioned_gap_file()
+        t, f = ds.times(), ds.fractions()
+        collinear, k, r = scan_levels(t, f)
+        assert not collinear[125] and r[125] > 1e5 and k[125] + r[125] > 1
+        best = rabipi.estimate._scan(t, f[None], scan_step(t))
+        assert best.tolist() == [124]
+        assert not any(np.isin(k[125], calls) for calls in handed)
+        assert np.array_equal(best, reference_scan(t, f[None], scan_step(t)))
 
     @pytest.mark.parametrize("cells", [3, 40, 1000])
     def test_chunks_pick_the_rates_of_one_chunk(self, monkeypatch, cells):
