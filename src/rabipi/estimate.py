@@ -641,8 +641,8 @@ def _solve(yc, ys, c2, s2, cs, mean_f, mean_cos, mean_sin, n):
     out = (beta < 0) | (high > 1)
     if out.any():
         out &= r > 0
-        beta[out], high[out] = _edge(k[out], r[out], (u * yc + v * ys)[out] / n,
-                                     np.where(out, mean_f, 0.0)[out])
+        beta[out], high[out], _ = _edge(k[out], r[out], (u * yc + v * ys)[out] / n,
+                                        np.where(out, mean_f, 0.0)[out])
     return collinear, high - beta, beta, np.arctan2(-v, u)
 
 
@@ -650,19 +650,18 @@ def _edge(k, r0, uy, mean_f):
     """The levels (k - r, k + r) of the least-squares curve at the phase of
     the unconstrained (k, r0) on the edge k = e + s*r, r in [0, 1/2], of the
     valid (k, r) that it crosses: (e, s) = (0, 1), beta = 0, or (1, -1),
-    alpha + beta = 1; where it crosses both, the edge of lower RSS.  With
-    uy = (u*yc + v*ys)/n and a = s*r0 - (k - mean_f), the RSS of e + r*(s -
-    q), q the phase's unit sinusoid, is n/r0^2 * ((r0*(e - mean_f) + r*a)^2 -
-    uy*(r - r0)^2) plus a constant, least at r = r0*((mean_f - e)*a - uy) /
-    (a^2 - uy)."""
+    alpha + beta = 1; where it crosses both, the edge of lower RSS.  Then
+    the rise of that curve's RSS over the unconstrained curve's, divided by
+    the number of times n.  With uy = (u*yc + v*ys)/n and a = s*r0 - (k -
+    mean_f), the RSS of e + r*(s - q), q the phase's unit sinusoid, is the
+    unconstrained RSS plus n/r0^2 * ((r0*(e - mean_f) + r*a)^2 - uy*(r -
+    r0)^2), least at r = r0*((mean_f - e)*a - uy) / (a^2 - uy)."""
     a = _SIGNS * r0 - (k - mean_f)
     r = np.minimum(np.maximum(r0 * ((mean_f - _EDGES) * a - uy) / (a * a - uy), 0.0), 0.5)
-    top = k + r0 > 1
-    both = top & (k < r0)
-    if both.any():
-        rss = (r0 * (_EDGES - mean_f) + r * a) ** 2 - uy * (r - r0) ** 2
-        top &= ~both | (rss[1] < rss[0])
-    return np.where(top, 1 - 2 * r[1], 0.0), np.where(top, 1.0, 2 * r[0])
+    rss = (r0 * (_EDGES - mean_f) + r * a) ** 2 - uy * (r - r0) ** 2
+    top = (k + r0 > 1) & ((k >= r0) | (rss[1] < rss[0]))
+    return (np.where(top, 1 - 2 * r[1], 0.0), np.where(top, 1.0, 2 * r[0]),
+            np.where(top, rss[1], rss[0]) / (r0 * r0))
 
 
 def _basis(c, t):
@@ -771,17 +770,12 @@ def _scan(t, f, step):
     low enough that ``report`` mapped and faulted in ≈100 pages on every
     call.
 
-    A rate's curve is ``_solve``'s, but only the rates that can win are
-    refitted on an edge of [0, 1].  The RSS of the unconstrained curve, yy +
-    u*yc + v*ys with yy = sum y^2, is a lower bound on the RSS of any curve
-    at its rate.  A rate out of range whose bound is above the least
-    in-range bound of its file in the block by more than 1e-9 * yy, far
-    above the rounding of either, lies above that in-range rate: like a
-    collinear rate, it gets RSS inf.  So each file's first least RSS is at
-    the rate where refitting every rate puts it, and most files refit none.
-    The RSS of a curve, |y + d + b cc + c ss|^2, comes from the same sums,
-    with no residual matrix; it rounds otherwise than ``_fit_at_rates``'s,
-    so the scan serves only to choose each row's search bracket."""
+    A rate's curve is ``_solve``'s, and its RSS comes in closed form from
+    the same sums, with no residual matrix: the unconstrained curve's, yy +
+    u*yc + v*ys with yy = sum y^2, plus ``_edge``'s rise where a level
+    leaves [0, 1]; a collinear rate gets RSS inf.  It rounds otherwise than
+    ``_fit_at_rates``'s, so the scan serves only to choose each row's search
+    bracket."""
     n, count = len(t), 2 * len(t) - 3
     tkey = np.asarray(t, dtype=float).tobytes()
     mean_f = f.sum(axis=1, keepdims=True) / n
@@ -791,26 +785,16 @@ def _scan(t, f, step):
     for rows, ks in _blocks(len(f), count, n):
         ccss, mean_cos, mean_sin, c2, s2, cs = _columns(tkey, step, ks.start,
                                                         ks.stop - ks.start)
-        mf, yyf = mean_f[rows], yy[rows]
         yc, ys = (ccss[:, None] * y[rows, None, :]).sum(axis=3)
-        lost, u, v, k, r = _unconstrained(yc, ys, c2, s2, cs, mf, mean_cos, mean_sin)
+        collinear, u, v, k, r = _unconstrained(yc, ys, c2, s2, cs, mean_f[rows],
+                                               mean_cos, mean_sin)
         uy = u * yc + v * ys
-        beta, high = k - r, k + r
-        out = (beta < 0) | (high > 1)
+        block = yy[rows] + uy
+        out = ((k - r < 0) | (k + r > 1)) & (r > 0)
         if out.any():
-            lower = yyf + uy
-            least = np.where(out | lost, np.inf, lower).min(axis=1, keepdims=True)
-            lost = lost | (out & (lower > least + 1e-9 * yyf))
-            out &= ~lost & (r > 0)
-        if out.any():
-            beta[out], high[out] = _edge(k[out], r[out], uy[out] / n,
-                                         np.where(out, mf, 0.0)[out])
-        half, phi0 = (high - beta) / 2, np.arctan2(-v, u)
-        b, c = half * np.cos(phi0), -half * np.sin(phi0)
-        d = mf - (beta + half) + b * mean_cos + c * mean_sin
-        rss[rows, ks] = np.where(lost, np.inf, (
-            yyf + 2 * (b * yc + c * ys) + b * b * c2 + c * c * s2
-            + 2 * b * c * cs + n * d * d))
+            block[out] += n * _edge(k[out], r[out], uy[out] / n,
+                                    np.where(out, mean_f[rows], 0.0)[out])[2]
+        rss[rows, ks] = np.where(collinear, np.inf, block)
     return rss.argmin(axis=1)
 
 

@@ -56,10 +56,6 @@ class NoiseModel:
         if self.c <= 0:
             raise ValueError(f"c must be > 0, got {self.c}")
 
-    @property
-    def period(self) -> float:
-        return 2 * math.pi / self.c
-
     def is_normalized(self) -> bool:
         """True when the curve spans the full [0, 1] range (alpha=1, beta=0)."""
         return self.alpha == 1.0 and self.beta == 0.0

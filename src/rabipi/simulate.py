@@ -73,6 +73,26 @@ class TimeGrid:
         return len(self._times)
 
 
+def _counts(name: str, values) -> np.ndarray:
+    """``values`` as a new int64 array; raises ``ValueError`` unless each is
+    a finite whole number that int64 holds."""
+    a = np.asarray(values)
+    if a.dtype.kind in "biu":
+        if a.dtype == np.uint64 and (a > np.iinfo(np.int64).max).any():
+            raise ValueError("shots and ones must fit in int64")
+        return a.astype(np.int64)
+    try:
+        x = a.astype(np.float64)  # Python ints beyond int64 arrive as float or object
+    except OverflowError:
+        raise ValueError("shots and ones must fit in int64") from None
+    bad = np.flatnonzero(~np.isfinite(x) | (x != np.trunc(x)))
+    if len(bad):
+        raise ValueError(f"{name} must be finite whole numbers, got {x.flat[bad[0]]}")
+    if ((x < -2.0 ** 63) | (x >= 2.0 ** 63)).any():
+        raise ValueError("shots and ones must fit in int64")
+    return x.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Shot counts for one qubit: ``ones[i]`` of ``shots[i]`` measurements at
@@ -87,11 +107,8 @@ class Dataset:
 
     def __post_init__(self):
         t = np.array(self.t, dtype=np.float64)
-        try:
-            shots = np.array(np.broadcast_to(self.shots, t.shape), dtype=np.int64)
-            ones = np.array(self.ones, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("shots and ones must fit in int64") from None
+        shots = np.array(np.broadcast_to(_counts("shots", self.shots), t.shape))
+        ones = _counts("ones", self.ones)
         if t.ndim != 1 or ones.shape != t.shape:
             raise ValueError(f"columns must be 1-d and of equal length, got t {t.shape}, "
                              f"shots {np.shape(self.shots)}, ones {ones.shape}")

@@ -30,6 +30,14 @@ class TestParseCsv:
         with pytest.raises(CsvFormatError, match="line 3"):
             parse_csv(HEADER + "0.0,8192,5\n0.1,8192,9000\n")
 
+    @pytest.mark.parametrize("row, message", [
+        ("0.1,8", "^line 3: expected 3 fields, got 2"),
+        ("0.1,8,1,1", "^line 3: expected 3 fields, got 4"),
+        ("0.1,0,0", "^line 3: shots must be >= 1, got 0")])
+    def test_bad_row_named_by_its_line(self, row, message):
+        with pytest.raises(CsvFormatError, match=message):
+            parse_csv(HEADER + f"0.0,8,1\n{row}\n0.2,8,1\n")
+
     def test_non_increasing_time_rejected(self):
         with pytest.raises(CsvFormatError, match="non-increasing"):
             parse_csv(HEADER + "0.2,8,1\n0.1,8,1\n")
@@ -113,7 +121,8 @@ class TestReaders:
         ("0.1,8.5,1", "^line 3: non-numeric field"),
         ("0.1,1e1,1", "^line 3: non-numeric field"),
         ("0.1,8,1.0", "^line 3: non-numeric field"),
-        ("0.1,99999999999999999999,1", "must fit in int64")])
+        ("0.1,99999999999999999999,1", "must fit in int64"),
+        ("0.1,9223372036854775808,1", "must fit in int64")])
     def test_integers_numpy_might_truncate_take_the_walk(self, monkeypatch, row, message):
         # NumPy releases with the 1.23 deprecation of parsing an integer via
         # a float would read "8.5" as 8, where ``int`` raises

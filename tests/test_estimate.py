@@ -37,6 +37,20 @@ def constant_dataset(frac=0.7, shots=1000):
     return Dataset(GRID_TIMES, shots, np.full(len(GRID_TIMES), int(frac * shots)))
 
 
+class TestNormalizedCurve:
+    @pytest.mark.parametrize("t, f1, message", [
+        ([0.0, 1.0], [0.5], "matching 1-d arrays"),
+        ([[0.0, 1.0]], [[0.5, 0.5]], "matching 1-d arrays"),
+        ([0.0], [0.5], "matching 1-d arrays"),
+        ([0.0, 1.0, 1.0], [0.1, 0.5, 0.9], "strictly increasing"),
+        ([0.0, 1.0], [0.5, np.inf], "must be finite"),
+        ([0.0, np.nan], [0.5, 0.5], "must be finite"),
+        ([0.0, np.inf], [0.5, 0.5], "must be finite")])
+    def test_invalid_rejected(self, t, f1, message):
+        with pytest.raises(ValueError, match=message):
+            NormalizedCurve(np.array(t), np.array(f1))
+
+
 class TestRoughAlphaBeta:
     def test_from_span(self):
         a, b = rough_alpha_beta(Dataset([0.0, 1.0, 2.0], 1000, [100, 900, 500]))
@@ -518,6 +532,13 @@ class TestEstimateRows:
     def test_times_not_increasing_rejected(self, times):
         with pytest.raises(ValueError, match="strictly increasing"):
             estimate_rows(times, np.full((2, 4), 0.5))
+
+    @pytest.mark.parametrize("times, fractions", [
+        ([0.0], np.full((2, 1), 0.5)), ([[0.0, 0.1]], np.full((2, 2), 0.5)),
+        ([0.0, 0.1, 0.2], np.full(3, 0.5)), ([0.0, 0.1, 0.2], np.full((2, 4), 0.5))])
+    def test_shapes_rejected(self, times, fractions):
+        with pytest.raises(ValueError, match="one column of fractions per time"):
+            estimate_rows(times, fractions)
 
 
 # -- reference: the full-row masked steps ------------------------------------
@@ -1437,16 +1458,24 @@ def ill_conditioned_gap_file():
 
 
 def scan_levels(t, f):
-    """Whether each scan rate of the file ``f`` is collinear, and k and r of
-    its unconstrained curve, from the kernel's columns as ``_scan`` takes
-    them."""
+    """Whether each scan rate of the file ``f`` is collinear, k and r of its
+    unconstrained curve and its RSS, from the kernel's columns as ``_scan``
+    takes them: the unconstrained curve's, plus ``_edge``'s rise where a
+    level leaves [0, 1], inf where collinear."""
+    n = len(t)
     _, _, cc, ss, mean_cos, mean_sin, c2, s2, cs = rabipi.estimate._basis(
-        scan_step(t) * np.arange(1, 2 * len(t) - 2), t)
-    mean_f = f.sum() / len(t)
+        scan_step(t) * np.arange(1, 2 * n - 2), t)
+    mean_f = f.sum() / n
     y = f - mean_f
-    collinear, _, _, k, r = rabipi.estimate._unconstrained(
-        (cc * y).sum(axis=1), (ss * y).sum(axis=1), c2, s2, cs, mean_f, mean_cos, mean_sin)
-    return collinear, k, r
+    yc, ys = (cc * y).sum(axis=1), (ss * y).sum(axis=1)
+    collinear, u, v, k, r = rabipi.estimate._unconstrained(
+        yc, ys, c2, s2, cs, mean_f, mean_cos, mean_sin)
+    uy = u * yc + v * ys
+    rss = (y * y).sum() + uy
+    out = ((k - r < 0) | (k + r > 1)) & (r > 0)
+    rss[out] += n * rabipi.estimate._edge(k[out], r[out], uy[out] / n, mean_f)[2]
+    rss[collinear] = np.inf
+    return collinear, k, r, rss
 
 
 class TestScan:
@@ -1471,45 +1500,32 @@ class TestScan:
             for a, b in zip(got, rabipi.estimate._fit_rows(t, f)):
                 assert a.tobytes() == b.tobytes()
 
-    @pytest.fixture
-    def handed(self, monkeypatch):
-        """The k arrays ``_edge`` is called with."""
-        calls = []
-        edge = rabipi.estimate._edge
-        monkeypatch.setattr(rabipi.estimate, "_edge",
-                            lambda k, *args: calls.append(k) or edge(k, *args))
-        return calls
-
-    def test_refits_only_rates_that_can_win(self, handed):
-        # the rates handed to _edge are found by their unconstrained k
-        chosen_refitted = refitted_and_lost = refitted = off_range = 0
-        for ds in edge_bound_files():
+    def test_rss_is_the_kernels(self):
+        # the closed-form RSS of every scan rate, on an edge of [0, 1] too,
+        # is the kernel's up to rounding
+        datasets = [ds for _, ds in fit_corpus()] + list(edge_bound_files()) \
+            + [ill_conditioned_gap_file()]
+        refitted = 0
+        for i, ds in enumerate(datasets):
             t, f = ds.times(), ds.fractions()
-            _, k, r = scan_levels(t, f)
-            off = np.flatnonzero((k - r < 0) | (k + r > 1))
-            handed.clear()
-            best = rabipi.estimate._scan(t, f[None], scan_step(t))[0]
-            assert len(handed) <= 1
-            rates = np.flatnonzero(np.isin(k, handed[0])) if handed else []
-            assert set(rates) <= set(off)
-            assert len(rates) == sum(map(len, handed))
-            chosen_refitted += best in rates
-            refitted_and_lost += len(rates) - (best in rates)
-            refitted += len(rates)
-            off_range += len(off)
-        assert chosen_refitted > 0 and refitted_and_lost > 0
-        assert refitted < off_range
+            _, k, r, rss = scan_levels(t, f)
+            kernel = one_file(t, f, scan_step(t) * np.arange(1, 2 * len(t) - 2))[0]
+            assert np.array_equal(np.isinf(rss), np.isinf(kernel)), i
+            finite = ~np.isinf(kernel)
+            yy = ((f - f.mean()) ** 2).sum()
+            assert np.all(np.abs(rss - kernel)[finite] <= 1e-13 * yy), i
+            refitted += np.count_nonzero(((k - r < 0) | (k + r > 1)) & (r > 0))
+        assert refitted > 0
 
-    def test_an_ill_conditioned_rate_that_cannot_win_is_not_refitted(self, handed):
-        # its curve's RSS from the scan's sums would round with its huge
-        # amplitude; it is never computed, the rate's RSS is inf
+    def test_an_ill_conditioned_rate_out_of_range_loses(self):
+        # its unconstrained curve leaves [0, 1] far, with a huge amplitude;
+        # refitted on the edge, it still loses to the rate 125 step
         ds = ill_conditioned_gap_file()
         t, f = ds.times(), ds.fractions()
-        collinear, k, r = scan_levels(t, f)
+        collinear, k, r, _ = scan_levels(t, f)
         assert not collinear[125] and r[125] > 1e5 and k[125] + r[125] > 1
         best = rabipi.estimate._scan(t, f[None], scan_step(t))
         assert best.tolist() == [124]
-        assert not any(np.isin(k[125], calls) for calls in handed)
         assert np.array_equal(best, reference_scan(t, f[None], scan_step(t)))
 
     @pytest.mark.parametrize("cells", [3, 40, 1000])

@@ -67,6 +67,10 @@ class TestNoisyProb:
                    for t, p in zip(ts.ravel(), probs.ravel()))
         assert isinstance(noisy_prob(m, 1.0), float)
 
+    def test_non_model_rejected(self):
+        with pytest.raises(TypeError, match="model must be a NoiseModel"):
+            noisy_prob((1.0, 0.0, 0.0, 1.0), 0.5)
+
     def test_array_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             noisy_prob(IDEAL, np.array([0.0, math.nan, 1.0]))

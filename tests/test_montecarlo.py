@@ -100,6 +100,11 @@ class TestRunMc:
         with pytest.raises(ValueError):
             McConfig(runs_per_model=1)
 
+    @pytest.mark.parametrize("shots", [0, -8])
+    def test_no_shots_rejected(self, shots):
+        with pytest.raises(ValueError, match=f"shots must be >= 1, got {shots}"):
+            McConfig(shots=shots)
+
     @pytest.mark.parametrize("seed", [2**63, -2**63 - 1])
     def test_seed_outside_int64_rejected(self, seed):
         # _run_seed packs the base seed as a signed 64-bit integer

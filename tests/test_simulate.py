@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,12 @@ class TestMakeGrid:
         assert other == grid and hash(other) == hash(grid)
         assert {grid: 1}[other] == 1
         assert make_grid(0, 6.3, 0.05) != grid
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (math.nan, 1.0, 0.1), (0.0, math.inf, 0.1), (0.0, 1.0, math.nan)])
+    def test_non_finite_parameter_rejected(self, start, stop, step):
+        with pytest.raises(ValueError, match="grid parameters must be finite"):
+            make_grid(start, stop, step)
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
@@ -84,6 +91,26 @@ class TestRecordsAndDataset:
             Dataset([0.0, 1.0, 2.0], 8, [1, 1])
         with pytest.raises(ValueError):
             Dataset([0.0, 1.0, 2.0], [8, 8], [1, 1, 1])
+
+    @pytest.mark.parametrize("shots, ones, message", [
+        (8.7, [1, 2], "shots must be finite whole numbers, got 8.7"),
+        (8, [1.5, 2], "ones must be finite whole numbers, got 1.5"),
+        (8, [1, math.nan], "ones must be finite whole numbers, got nan"),
+        ([8, math.inf], [1, 2], "shots must be finite whole numbers, got inf"),
+        (np.uint64(2**63), [1, 1], "shots and ones must fit in int64"),
+        ((8, 2**63), [1, 1], "shots and ones must fit in int64"),
+        (8, [1, 2**64], "shots and ones must fit in int64"),
+        (8.0, [1.0, 2.0**63], "shots and ones must fit in int64")])
+    def test_counts_must_be_whole_int64_values(self, shots, ones, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset([0.0, 0.1], shots, ones)
+
+    def test_whole_float_counts_accepted(self):
+        ds = Dataset([0.0, 0.1], 8.0, np.array([1.0, 2.0]))
+        assert ds.shots.dtype == ds.ones.dtype == np.int64
+        assert ds == Dataset([0.0, 0.1], 8, [1, 2])
+        ds = Dataset([0.0, 0.1], [2**62, 2**63 - 1], np.array([2**62, 0], dtype=np.uint64))
+        assert ds.shots.tolist() == [2**62, 2**63 - 1] and ds.ones.tolist() == [2**62, 0]
 
     def test_columns(self):
         ds = Dataset([0.0, 1.0], 1000, [100, 900], "q")
