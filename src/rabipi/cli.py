@@ -9,6 +9,10 @@ Subcommands:
     plot       render a dataset (with fitted curve and crossings) as SVG
     report     full multi-dataset report: screening, estimates, MC, aggregate
 
+Every default is the library's: the model ``IDEAL``, the grid
+``DEFAULT_GRID``, ``DEFAULT_SHOTS`` shots, and the runs and seed of
+``McConfig``.
+
 Exit codes: 0 success, 1 runtime/data error, 2 usage error.
 """
 
@@ -18,25 +22,22 @@ import sys
 
 from .dataio import CsvFormatError, load_csv, save_text, write_csv
 from .estimate import PipelineError, estimate_pi, fit_model, screen_dataset
-from .model import NoiseModel
+from .model import IDEAL, NoiseModel
 from .montecarlo import McConfig, _steps, report, run_mc
 from .plotting import render_svg
-from .simulate import make_grid, sample_dataset
+from .simulate import DEFAULT_GRID, DEFAULT_SHOTS, make_grid, sample_dataset
 
 __all__ = ["cli_main", "main"]
 
 
-def _add_grid_flags(p):
-    p.add_argument("--grid-start", type=float, default=0.0)
-    p.add_argument("--grid-stop", type=float, default=6.3)
-    p.add_argument("--grid-step", type=float, default=0.1)
-
-
-def _add_model_flags(p):
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--phi0", type=float, default=0.0)
-    p.add_argument("--c", type=float, default=1.0)
+def _add_experiment_flags(p):
+    """The model, grid, shots and seed flags, each defaulting to the library's."""
+    for name in ("alpha", "beta", "phi0", "c"):
+        p.add_argument(f"--{name}", type=float, default=getattr(IDEAL, name))
+    for name in ("start", "stop", "step"):
+        p.add_argument(f"--grid-{name}", type=float, default=getattr(DEFAULT_GRID, name))
+    p.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
+    p.add_argument("--seed", type=int, default=McConfig.base_seed)
 
 
 @functools.cache  # one build per process; parse_args leaves the parser as it was
@@ -46,38 +47,35 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Estimate pi from (simulated) Rabi oscillation data.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="sample a synthetic dataset to CSV")
-    _add_model_flags(p)
-    _add_grid_flags(p)
-    p.add_argument("--shots", type=int, default=8192)
-    p.add_argument("--seed", type=int, default=0)
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("simulate", _cmd_simulate, "sample a synthetic dataset to CSV")
+    _add_experiment_flags(p)
     p.add_argument("--label", default="")
     p.add_argument("--out", help="output CSV path (default: stdout)")
 
-    p = sub.add_parser("estimate", help="run the estimation pipeline on a CSV")
+    p = command("estimate", _cmd_estimate, "run the estimation pipeline on a CSV")
+    p.add_argument("dataset")
+    p = command("fit", _cmd_fit, "fit the noise model to a CSV")
+    p.add_argument("dataset")
+    p = command("screen", _cmd_screen, "check a CSV for calibration jumps")
     p.add_argument("dataset")
 
-    p = sub.add_parser("fit", help="fit the noise model to a CSV")
-    p.add_argument("dataset")
+    p = command("mc", _cmd_mc, "Monte Carlo error characterization")
+    _add_experiment_flags(p)
+    p.add_argument("--runs", type=int, default=McConfig.runs_per_model)
 
-    p = sub.add_parser("screen", help="check a CSV for calibration jumps")
-    p.add_argument("dataset")
-
-    p = sub.add_parser("mc", help="Monte Carlo error characterization")
-    _add_model_flags(p)
-    _add_grid_flags(p)
-    p.add_argument("--shots", type=int, default=8192)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=50)
-
-    p = sub.add_parser("plot", help="render a dataset as SVG")
+    p = command("plot", _cmd_plot, "render a dataset as SVG")
     p.add_argument("dataset")
     p.add_argument("--out", help="output SVG path (default: stdout)")
 
-    p = sub.add_parser("report", help="multi-dataset screening/estimate/MC report")
+    p = command("report", _cmd_report, "multi-dataset screening/estimate/MC report")
     p.add_argument("datasets", nargs="+")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=50)
+    p.add_argument("--seed", type=int, default=McConfig.base_seed)
+    p.add_argument("--runs", type=int, default=McConfig.runs_per_model)
     p.add_argument("--out", help="output report path (default: stdout)")
 
     return parser
@@ -90,18 +88,12 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _format_result(r) -> str:
-    return "\n".join([
-        f"alpha_hat  = {r.alpha_hat:.6f}",
-        f"beta_hat   = {r.beta_hat:.6f}",
-        f"t1_hat     = {r.t1_hat:.6f}",
-        f"t2_hat     = {r.t2_hat:.6f}",
-        f"t_minval   = {r.t_minval:.6f}",
-        f"t_maxval   = {r.t_maxval:.6f}",
-        f"integral_I = {r.integral_I:.6f}",
-        f"c_hat      = {r.c_hat:.6f}",
-        f"pi_hat     = {r.pi_hat:.6f}",
-    ]) + "\n"
+def _block(width: int, obj, names: str, spec: str, **first) -> str:
+    """``name = value`` lines, names padded to ``width``: the ``first``
+    values as given, then each attribute of ``obj`` in ``names`` in format
+    ``spec``."""
+    values = {**first, **{n: format(getattr(obj, n), spec) for n in names.split()}}
+    return "".join(f"{n:<{width}} = {v}\n" for n, v in values.items())
 
 
 def _format_failures(s) -> str:
@@ -110,10 +102,15 @@ def _format_failures(s) -> str:
     return f"failures {s.failures}" + (f": {steps}" if steps else "")
 
 
+def _model_and_grid(args):
+    """The model and grid of the experiment flags."""
+    return (NoiseModel(args.alpha, args.beta, args.phi0, args.c),
+            make_grid(args.grid_start, args.grid_stop, args.grid_step))
+
+
 def _cmd_simulate(args) -> int:
-    model = NoiseModel(args.alpha, args.beta, args.phi0, args.c)
-    grid = make_grid(args.grid_start, args.grid_stop, args.grid_step)
-    ds = sample_dataset(model, grid, args.shots, seed=args.seed, label=args.label)
+    ds = sample_dataset(*_model_and_grid(args), args.shots, seed=args.seed,
+                        label=args.label)
     _emit(write_csv(ds), args.out)
     if args.out:
         print(f"wrote {len(ds)} records to {args.out} (seed {args.seed})")
@@ -121,18 +118,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    ds = load_csv(args.dataset)
-    r = estimate_pi(ds)
-    sys.stdout.write(_format_result(r))
+    r = estimate_pi(load_csv(args.dataset))
+    sys.stdout.write(_block(10, r, "alpha_hat beta_hat t1_hat t2_hat t_minval "
+                                   "t_maxval integral_I c_hat pi_hat", ".6f"))
     return 0
 
 
 def _cmd_fit(args) -> int:
     m = fit_model(load_csv(args.dataset))
-    print(f"alpha = {m.alpha:.6f}")
-    print(f"beta  = {m.beta:.6f}")
-    print(f"phi0  = {m.phi0:.6f}")
-    print(f"c     = {m.c:.6f}")
+    sys.stdout.write(_block(5, m, "alpha beta phi0 c", ".6f"))
     return 0
 
 
@@ -146,16 +140,11 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    model = NoiseModel(args.alpha, args.beta, args.phi0, args.c)
-    cfg = McConfig(runs_per_model=args.runs, shots=args.shots,
-                   grid=make_grid(args.grid_start, args.grid_stop, args.grid_step),
-                   base_seed=args.seed)
-    s = run_mc([model], cfg)
-    print(f"n_runs   = {s.n_runs} ({_format_failures(s)}; seed {args.seed})")
-    print(f"mean_pi  = {s.mean_pi:.4f}")
-    print(f"std_pi   = {s.std_pi:.4f}")
-    print(f"std_dt   = {s.std_dt:.4f}")
-    print(f"std_I    = {s.std_I:.4f}")
+    model, grid = _model_and_grid(args)
+    s = run_mc([model], McConfig(runs_per_model=args.runs, shots=args.shots, grid=grid,
+                                 base_seed=args.seed))
+    runs = f"{s.n_runs} ({_format_failures(s)}; seed {args.seed})"
+    sys.stdout.write(_block(8, s, "mean_pi std_pi std_dt std_I", ".4f", n_runs=runs))
     return 0
 
 
@@ -208,17 +197,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "fit": _cmd_fit,
-    "screen": _cmd_screen,
-    "mc": _cmd_mc,
-    "plot": _cmd_plot,
-    "report": _cmd_report,
-}
-
-
 def cli_main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -226,7 +204,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (PipelineError, CsvFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

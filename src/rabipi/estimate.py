@@ -39,7 +39,7 @@ search for all of them, each getting the bits that ``screen_dataset`` and
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -130,16 +130,8 @@ class RowEstimates:
         """Row r's outputs; raises its ``PipelineError`` when it failed."""
         if self.errors[r] is not None:
             raise self.errors[r]
-        return EstimateResult(
-            alpha_hat=float(self.alpha_hat[r]),
-            beta_hat=float(self.beta_hat[r]),
-            t1_hat=float(self.t1_hat[r]),
-            t2_hat=float(self.t2_hat[r]),
-            integral_I=float(self.integral_I[r]),
-            pi_hat=float(self.pi_hat[r]),
-            t_minval=float(self.t_minval[r]),
-            t_maxval=float(self.t_maxval[r]),
-        )
+        return EstimateResult(**{f.name: float(getattr(self, f.name)[r])
+                                 for f in fields(EstimateResult)})
 
 
 @dataclass(frozen=True)
@@ -817,7 +809,7 @@ def _fit_rows(t, f):
     batch.
     """
     step = math.pi / (2 * (t[-1] - t[0]))
-    best = step * np.arange(1, 2 * (len(t) - 1))[_scan(t, f, step)]
+    best = step * (_scan(t, f, step) + 1)
     res = optimize.minimize_on_bracket(
         lambda c, rows: _fit_in_batches(t, f.take(rows, axis=0), c),
         best - step, best + step)

@@ -195,7 +195,8 @@ def _raise_first(names: list, outcomes: list):
             raise PipelineError("report", f"{name}: {outcome}") from outcome
 
 
-def report(datasets: list, runs_per_model: int = 50, base_seed: int = 0) -> Report:
+def report(datasets: list, runs_per_model: int = McConfig.runs_per_model,
+           base_seed: int = McConfig.base_seed) -> Report:
     """From datasets to the mean pi_hat and its 2-sigma error bar.
 
     Datasets failing the jump screen are skipped.  Each accepted one is

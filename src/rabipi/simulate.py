@@ -55,9 +55,10 @@ class TimeGrid:
             raise ValueError(f"step must be > 0, got {self.step}")
         if self.stop <= self.start:
             raise ValueError(f"stop must exceed start, got [{self.start}, {self.stop}]")
-        # Largest point <= stop + step/2; rounding strips float-accumulation
+        # The last point is the largest at or below stop, up to the rounding
+        # of the quotient; rounding the times strips float-accumulation
         # noise so grid times serialize as short decimals.
-        n = int(math.floor((self.stop - self.start + self.step / 2) / self.step)) + 1
+        n = int(math.floor((self.stop - self.start) / self.step * (1 + 1e-12))) + 1
         times = np.round(self.start + np.arange(n) * self.step, 12)
         if np.any(np.abs(np.diff(times) - self.step) > 1e-6 * self.step):
             raise ValueError(f"step {self.step} is too fine for grid times rounded "
@@ -107,11 +108,12 @@ class Dataset:
 
     def __post_init__(self):
         t = np.array(self.t, dtype=np.float64)
-        shots = np.array(np.broadcast_to(_counts("shots", self.shots), t.shape))
+        shots = _counts("shots", self.shots)
         ones = _counts("ones", self.ones)
-        if t.ndim != 1 or ones.shape != t.shape:
+        if t.ndim != 1 or ones.shape != t.shape or shots.shape not in ((), t.shape):
             raise ValueError(f"columns must be 1-d and of equal length, got t {t.shape}, "
-                             f"shots {np.shape(self.shots)}, ones {ones.shape}")
+                             f"shots {shots.shape}, ones {ones.shape}")
+        shots = np.array(np.broadcast_to(shots, t.shape))
         for name, col in (("t", t), ("shots", shots), ("ones", ones)):
             col.flags.writeable = False
             object.__setattr__(self, name, col)

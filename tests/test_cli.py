@@ -14,8 +14,8 @@ from rabipi.dataio import load_csv, save_csv, write_csv
 from rabipi.estimate import estimate_pi
 from rabipi.model import IDEAL, NoiseModel, noisy_prob
 from rabipi.montecarlo import McConfig, model_from_estimate, run_mc
-from rabipi.simulate import DEFAULT_GRID, Dataset, inject_step, make_grid, \
-    sample_dataset
+from rabipi.simulate import DEFAULT_GRID, DEFAULT_SHOTS, Dataset, inject_step, \
+    make_grid, sample_dataset
 
 
 def run(args):
@@ -52,6 +52,42 @@ class TestSimulate:
                     "--out", str(out)]) == 1
         assert not out.exists()
         assert "rounded to 12 decimals" in capsys.readouterr().err
+
+
+class TestDefaultsAreTheLibrarys:
+    # the CLI's protocol is the one run_mc and sample_dataset default to
+    def test_simulate(self, capsys):
+        assert run(["simulate", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == write_csv(
+            sample_dataset(IDEAL, DEFAULT_GRID, DEFAULT_SHOTS, seed=3))
+
+    def test_mc(self, capsys):
+        assert run(["mc", "--seed", "3"]) == 0
+        s = run_mc([IDEAL], McConfig(base_seed=3))
+        assert s.failures == 0
+        assert capsys.readouterr().out == (
+            f"n_runs   = {s.n_runs} (failures 0; seed 3)\n"
+            f"mean_pi  = {s.mean_pi:.4f}\n"
+            f"std_pi   = {s.std_pi:.4f}\n"
+            f"std_dt   = {s.std_dt:.4f}\n"
+            f"std_I    = {s.std_I:.4f}\n")
+
+    def test_report(self, tmp_path, monkeypatch, capsys):
+        p = tmp_path / "q.csv"
+        save_csv(sample_dataset(IDEAL, DEFAULT_GRID, DEFAULT_SHOTS, seed=3), p)
+        run_mc = rabipi.montecarlo.run_mc
+        ran = []
+
+        def spy(models, cfg):
+            ran.append(cfg)
+            return run_mc(models, cfg)
+
+        monkeypatch.setattr(rabipi.montecarlo, "run_mc", spy)
+        assert run(["report", str(p)]) == 0
+        default = McConfig()
+        assert [(c.runs_per_model, c.base_seed) for c in ran] == [
+            (default.runs_per_model, default.base_seed)]
+        assert f"\n{default.runs_per_model} runs (" in capsys.readouterr().out
 
 
 class TestEstimate:

@@ -19,6 +19,12 @@ class TestMakeGrid:
     def test_small_grid(self):
         assert list(make_grid(0, 1, 0.5).times()) == [0.0, 0.5, 1.0]
 
+    @pytest.mark.parametrize("start, stop, step, last", [
+        (0.0, 1.0, 0.6, 0.6), (0.0, 6.3, 0.4, 6.0)])
+    def test_no_time_past_stop(self, start, stop, step, last):
+        # stop is not on these grids: the last time is the one below it
+        assert make_grid(start, stop, step).times()[-1] == last
+
     def test_times_built_once_and_read_only(self):
         grid = make_grid(0, 6.3, 0.1)
         times = grid.times()
@@ -89,8 +95,11 @@ class TestRecordsAndDataset:
     def test_columns_must_match(self):
         with pytest.raises(ValueError, match="equal length"):
             Dataset([0.0, 1.0, 2.0], 8, [1, 1])
-        with pytest.raises(ValueError):
-            Dataset([0.0, 1.0, 2.0], [8, 8], [1, 1, 1])
+        # shots is checked before it is broadcast to the times
+        for shots in ([8, 8], [[8, 8, 8]]):
+            with pytest.raises(ValueError,
+                               match="columns must be 1-d and of equal length"):
+                Dataset([0.0, 1.0, 2.0], shots, [1, 1, 1])
 
     @pytest.mark.parametrize("shots, ones, message", [
         (8.7, [1, 2], "shots must be finite whole numbers, got 8.7"),
