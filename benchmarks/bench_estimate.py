@@ -4,7 +4,9 @@ use, ``load_csv``, ``fit_model`` and ``render_svg`` on one file as triage
 reads, fits and plots it, ``fit_model`` on a file whose best curve has a level at 1, on one whose
 rate search bisects, and on files of two grids in turn (so no scan finds
 its grid's columns built), and ``report`` on three files as ``rabipi
-report`` runs it, with its screen, ``screen_rows``, on its own.
+report`` runs it, with its screen, ``screen_rows``, on its own, and
+``screen_dataset`` on a clean file, which the scan's bracket accepts with
+no rate search, and on a file with a step, which the search refines.
 
     python -m pytest benchmarks -q                       # time, print medians
     python -m pytest benchmarks -q --benchmark-json=out.json
@@ -26,7 +28,7 @@ from rabipi import (DEFAULT_GRID, Dataset, McConfig, NoiseModel, estimate_pi,
 from rabipi.dataio import load_csv, save_csv
 from rabipi.estimate import estimate_rows, fit_model, screen_dataset, screen_rows
 from rabipi.plotting import render_svg
-from rabipi.simulate import sample_counts, sample_dataset
+from rabipi.simulate import inject_step, sample_counts, sample_dataset
 
 #: The paper's three demo qubits; 50 runs each is the 150-run protocol.
 DEMO_QUBITS = [NoiseModel(0.90, 0.05, 0.0, 1.0),
@@ -173,3 +175,12 @@ def test_screen_rows_three_files(benchmark, three_files):
     verdicts = benchmark(screen_rows, t, fractions, shots)
     assert verdicts == tuple(screen_dataset(ds) for ds in three_files)
     assert all(verdicts)
+
+
+def test_screen_dataset_clean_file(benchmark, one_file):
+    assert benchmark(screen_dataset, one_file)
+
+
+def test_screen_dataset_stepped_file(benchmark, one_file):
+    v = benchmark(screen_dataset, inject_step(one_file, 4.0, 0.15))
+    assert not v and v.location == 4.0

@@ -23,7 +23,7 @@ import sys
 from .dataio import CsvFormatError, load_csv, save_text, write_csv
 from .estimate import PipelineError, estimate_pi, fit_model, screen_dataset
 from .model import IDEAL, NoiseModel
-from .montecarlo import McConfig, _steps, report, run_mc
+from .montecarlo import McConfig, _check_seed, _steps, report, run_mc
 from .plotting import render_svg
 from .simulate import DEFAULT_GRID, DEFAULT_SHOTS, make_grid, sample_dataset
 
@@ -109,6 +109,7 @@ def _model_and_grid(args):
 
 
 def _cmd_simulate(args) -> int:
+    _check_seed(args.seed)  # the range mc and report take
     ds = sample_dataset(*_model_and_grid(args), args.shots, seed=args.seed,
                         label=args.label)
     _emit(write_csv(ds), args.out)

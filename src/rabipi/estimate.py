@@ -32,9 +32,9 @@ nearest a given start.
 
 Also provides the full four-parameter curve fit used for plotting and a
 screener that rejects datasets with calibration jumps.  ``screen_rows``
-screens many datasets on the same times at once: one rate scan and one rate
-search for all of them, each getting the bits that ``screen_dataset`` and
-``fit_model`` give it alone.
+screens many datasets on the same times at once: one rate scan for all of
+them, then one rate search for the few whose verdict the scan cannot
+settle, each getting the verdict it gets alone.
 """
 
 import functools
@@ -795,26 +795,38 @@ def _too_few_times(t) -> PipelineError:
                                       f"got {len(t)}")
 
 
+def _brackets(t, f):
+    """The rate search's bracket of each row of ``f`` (files, n), the
+    fractions of files sharing the times ``t``: its best scan rate -/+ one
+    scan step, as (lo, hi).  One ``_scan`` picks every file's best rate on
+    the kernel's columns of the times, kept for the next scan
+    (``_columns``)."""
+    step = math.pi / (2 * (t[-1] - t[0]))
+    best = step * (_scan(t, f, step) + 1)
+    return best - step, best + step
+
+
+def _refine(t, f, lo, hi):
+    """Alpha, beta, phi0 and c of the fit of each row of ``f`` within its
+    bracket [lo, hi]: one ``minimize_on_bracket``, its steps starting at
+    the bracket's middle, one ``_fit_in_batches`` call per step for the
+    files still stepping, three rates each."""
+    res = optimize.minimize_on_bracket(
+        lambda c, rows: _fit_in_batches(t, f.take(rows, axis=0), c), lo, hi)
+    _, alpha, beta, phi0 = res.out
+    return alpha, beta, phi0, res.x
+
+
 def _fit_rows(t, f):
     """The fit of each row of ``f`` (files, n), the fractions of files
     sharing the times ``t``; no row may be constant and n must be >= 4.
     ``fit_model`` is this on one row.
 
-    One ``_scan`` picks every file's best scan rate on the kernel's columns
-    of the times, kept for the next scan (``_columns``), then one
-    ``minimize_on_bracket`` refines every file's rate within one scan step
-    of it, its steps starting at that best rate: one ``_fit_in_batches``
-    call per step for the files still stepping, three rates each.  Returns
-    alpha, beta, phi0 and c, one value per file, each the same bits in any
-    batch.
+    One scan picks every file's bracket (``_brackets``), then one search
+    refines every file's rate within it (``_refine``).  Returns alpha,
+    beta, phi0 and c, one value per file, each the same bits in any batch.
     """
-    step = math.pi / (2 * (t[-1] - t[0]))
-    best = step * (_scan(t, f, step) + 1)
-    res = optimize.minimize_on_bracket(
-        lambda c, rows: _fit_in_batches(t, f.take(rows, axis=0), c),
-        best - step, best + step)
-    _, alpha, beta, phi0 = res.out
-    return alpha, beta, phi0, res.x
+    return _refine(t, f, *_brackets(t, f))
 
 
 def fit_model(ds: Dataset) -> NoiseModel:
@@ -841,8 +853,8 @@ def fit_model(ds: Dataset) -> NoiseModel:
     periodogram (Zechmeister & Kuerster, A&A 496, 577, 2009).  Raises
     ``PipelineError`` on fewer than 4 times, where any of many curves fits
     exactly, and on constant data.  The file is fitted as a batch of one
-    (``_fit_rows``), so ``screen_rows``, which fits many files on the same
-    times at once, gives it the same bits.
+    (``_fit_rows``), so a batch of files on the same times gives it the
+    same bits.
     """
     t, f = ds.times(), ds.fractions()
     if len(t) < 4:
@@ -866,13 +878,21 @@ class ScreenVerdict:
         return self.accepted
 
 
+def _jump_threshold(t, shots, c):
+    """The largest jump the screen allows between each pair of adjacent
+    times of each row, files at the times ``t`` with the shot counts
+    ``shots`` (files, n), each at its rate in ``c`` (files,): c*dt/2 plus 5
+    binomial standard deviations at p = 1/2.  Each value rises with c."""
+    return (c[:, None] * np.diff(t) / 2
+            + 5 * np.sqrt(0.25 / np.minimum(shots[:, :-1], shots[:, 1:])))
+
+
 def _jump_verdicts(t, f, shots, c) -> list:
     """The jump screen's verdict on each row of ``f`` (files, n), files at
     the times ``t`` with the shot counts ``shots`` (files, n), each at its
     fitted rate in ``c`` (files,)."""
     jump = np.abs(np.diff(f, axis=1))
-    threshold = (c[:, None] * np.diff(t) / 2
-                 + 5 * np.sqrt(0.25 / np.minimum(shots[:, :-1], shots[:, 1:])))
+    threshold = _jump_threshold(t, shots, c)
     over = jump > threshold
     verdicts = []
     for r, i in enumerate(over.argmax(axis=1)):  # the first jump over, if any
@@ -892,29 +912,37 @@ def screen_dataset(ds: Dataset) -> ScreenVerdict:
     """Reject datasets whose fractions jump more than the model plus noise allow.
 
     Between adjacent times the model probability can change by at most
-    c*dt/2 (c from ``fit_model``, not run on data that never jumps); on top
-    of that we allow 5 binomial standard deviations at the worst case
-    p = 1/2.  A larger jump indicates a calibration step.  ``screen_rows``
-    screens many files on the same times at once, with the same bits.
+    c*dt/2, c being ``fit_model``'s rate; on top of that we allow 5
+    binomial standard deviations at the worst case p = 1/2.  A larger jump
+    indicates a calibration step.  This is ``screen_rows`` on one row, so
+    most clean files are accepted without the rate search; raises the
+    ``PipelineError`` of a file too short to fit.
     """
-    f = ds.fractions()
-    if f.min() == f.max():  # constant fractions have no rate to fit
-        return ScreenVerdict(accepted=True)
-    return _jump_verdicts(ds.times(), f[None], ds.shots[None],
-                          np.array([fit_model(ds).c]))[0]
+    verdict, = screen_rows(ds.times(), ds.fractions()[None], ds.shots[None])
+    if isinstance(verdict, PipelineError):
+        raise verdict
+    return verdict
 
 
 def screen_rows(times, fractions, shots) -> tuple:
-    """``screen_dataset`` on every row of ``fractions`` (files, n).
+    """The jump screen (see ``screen_dataset``) on every row of
+    ``fractions`` (files, n).
 
     The rows are files sharing the strictly increasing ``times`` (n,), and
     ``shots`` (files, n) holds their shot counts.  Raises ``ValueError`` on
     times that are not finite and strictly increasing, on fractions that
     are not finite and on shot counts below 1.  Each row gets the verdict
-    ``screen_dataset`` gives that file alone, with the same bits, or the
-    ``PipelineError`` its fit raised.  The rows that need a rate are fitted
-    together (see ``_fit_rows``): one rate scan and one rate search for all
-    of them.
+    it gets alone, the jump screen at ``fit_model``'s rate, with the same
+    bits, or the ``PipelineError`` of a file too short to fit; a constant
+    row is accepted.
+
+    One ``_scan`` picks every row's search bracket (``_brackets``).  The
+    search never evaluates a rate below a bound set by that bracket alone,
+    and the threshold rises with the rate, so a row whose every jump is
+    within the threshold at that bound is accepted with no search, as most
+    clean files are.  The other rows, files with a step and the few clean
+    files near the threshold, are refined together by one rate search
+    (``_refine``), and their verdicts come from the rate it returns.
     """
     t, f = np.asarray(times, dtype=float), np.asarray(fractions, dtype=float)
     shots = np.asarray(shots)
@@ -931,10 +959,22 @@ def screen_rows(times, fractions, shots) -> tuple:
         raise ValueError("shots must be >= 1")
     moving = np.flatnonzero(f.min(axis=1) != f.max(axis=1))
     verdicts = [ScreenVerdict(accepted=True)] * len(f)
-    if len(moving):
-        found = ([_too_few_times(t)] * len(moving) if len(t) < 4 else
-                 _jump_verdicts(t, f[moving], shots[moving],
-                                _fit_rows(t, f[moving])[3]))
-        for r, v in zip(moving, found):
-            verdicts[r] = v
+    if len(t) < 4:
+        for r in moving:
+            verdicts[r] = _too_few_times(t)
+    elif len(moving):
+        f, shots = f[moving], shots[moving]
+        lo, hi = _brackets(t, f)
+        # The search returns one of the points it evaluates, each c - e or
+        # above with its centre c >= lo and e = DX * (hi - lo).  Rounding is
+        # monotone, so no fitted rate lies below ``least``, computed as the
+        # search computes c - e, and no threshold below the one at
+        # ``least``: a row with no jump over that one is accepted.
+        least = lo - optimize.DX * (hi - lo)
+        jump = np.abs(np.diff(f, axis=1))
+        near = np.flatnonzero((jump > _jump_threshold(t, shots, least)).any(axis=1))
+        if len(near):
+            c = _refine(t, f[near], lo[near], hi[near])[3]
+            for r, v in zip(moving[near], _jump_verdicts(t, f[near], shots[near], c)):
+                verdicts[r] = v
     return tuple(verdicts)

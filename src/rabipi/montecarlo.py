@@ -45,9 +45,15 @@ class McConfig:
             raise ValueError("runs_per_model must be >= 2 for a standard deviation")
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if not -2**63 <= self.base_seed < 2**63:  # _run_seed packs it as int64
-            raise ValueError(f"base_seed must be a signed 64-bit integer, "
-                             f"got {self.base_seed}")
+        _check_seed(self.base_seed)
+
+
+def _check_seed(seed: int):
+    """Raise ``ValueError`` unless ``seed`` is a signed 64-bit integer, as
+    ``_run_seed`` packs it; mod 2**64, as ``sample_counts`` takes a seed,
+    that range names each generator once."""
+    if not -2**63 <= seed < 2**63:
+        raise ValueError(f"base_seed must be a signed 64-bit integer, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -207,11 +213,12 @@ def report(datasets: list, runs_per_model: int = McConfig.runs_per_model,
     divided by the number of datasets.
 
     Datasets with identical times form one batch.  A batch is screened by
-    one ``screen_rows`` call, which scans and refines the rates of all its
-    datasets together, its accepted datasets are estimated by one
-    ``estimate_rows`` call, and its time grid is built and checked once.
-    Each dataset gets the same bits as ``screen_dataset`` and
-    ``estimate_pi`` give it alone.
+    one ``screen_rows`` call, which scans the rates of all its datasets
+    together and runs the rate search only on those whose verdict the scan
+    cannot settle (none, on clean files), its accepted datasets are
+    estimated by one ``estimate_rows`` call, and its time grid is built and
+    checked once.  Each dataset gets the same bits as ``screen_dataset``
+    and ``estimate_pi`` give it alone.
 
     A dataset is named by its label or, when that is empty, by its 1-based
     position (``dataset 2``), in the verdicts, the estimates and errors.

@@ -260,16 +260,18 @@ class TestFitScreenMc:
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: run_mc: {message}\n")
 
-    @pytest.mark.parametrize("command", ["mc", "report"])
+    @pytest.mark.parametrize("command", ["mc", "report", "simulate"])
     @pytest.mark.parametrize("seed", [2**63, -2**63 - 1])
     def test_seed_outside_int64_is_an_error(self, tmp_path, capsys, command,
                                             seed):
-        argv = [command]
+        # simulate takes a seed mod 2**64, so 2**63 would name the
+        # generator of -2**63; every command refuses it alike
+        argv = [command] if command == "simulate" else [command, "--runs", "5"]
         if command == "report":
             argv.append(str(tmp_path / "q.csv"))
-            assert run(["simulate", "--seed", "7", "--out", argv[1]]) == 0
+            assert run(["simulate", "--seed", "7", "--out", argv[-1]]) == 0
             capsys.readouterr()
-        assert run([*argv, "--runs", "5", "--seed", str(seed)]) == 1
+        assert run([*argv, "--seed", str(seed)]) == 1
         out, err = capsys.readouterr()
         assert err.startswith("error: base_seed") and str(seed) in err
         assert "Traceback" not in err and out == ""
@@ -414,8 +416,9 @@ class TestPlotReport:
         assert [(c.runs_per_model, c.shots, c.base_seed) for c in ran] == [(5, 8192, 4)]
         assert np.array_equal(ran[0].grid.times(), DEFAULT_GRID.times())
 
-        # the files share their times, so they are one batch: one rate scan,
-        # one search and one estimate call for all three
+        # the files share their times, so they are one batch: one rate scan
+        # and one estimate call for all three, and no rate search, as the
+        # scan's brackets already accept every file
         scans, shapes, batches = [], [], []
         scan = rabipi.estimate._scan
         kernel = rabipi.estimate._fit_at_rates
@@ -439,6 +442,6 @@ class TestPlotReport:
         assert run(argv) == 0
         assert [f.tolist() for f in scans] == [
             [ds.fractions().tolist() for ds in datasets]]
-        assert shapes == [(3, 3)] * 4  # 1 search: 4 steps of the 3 files
+        assert shapes == []  # no kernel call
         assert batches == [(3, 64), (3 * 5, 64)]  # the files, then run_mc's runs
         assert capsys.readouterr().out == expected

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import math
 import os
 import random
@@ -26,6 +27,9 @@ from rabipi.simulate import (DEFAULT_GRID, Dataset, exact_dataset,
                              sample_dataset)
 
 GRID_TIMES = DEFAULT_GRID.times()
+#: The paper's three demo qubits.
+DEMO_QUBITS = [NoiseModel(0.90, 0.05, 0.0, 1.0), NoiseModel(0.85, 0.08, 0.0, 1.0),
+               NoiseModel(0.95, 0.02, 0.0, 1.0)]
 
 
 def ideal_curve() -> NormalizedCurve:
@@ -1214,12 +1218,10 @@ class TestFitModel:
 
         for i, ds in fit_corpus():
             a, b = fit(closed_form, ds), fit(batched(pinv_fit_at_rates), ds)
-            verdicts = []
-            for m in (a, b):  # the screen's only use of the fit is its rate
-                monkeypatch.setattr(rabipi.estimate, "fit_model", lambda _: m)
-                verdicts.append(screen_dataset(ds))
             monkeypatch.undo()
             t, f = ds.times(), ds.fractions()
+            # the screen's only use of the fit is its rate
+            verdicts = [jump_verdict(ds, m.c) for m in (a, b)]
             rss_a, rss_b = (pinv_fit_at_rates(t, f, np.array([m.c]))[0][0]
                             for m in (a, b))
             assert rss_a == pytest.approx(rss_b, rel=1e-12), i
@@ -1392,6 +1394,111 @@ class TestBatchedFiles:
                  "inf time": np.r_[t[:-1], math.inf]}[case]
         with pytest.raises(ValueError, match=match):
             screen_rows(t, f, shots)
+
+
+def jump_verdict(ds, c):
+    """The jump screen's verdict on ``ds`` at the rate ``c``."""
+    return rabipi.estimate._jump_verdicts(ds.t, ds.fractions()[None], ds.shots[None],
+                                          np.array([c]))[0]
+
+
+def fitted_verdict(ds):
+    """The verdict ``screen_rows`` must give ``ds``: the jump screen at
+    ``fit_model``'s rate, with the rate search always run; a constant file
+    is accepted."""
+    f = ds.fractions()
+    return ScreenVerdict(accepted=True) if f.min() == f.max() else \
+        jump_verdict(ds, fit_model(ds).c)
+
+
+def recorded_corpus():
+    """The files of ``benchmarks/record_outputs.py``'s ``corpus``."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "record_outputs.py"
+    spec = importlib.util.spec_from_file_location("record_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [ds for _, ds in module.corpus()]
+
+
+class TestScreenBound:
+    """``screen_rows`` accepts a row with no rate search when every jump is
+    within the threshold at the least rate its search could return, and
+    refines the other rows; every verdict is the one at the fitted rate."""
+
+    @staticmethod
+    def screen_and_count(datasets, monkeypatch):
+        """``screen_rows`` on ``datasets``, which share their times, and
+        the shapes of its kernel calls."""
+        shapes = []
+        kernel = rabipi.estimate._fit_at_rates
+        monkeypatch.setattr(rabipi.estimate, "_fit_at_rates",
+                            lambda t, f, c: shapes.append(c.shape) or kernel(t, f, c))
+        verdicts = screen_rows(datasets[0].t, [ds.fractions() for ds in datasets],
+                               [ds.shots for ds in datasets])
+        monkeypatch.undo()
+        return verdicts, shapes
+
+    @staticmethod
+    def demo_files():
+        return [sample_dataset(m, DEFAULT_GRID, 8192, seed=20 + q)
+                for q, m in enumerate(DEMO_QUBITS)]
+
+    def test_fitted_verdict_on_the_recorded_corpus(self):
+        corpus = recorded_corpus()
+        assert len(corpus) == 648
+        for t, f, shots, group in TestBatchedFiles.batches(corpus):
+            for j, v in enumerate(screen_rows(t, f, shots)):
+                assert v == fitted_verdict(group[j]), j
+
+    @pytest.mark.parametrize("shots", [4, 16, 64])
+    @pytest.mark.parametrize("grid", ["0.05", "0.2", "uneven"])
+    def test_fitted_verdict_at_low_shots_and_other_grids(self, shots, grid):
+        # every other file has a step near the noise allowance, 5 standard
+        # deviations at p = 1/2, so that some rows are refined; at 4 shots
+        # that allowance is 1.25 and no jump can exceed it
+        rng = np.random.default_rng(shots)
+        t = (DEFAULT_GRID.times() + rng.uniform(-0.03, 0.03, 64) if grid == "uneven"
+             else make_grid(0.0, 6.3, float(grid)).times())
+        allow = 5 * math.sqrt(0.25 / shots)
+        files = []
+        for k in range(24):
+            alpha = rng.uniform(0.5, 0.98)
+            model = NoiseModel(alpha, rng.uniform(0, 1 - alpha), rng.uniform(-3, 3),
+                               rng.uniform(0.3, 2.5))
+            ds = Dataset(t, shots, rng.binomial(shots, noisy_prob(model, t)))
+            if k % 2:
+                at, size = t[rng.integers(1, len(t))], rng.uniform(allow - 0.15, allow + 0.25)
+                ds = inject_step(ds, at, -size if noisy_prob(model, at) > 0.5 else size)
+            files.append(ds)
+        verdicts = screen_rows(t, [ds.fractions() for ds in files],
+                               [ds.shots for ds in files])
+        assert list(verdicts) == [fitted_verdict(ds) for ds in files]
+        assert all(verdicts) == (shots == 4)
+
+    def test_clean_batch_makes_no_kernel_call(self, monkeypatch):
+        verdicts, shapes = self.screen_and_count(self.demo_files(), monkeypatch)
+        assert all(verdicts) and shapes == []
+
+    def test_a_stepped_file_is_refined_alone(self, monkeypatch):
+        files = self.demo_files()
+        files.insert(1, inject_step(files[0], 4.0, 0.15))
+        verdicts, shapes = self.screen_and_count(files, monkeypatch)
+        assert shapes and all(shape == (1, 3) for shape in shapes)
+        assert verdicts == tuple(fitted_verdict(ds) for ds in files)
+        assert [bool(v) for v in verdicts] == [True, False, True, True]
+
+    def test_a_jump_between_the_two_thresholds_is_refined_and_accepted(self,
+                                                                       monkeypatch):
+        ds = sample_dataset(DEMO_QUBITS[0], DEFAULT_GRID, 8192, seed=16)
+        t, f, shots = ds.t, ds.fractions()[None], ds.shots[None]
+        lo, hi = rabipi.estimate._brackets(t, f)
+        least = lo - rabipi.estimate.optimize.DX * (hi - lo)
+        jumps = np.abs(np.diff(f, axis=1))
+        threshold = rabipi.estimate._jump_threshold
+        assert (jumps > threshold(t, shots, least)).any()
+        assert (jumps <= threshold(t, shots, np.array([fit_model(ds).c]))).all()
+        verdicts, shapes = self.screen_and_count([ds], monkeypatch)
+        assert verdicts == (ScreenVerdict(accepted=True),) and shapes
 
 
 def reference_scan(t, f, step):

@@ -463,9 +463,8 @@ class TestReportBatches:
         assert got.startswith(f"report: report: {first}")
 
     def test_one_screen_search_and_one_estimate_batch_per_batch(self, monkeypatch):
-        # three files on one grid: one rate scan, then one search of
-        # parabolic steps, one call per step for the files still stepping
-        # (all three take four)
+        # three clean files on one grid: one rate scan, whose brackets
+        # accept all three, so no rate search and no kernel call
         kernel, rows = rabipi.estimate._fit_at_rates, rabipi.montecarlo.estimate_rows
         scan = rabipi.estimate._scan
         shapes, scans, batches = [], [], []
@@ -477,7 +476,7 @@ class TestReportBatches:
                             lambda t, f: batches.append(f.shape) or rows(t, f))
         report(_demo_datasets(), runs_per_model=5)
         assert scans == [(3, 64)]
-        assert shapes == [(3, 3)] * 4
+        assert shapes == []
         assert batches == [(3, 64), (15, 64)]
 
     def test_one_time_grid_per_batch(self, monkeypatch):
