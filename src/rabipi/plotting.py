@@ -17,6 +17,12 @@ WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 20, 20, 50
 CURVE_SAMPLES = 200
 
+# One %-template per element kind, filled from a flat tuple of Python
+# floats: "%.2f" % x rounds as f"{x:.2f}" does.
+_POLYLINE = ('<polyline class="fit" points="%s" fill="none" stroke="red"/>'
+             % " ".join(["%.2f,%.2f"] * CURVE_SAMPLES))
+_CIRCLE = '<circle class="datapoint" cx="%.2f" cy="%.2f" r="3" fill="steelblue"/>'
+
 
 def _scales(t_lo, t_hi):
     """Data-to-pixel maps; each takes a number or a NumPy array."""
@@ -32,9 +38,18 @@ def _scales(t_lo, t_hi):
     return sx, sy
 
 
+def _interleave(x, y):
+    """(x0, y0, x1, y1, ...) as Python floats."""
+    return tuple(np.column_stack((x, y)).ravel().tolist())
+
+
 def render_svg(ds: Dataset, model: NoiseModel | None = None,
                result: EstimateResult | None = None) -> str:
-    """Render a dataset, optionally with its fitted curve and crossing markers."""
+    """Render a dataset, optionally with its fitted curve and crossing markers.
+
+    The curve's samples and the data markers are mapped to pixels as whole
+    arrays and written with one template per element kind; every coordinate
+    is rounded to 2 decimals as ``f"{x:.2f}"`` rounds it."""
     t = ds.times()
     f = ds.fractions()
     t_lo, t_hi = float(t[0]), float(t[-1])
@@ -72,15 +87,9 @@ def render_svg(ds: Dataset, model: NoiseModel | None = None,
 
     if model is not None:
         tt = np.linspace(t_lo, t_hi, CURVE_SAMPLES)
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in
-                       zip(sx(tt).tolist(), sy(noisy_prob(model, tt)).tolist()))
-        parts.append(
-            f'<polyline class="fit" points="{pts}" fill="none" stroke="red"/>')
+        parts.append(_POLYLINE % _interleave(sx(tt), sy(noisy_prob(model, tt))))
 
-    for x, y in zip(sx(t).tolist(), sy(f).tolist()):
-        parts.append(
-            f'<circle class="datapoint" cx="{x:.2f}" cy="{y:.2f}" '
-            'r="3" fill="steelblue"/>')
+    parts.append("\n".join([_CIRCLE] * len(t)) % _interleave(sx(t), sy(f)))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -94,12 +94,31 @@ def _counts(name: str, values) -> np.ndarray:
     return x.astype(np.int64)
 
 
+def _reject(t: np.ndarray, shots: np.ndarray, ones: np.ndarray):
+    """Raise the ``ValueError`` of the first check a dataset's columns fail;
+    called only once they are known to fail one."""
+    if (shots < 1).any():
+        raise ValueError(f"shots must be >= 1, got {shots[shots < 1][0]}")
+    bad = np.flatnonzero((ones < 0) | (ones > shots))
+    if len(bad):
+        raise ValueError(f"ones must be in [0, {shots[bad[0]]}], got {ones[bad[0]]}")
+    if len(t) < 2:
+        raise ValueError("dataset needs at least 2 records")
+    if not np.isfinite(t).all():
+        raise ValueError("record times must be finite")
+    raise ValueError("record times must be strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Shot counts for one qubit: ``ones[i]`` of ``shots[i]`` measurements at
     time ``t[i]`` gave |1>.  The columns are read-only float64 (``t``) and int64
-    arrays; a scalar ``shots`` applies to every row.  ``==`` compares the label
-    and the columns by value; a dataset is not hashable."""
+    copies of the inputs; a scalar ``shots`` becomes a new column that repeats
+    it on every row.  The columns are checked in one pass (every
+    ``shots >= 1``, every ``0 <= ones <= shots``, at least 2 times, finite and
+    strictly increasing); only a dataset that fails is checked again, one rule
+    at a time in that order, to name the first rule it breaks.  ``==``
+    compares the label and the columns by value; a dataset is not hashable."""
 
     t: np.ndarray
     shots: np.ndarray
@@ -113,21 +132,14 @@ class Dataset:
         if t.ndim != 1 or ones.shape != t.shape or shots.shape not in ((), t.shape):
             raise ValueError(f"columns must be 1-d and of equal length, got t {t.shape}, "
                              f"shots {shots.shape}, ones {ones.shape}")
-        shots = np.array(np.broadcast_to(shots, t.shape))
+        if shots.ndim == 0:
+            shots = np.full(t.shape, shots)
+        if not (len(t) >= 2 and ((shots >= 1) & (ones >= 0) & (ones <= shots)).all()
+                and np.isfinite(t).all() and (t[1:] > t[:-1]).all()):
+            _reject(t, shots, ones)
         for name, col in (("t", t), ("shots", shots), ("ones", ones)):
             col.flags.writeable = False
             object.__setattr__(self, name, col)
-        if (shots < 1).any():
-            raise ValueError(f"shots must be >= 1, got {shots[shots < 1][0]}")
-        bad = np.flatnonzero((ones < 0) | (ones > shots))
-        if len(bad):
-            raise ValueError(f"ones must be in [0, {shots[bad[0]]}], got {ones[bad[0]]}")
-        if len(t) < 2:
-            raise ValueError("dataset needs at least 2 records")
-        if not np.isfinite(t).all():
-            raise ValueError("record times must be finite")
-        if (np.diff(t) <= 0).any():
-            raise ValueError("record times must be strictly increasing")
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):

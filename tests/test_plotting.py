@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from rabipi.estimate import LEVEL, estimate_pi, fit_model
+from rabipi.estimate import LEVEL, PipelineError, estimate_pi, fit_model
 from rabipi.model import IDEAL, NoiseModel, noisy_prob
 from rabipi.plotting import (CURVE_SAMPLES, HEIGHT, MARGIN_B, MARGIN_L,
                              MARGIN_R, MARGIN_T, WIDTH, render_svg)
@@ -21,10 +21,10 @@ def _sampled():
     return sample_dataset(IDEAL, DEFAULT_GRID, 8192, seed=21)
 
 
-def per_point_coordinates(ds, model, result):
-    """Reference for the coordinates ``render_svg`` writes: each point mapped
-    and formatted on its own, as NumPy scalars.  Returns the markers'
-    (cx, cy), the curve's points (or None) and the crossings' x."""
+def per_element_reference(ds, model, result):
+    """Reference for the whole document ``render_svg`` writes: each element
+    written by its own f-string, each point mapped and formatted on its own,
+    as NumPy scalars."""
     t, f = ds.times(), ds.fractions()
     t_lo, t_hi = float(t[0]), float(t[-1])
 
@@ -34,15 +34,51 @@ def per_point_coordinates(ds, model, result):
     def sy(p):
         return MARGIN_T + (1.0 - p) * (HEIGHT - MARGIN_T - MARGIN_B)
 
-    markers = [(f"{sx(ti):.2f}", f"{sy(fi):.2f}") for ti, fi in zip(t, f)]
-    curve = crossings = None
+    mid_y = (MARGIN_T + HEIGHT - MARGIN_B) / 2
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<line x1="{MARGIN_L}" y1="{sy(0)}" x2="{WIDTH - MARGIN_R}" '
+        f'y2="{sy(0)}" stroke="black"/>',
+        f'<line x1="{MARGIN_L}" y1="{sy(0)}" x2="{MARGIN_L}" y2="{sy(1)}" '
+        'stroke="black"/>',
+        f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2}" y="{HEIGHT - 12}" '
+        'text-anchor="middle" font-size="14">rotation angle t</text>',
+        f'<text x="16" y="{mid_y}" text-anchor="middle" font-size="14" '
+        f'transform="rotate(-90 16 {mid_y})">fraction of |1⟩</text>']
+    if result is not None:
+        y = sy(result.beta_hat + LEVEL * result.alpha_hat)
+        parts.append(f'<line class="level" x1="{MARGIN_L}" y1="{y:.2f}" '
+                     f'x2="{WIDTH - MARGIN_R}" y2="{y:.2f}" '
+                     'stroke="gray" stroke-dasharray="4 4"/>')
+        for x in (sx(result.t1_hat), sx(result.t2_hat)):
+            parts.append(f'<line class="crossing" x1="{x:.2f}" y1="{sy(0):.2f}" '
+                         f'x2="{x:.2f}" y2="{sy(1):.2f}" '
+                         'stroke="green" stroke-dasharray="2 3"/>')
     if model is not None:
         tt = np.linspace(t_lo, t_hi, CURVE_SAMPLES)
-        curve = " ".join(f"{sx(x):.2f},{sy(p):.2f}"
-                         for x, p in zip(tt, noisy_prob(model, tt)))
-    if result is not None:
-        crossings = [f"{sx(x):.2f}" for x in (result.t1_hat, result.t2_hat)]
-    return markers, curve, crossings
+        points = " ".join(f"{sx(x):.2f},{sy(p):.2f}"
+                          for x, p in zip(tt, noisy_prob(model, tt)))
+        parts.append(f'<polyline class="fit" points="{points}" fill="none" '
+                     'stroke="red"/>')
+    for ti, fi in zip(t, f):
+        parts.append(f'<circle class="datapoint" cx="{sx(ti):.2f}" '
+                     f'cy="{sy(fi):.2f}" r="3" fill="steelblue"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _fit_as_plot_does(ds):
+    """The model and result ``rabipi plot`` draws: either is None where
+    fitting or estimating fails."""
+    model = result = None
+    try:
+        model = fit_model(ds)
+        result = estimate_pi(ds)
+    except (PipelineError, ValueError):
+        pass
+    return model, result
 
 
 def _uneven_times():
@@ -112,11 +148,18 @@ class TestRenderSvg:
         ds = Dataset(times, 8192, ones)
         model = fit_model(ds) if with_model else None
         result = estimate_pi(ds) if with_result else None
-        markers, curve, crossings = per_point_coordinates(ds, model, result)
-        svg = render_svg(ds, model=model, result=result)
-        assert [(e.get("cx"), e.get("cy"))
-                for e in _elements(svg, "circle")] == markers
-        assert [e.get("points") for e in _elements(svg, "polyline")] == \
-            ([] if curve is None else [curve])
-        assert [e.get("x1") for e in _elements(svg, "line")
-                if e.get("class") == "crossing"] == (crossings or [])
+        assert render_svg(ds, model=model, result=result) == \
+            per_element_reference(ds, model, result)
+
+    @pytest.mark.parametrize("ds, fitted", [
+        (sample_dataset(NoiseModel(0.9, 0.05, 0.4, 1.0), DEFAULT_GRID, 4, seed=3), True),
+        (sample_dataset(NoiseModel(0.9, 0.05, 0.4, 1.0), DEFAULT_GRID, 256, seed=3),
+         True),
+        (Dataset([0.0, 0.1], 8192, [100, 200]), False),
+        (Dataset(DEFAULT_GRID.times(), 8192, np.full(64, 4096)), False)],
+        ids=["4-shots", "256-shots", "2-records", "fit-fails"])
+    def test_document_matches_per_element_reference(self, ds, fitted):
+        model, result = _fit_as_plot_does(ds)
+        assert (model is not None and result is not None) == fitted
+        assert render_svg(ds, model=model, result=result) == \
+            per_element_reference(ds, model, result)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -68,6 +69,56 @@ class TestMakeGrid:
             make_grid(0.0, stop, step)
 
 
+def one_check_at_a_time(t, shots, ones):
+    """Reference for the checks of ``Dataset``: each rule tested on its own,
+    in order, on the full columns.  Returns the message of the first rule the
+    columns break, or None."""
+    t = np.array(t, dtype=np.float64)
+    ones = np.array(ones, dtype=np.int64)
+    shots = np.array(np.broadcast_to(np.array(shots, dtype=np.int64), t.shape))
+    if (shots < 1).any():
+        return f"shots must be >= 1, got {shots[shots < 1][0]}"
+    bad = np.flatnonzero((ones < 0) | (ones > shots))
+    if len(bad):
+        return f"ones must be in [0, {shots[bad[0]]}], got {ones[bad[0]]}"
+    if len(t) < 2:
+        return "dataset needs at least 2 records"
+    if not np.isfinite(t).all():
+        return "record times must be finite"
+    if (np.diff(t) <= 0).any():
+        return "record times must be strictly increasing"
+    return None
+
+
+FAULTS = ("shots", "ones", "short", "non-finite", "order")
+
+
+def faulty_columns(rng, faults, scalar_shots):
+    """Columns of a dataset with each of ``faults`` put in at random rows."""
+    n = int(rng.integers(0, 2)) if "short" in faults else int(rng.integers(2, 9))
+    t = np.cumsum(rng.uniform(0.05, 0.2, n))
+    shots = np.full(n, int(rng.integers(1, 9)))
+    ones = rng.integers(0, shots + 1)
+
+    def rows():
+        return rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+
+    if n and "shots" in faults:
+        shots[rows()] = rng.integers(-3, 1)
+    if n and "ones" in faults:
+        i = rows()
+        ones[i] = np.where(rng.random(len(i)) < 0.5, -rng.integers(1, 4, len(i)),
+                           shots[i] + rng.integers(1, 4, len(i)))
+    if n and "non-finite" in faults:
+        t[rows()] = rng.choice([math.nan, math.inf, -math.inf])
+    if n > 1 and "order" in faults:
+        i = int(rng.integers(1, n))
+        t[i] = t[i - 1] - rng.choice([0.0, 0.05])
+    if scalar_shots:
+        shots = int(rng.integers(-3, 1)) if "shots" in faults else int(shots[0] if n else 8)
+    return t, shots, ones
+
+
 class TestRecordsAndDataset:
     def test_ones_bounds_enforced(self):
         with pytest.raises(ValueError, match=r"ones must be in \[0, 10\], got 11"):
@@ -113,6 +164,33 @@ class TestRecordsAndDataset:
     def test_counts_must_be_whole_int64_values(self, shots, ones, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Dataset([0.0, 0.1], shots, ones)
+
+    @pytest.mark.parametrize("scalar_shots", [False, True], ids=["column", "scalar"])
+    @pytest.mark.parametrize("faults", [
+        c for k in (0, 1, 2, 3) for c in itertools.combinations(FAULTS, k)],
+        ids=lambda faults: "+".join(faults) or "none")
+    def test_first_broken_rule_named_as_one_check_at_a_time(self, faults,
+                                                           scalar_shots):
+        rng = np.random.default_rng([len(faults), *map(FAULTS.index, faults),
+                                     scalar_shots])
+        for _ in range(20):
+            t, shots, ones = faulty_columns(rng, faults, scalar_shots)
+            message = one_check_at_a_time(t, shots, ones)
+            assert (message is None) == (not faults)
+            if message is None:
+                assert Dataset(t, shots, ones).shots.tolist() == \
+                    np.broadcast_to(shots, t.shape).tolist()
+                continue
+            with pytest.raises(ValueError) as e:
+                Dataset(t, shots, ones)
+            assert type(e.value) is ValueError and str(e.value) == message
+
+    @pytest.mark.parametrize("shots", [8, np.int64(8), np.array(8), 8.0])
+    def test_scalar_shots_become_a_fresh_column(self, shots):
+        ds = Dataset([0.0, 0.1, 0.2], shots, [1, 2, 3])
+        assert ds.shots.dtype == np.int64 and ds.shots.tolist() == [8, 8, 8]
+        assert ds.shots.flags.owndata and not ds.shots.flags.writeable
+        assert not np.shares_memory(ds.shots, shots)
 
     def test_whole_float_counts_accepted(self):
         ds = Dataset([0.0, 0.1], 8.0, np.array([1.0, 2.0]))
