@@ -1,6 +1,10 @@
 """Layer benchmark of the estimator: ``estimate_rows``, ``estimate_pi`` and
 ``run_mc`` at the sizes the paper's protocol and the low-shot Monte Carlo
-use, ``load_csv``, ``fit_model`` and ``render_svg`` on one file as triage
+use, each row-wise step of ``estimate_rows`` on the protocol batch (so a
+saving can be placed in a step; ``rabibench``'s trace does not see inside
+``estimate_rows``), ``estimate_rows`` on grids it has not seen last (so
+every call builds its windows' tables), ``load_csv``, ``fit_model`` and
+``render_svg`` on one file as triage
 reads, fits and plots it, ``fit_model`` on a file whose best curve has a level at 1, on one whose
 rate search bisects, and on files of two grids in turn (so no scan finds
 its grid's columns built), and ``report`` on three files as ``rabipi
@@ -19,10 +23,12 @@ collect this file (``testpaths`` names ``tests`` only).
 
 import math
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import rabipi.estimate as est
 from rabipi import (DEFAULT_GRID, Dataset, McConfig, NoiseModel, estimate_pi,
                     make_grid, report, run_mc)
 from rabipi.dataio import load_csv, save_csv
@@ -85,6 +91,83 @@ def three_files():
             for q, m in enumerate(DEMO_QUBITS)]
 
 
+@pytest.fixture(scope="module")
+def protocol_steps(protocol_batch):
+    """The protocol batch as each row-wise step of ``estimate_rows`` gets
+    it: the fractions, both normalizations, the rough and the refined
+    crossings, and the failures so far (none)."""
+    t, f = protocol_batch
+    fails = est._Failures(len(f))
+    with np.errstate(all="ignore"):
+        alpha1, beta1 = est._rough_alpha_beta(f, fails)
+        f1 = est._normalize(f, alpha1, beta1, fails)
+        t1, t2 = est._find_half_period(t, f1, est.LEVEL, fails)
+        alpha5, beta5, _, _ = est._refine_alpha_beta(t, f1, t1, t2, est.DELTA, fails)
+        alpha, beta = alpha1 * alpha5, beta1 + alpha1 * beta5
+        f2 = est._normalize(f, alpha, beta, fails)
+        u1, u2 = est._refine_crossing_linear(t, f2, np.array((t1, t2)),
+                                             est.REFINE_WINDOW, est.LEVEL, fails)
+    assert fails.ok.all()
+    return SimpleNamespace(t=t, f=f, fails=fails, f1=f1, t1=t1, t2=t2, alpha=alpha,
+                           beta=beta, f2=f2, u1=u1, u2=u2)
+
+
+def quiet(step, *args):
+    """``step(*args)`` with floating-point warnings off, as the pipeline
+    runs it."""
+    with np.errstate(all="ignore"):
+        return step(*args)
+
+
+def test_step_rough_alpha_beta(benchmark, protocol_steps):
+    s = protocol_steps
+    alpha, beta = benchmark(quiet, est._rough_alpha_beta, s.f, s.fails)
+    assert np.all((0.8 < alpha) & (alpha < 1) & (0 <= beta) & (beta < 0.1))
+
+
+def test_step_normalize(benchmark, protocol_steps):
+    s = protocol_steps
+    f2 = benchmark(quiet, est._normalize, s.f, s.alpha, s.beta, s.fails)
+    assert np.array_equal(f2, s.f2)
+
+
+def test_step_find_half_period(benchmark, protocol_steps):
+    s = protocol_steps
+    t1, t2 = benchmark(quiet, est._find_half_period, s.t, s.f1, est.LEVEL, s.fails)
+    assert np.all(np.abs(t1 - math.pi / 2) < 0.1) and np.all(np.abs(t2 - 1.5 * math.pi) < 0.1)
+
+
+def test_step_refine_alpha_beta(benchmark, protocol_steps):
+    s = protocol_steps
+    alpha5, beta5, _, t_maxval = benchmark(quiet, est._refine_alpha_beta, s.t, s.f1,
+                                           s.t1, s.t2, est.DELTA, s.fails)
+    assert np.all(np.abs(alpha5 - 1) < 0.05) and np.all(np.abs(t_maxval - math.pi) < 0.1)
+
+
+def test_step_refine_crossing_linear(benchmark, protocol_steps):
+    s = protocol_steps
+    u1, u2 = benchmark(quiet, est._refine_crossing_linear, s.t, s.f2,
+                       np.array((s.t1, s.t2)), est.REFINE_WINDOW, est.LEVEL, s.fails)
+    assert np.array_equal(u1, s.u1) and np.array_equal(u2, s.u2)
+
+
+def test_step_trapezoid_integral(benchmark, protocol_steps):
+    s = protocol_steps
+    integral = benchmark(quiet, est._trapezoid_integral, s.t, s.f2, s.u1, s.u2,
+                         est.LEVEL, s.fails)
+    assert np.all(np.abs(integral - 1) < 0.05)
+
+
+def test_estimate_rows_cold_grids(benchmark, protocol_batch):
+    # one row on DEFAULT_GRID's times shifted by 0, 0.01 and 0.02 in turn:
+    # the windows' tables are kept for the last two grids (four tables, two
+    # per grid), so no call finds its grid's built
+    t, fractions = protocol_batch
+    shifted = [t + s for s in (0.0, 0.01, 0.02)]
+    rows = benchmark(lambda: [estimate_rows(ts, fractions[:1]) for ts in shifted])
+    assert all(r.ok.all() and abs(r.pi_hat[0] - math.pi) < 0.1 for r in rows)
+
+
 def test_estimate_rows_protocol(benchmark, protocol_batch):
     rows = benchmark(estimate_rows, *protocol_batch)
     assert rows.ok.all()
@@ -107,6 +190,14 @@ def test_run_mc_demo_qubits(benchmark):
     s = benchmark(run_mc, DEMO_QUBITS, McConfig(runs_per_model=50))
     assert s.n_runs == 150 and s.failures == 0
     assert abs(s.mean_pi - math.pi) < 0.01
+
+
+def test_run_mc_lowshot(benchmark):
+    # the rabibench mc_lowshot call on its failing model
+    s = benchmark(run_mc, [LOWSHOT_MODEL],
+                  McConfig(runs_per_model=50, shots=256, grid=LOWSHOT_GRID))
+    assert s.n_runs == 50 and 0 < s.failures < 10
+    assert abs(s.mean_pi - math.pi) < 0.05
 
 
 def test_load_csv_one_file(benchmark, one_file, one_file_on_disk):

@@ -40,6 +40,7 @@ settle, each getting the verdict it gets alone.
 import functools
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,8 +187,29 @@ class _Failures:
                 raise err
 
 
+#: Values in each of NumPy's ufunc buffers while a batch is estimated.  An
+#: operand broadcast along a row, or cast from bool, is buffered, and at
+#: NumPy's default of 8192 values its buffer would be as large as a slab or
+#: most of a batch.
+_BUFSIZE = 1024
+
+
+class _SmallBuffers:
+    """Run a ``with`` block with ``_BUFSIZE``-value ufunc buffers."""
+
+    def __enter__(self):
+        self.old = np.setbufsize(_BUFSIZE)
+
+    def __exit__(self, *exc):
+        np.setbufsize(self.old)
+
+
 def _rough_alpha_beta(f, fails):
-    lo, hi = f.min(axis=1), f.max(axis=1)
+    # both reductions run down the columns of a transposed copy, one row per
+    # lane, which is faster than reducing short rows one by one; a minimum or
+    # a maximum is exact in any order
+    ft = f.T.copy()
+    lo, hi = ft.min(axis=0), ft.max(axis=0)
     fails.check(hi != lo, "rough_alpha_beta",
                 lambda r: "all fractions are equal; no oscillation signal")
     return hi - lo, lo
@@ -200,6 +222,8 @@ def _normalize(f, alpha, beta, fails, out=None):
     f1 /= alpha[:, None]
     return f1
 
+
+_PAIR = np.array([[0], [1]])  # offsets of a segment's two knots
 
 #: Distances closer than this many grid steps count as equal, so that float
 #: noise in decimal grid knots cannot decide which side of an edge they are on.
@@ -228,73 +252,197 @@ def _segment_zeros(ta, tb, ga, gb):
     return np.minimum(ta + (tb - ta) * (ga / (ga - gb)), tb)
 
 
-def _slab(t, f1, centers, half, step):
-    """The runs of knots around ``centers`` (k, rows) that hold every knot
-    within ``half`` of their centre (and a tie more, against rounding), as
-    (tr, i, fr, j): ``tr[i]`` is a new (k, rows, width) array of the runs'
-    times and ``fr[j]`` one of their values in the rows of ``f1``.  ``tr``
-    and ``fr`` are strided views of every run of ``width`` knots of ``t`` and
-    of ``f1``'s flat rows, which must be C-contiguous float arrays (every
-    caller's are), so no index array of a slab's size is built, ``f1`` is
-    never written and a step may read a slab again rather than keep it.
+def _key(x):
+    """Doubles as int64 keys in the same order; its own inverse."""
+    k = x.view(np.int64)
+    return k ^ ((k >> 63) & np.int64(0x7FFFFFFFFFFFFFFF))
 
-    ``width`` follows from ``half`` and the smallest step of ``t`` alone, so
-    a row reads the same slab in any batch.  Masked to its window and summed
+
+def _first_centres(t, bound):
+    """For each knot of ``t`` (n,) and each row of ``bound`` (k, 1), the
+    least double c for which ``t - c``, as float subtraction rounds it, is
+    at most the bound: a bisection over the doubles in order, as the rounded
+    difference only falls as c rises.
+
+    The difference rounds to at most the bound until it passes the midpoint
+    between the bound and the next double up, at c = t - bound less half
+    their gap, so the bisection starts from the 16 doubles either side of
+    that value as rounded.  Its two roundings stay within two units in the
+    last place of the result: where ``t - bound`` cancels enough for the
+    first to matter, it is exact (Sterbenz)."""
+    def at_most(key):
+        return t - _key(key).view(float) <= bound
+
+    guess = _key((t - bound) - (np.nextafter(bound, np.inf) - bound) / 2)
+    lo, hi = guess - 16, guess + 16  # above the bound at lo, at most it at hi
+    while (lo + 1 < hi).any():
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+        below = at_most(mid)
+        lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
+    return _key(hi).view(float)
+
+
+class _Windows(NamedTuple):
+    """The time-only parts of the windows of one half-width on one grid;
+    see ``_windows``.  The tables are indexed by a window's id."""
+
+    tie: float            # _TIE_STEPS grid steps
+    edges: np.ndarray     # where a window changes, in order
+    knots: np.ndarray     # (4, ids): a window's count of knots, the first
+                          # knot of the run of knots that holds it, and its
+                          # first and last knot + 1 counted from the run's
+    times: np.ndarray     # (2, ids): its knots' mean time and the sum of
+                          # their squared deviations from it
+    width: int            # knots in a run
+    slabs: np.ndarray     # every run of ``width`` knots, as a strided view
+    steps: np.ndarray     # steps[k] is the mask of run positions k and above
+
+
+@functools.lru_cache(maxsize=4)
+def _windows(tkey, half_width, strict):
+    """The windows of half-width ``half_width`` on the float64 times whose
+    bytes are ``tkey``: a knot t is in the window of a centre c when
+    ``|t - c|``, as float subtraction rounds it, is below ``half_width``
+    less a tie (``strict``) or at most ``half_width`` and a tie.
+
+    ``_first_centres`` gives each knot's first centre in (enter) and out
+    (leave); both rise with the knot, so the window of a centre c is knots
+    a..b - 1 with a = #{leave <= c} and b = #{enter <= c}.  It changes only
+    at an edge, so a + b, the number of edges at or below c, names it (a
+    window's id) and every window is the one at -inf or at an edge.  The
+    run of knots that holds it, its mean time and the spread of its times
+    are computed here for every window, as ``_slab`` and the line fit
+    would compute them on a centre's, so a call only looks them up.
+
+    They depend on the times alone: a grid builds them once per half-width,
+    in O(n) tables (the runs, of ``width`` knots, in chunks of at most
+    ``_SCAN_CELLS`` cells), and the arrays are read-only, as every caller
+    gets the same ones.
+    """
+    t = np.frombuffer(tkey)
+    n, step = len(t), _min_step(t)
+    tie = _TIE_STEPS * step
+    half = half_width - tie if strict else half_width + tie
+    # in the window while the difference is at most the top bound, and out
+    # of it once it is at most the bottom one
+    top, bottom = (np.nextafter(half, -np.inf), -half) if strict else \
+        (half, np.nextafter(-half, -np.inf))
+    enter, leave = _first_centres(t, np.array([[top], [bottom]]))
+    edges = np.sort(np.concatenate((enter, leave)))
+    at = np.concatenate(([-np.inf], edges))
+    a, b = leave.searchsorted(at, side="right"), enter.searchsorted(at, side="right")
+    ids = a + b
+    most = int(2 * (half + tie) / step) + 1  # knots in a window, and a tie
+    aligned = int(2 * half / step) >= 2  # more than two knots in a window
+    # whole blocks of 8 for the window and up to 7 knots before it, then
+    # the row's last n mod 8 (see ``_slab``)
+    width = min(n, (most + 14) // 8 * 8 + n % 8 if aligned else most)
+    start = np.minimum(a & -8 if aligned else a, n - width)
+    slabs = np.ndarray((n - width + 1, width), float, t, 0, (8, 8))
+    zeros_then_ones = np.arange(2 * width) >= width
+    steps = np.ndarray((width + 1, width), bool, zeros_then_ones, width, (-1, 1))
+    knots = np.zeros((4, 2 * n + 1), dtype=np.int32)
+    knots[:, ids] = b - a, start, a - start, b - start
+    counts, starts, lows, highs = knots
+    times = np.zeros((2, 2 * n + 1))
+    means, spreads = times
+    per = max(1, _SCAN_CELLS // width)
+    with np.errstate(all="ignore"):  # 0 / 0 on empty windows
+        for k in range(0, len(at), per):
+            w = ids[k:k + per]
+            outside = steps[lows[w]] == steps[highs[w]]
+            means[w] = _masked_sum(outside, slabs[starts[w]]) / counts[w]
+            dt = slabs[starts[w]]
+            dt -= means[w, None]
+            np.putmask(dt, outside, 0.0)
+            spreads[w] = np.multiply(dt, dt, out=dt).sum(axis=1)
+    for x in (edges, knots, times, slabs, steps):
+        x.flags.writeable = False
+    return _Windows(tie, edges, knots, times, width, slabs, steps)
+
+
+def _slab(t, f1, centers, win):
+    """The window of each of the ``centers`` (k, rows), in the rows of
+    ``f1``, on the windows ``win`` of ``_windows``: as (id, count, outside,
+    tr, i, fr, j), where ``tr[i]`` is a (k, rows, width) array of the times
+    of the run of knots that holds each window, ``fr[j]`` one of their
+    values and ``outside`` (k, rows, width) marks the knots of its run that
+    the window does not hold.
+    ``tr`` and ``fr`` are strided views of every run of ``width`` knots of
+    ``t`` and of ``f1``'s flat rows, which must be C-contiguous float arrays
+    (every caller's are), so no index array of a slab's size is built,
+    ``f1`` is never written and a step may read a slab again rather than
+    keep it.
+
+    A window and its run follow from the centre and the times alone, so a
+    row reads the same run in any batch.  Masked to its window and summed
     along its last axis, a slab gives the full-row masked sum bit for bit on
-    rows of up to 128 knots: a window of at most two knots sums exactly in
-    any order, and a wider one gets a run that starts on a multiple of 8
-    knots and ends n mod 8 knots past one, as the row does, so NumPy's
-    pairwise sum groups its values as over the whole row (blocks of 8, then
-    the row's last n mod 8 one by one).
+    runs of up to 128 knots: a window of at most two knots sums exactly in
+    any order, and a wider one gets a run that starts on the multiple of 8
+    at or below its first knot and ends n mod 8 knots past one, as the row
+    does, so NumPy's pairwise sum groups its values as over the whole row
+    (blocks of 8, then the row's last n mod 8 one by one).
     """
     n, rows = len(t), len(f1)
-    reach = half + _TIE_STEPS * step
-    most = int(2 * reach / step) + 1  # knots within reach of a centre
-    first = t.searchsorted(centers - reach)
-    if int(2 * half / step) < 2:  # at most two knots in a window
-        width = min(n, most)
-    else:
-        # whole blocks of 8 for the window and up to 7 knots before it,
-        # then the row's last n mod 8
-        width = min(n, (most + 14) // 8 * 8 + n % 8)
-        first &= -8  # the multiple of 8 at or below the first knot
-    i = np.minimum(first, n - width)
-    tr = np.ndarray((n - width + 1, width), float, t, 0, (8, 8))
-    fr = np.ndarray((max(rows * n - width + 1, 0), width), float, f1, 0, (8, 8))
-    return tr, i, fr, i + n * np.arange(rows)
+    w = win.edges.searchsorted(centers, side="right")
+    count, i, *bounds = win.knots.take(w, axis=1)
+    after_low, after_high = win.steps.take(bounds, axis=0)
+    fr = np.ndarray((max(rows * n - win.width + 1, 0), win.width), float, f1, 0, (8, 8))
+    return (w, count, after_low == after_high, win.slabs, i, fr,
+            i + np.arange(0, rows * n, n))
 
 
-def _masked_sum(w, x):
-    """(w * x).sum(axis=-1), computed in place of ``x``."""
-    return np.multiply(w, x, out=x).sum(axis=-1)
+def _masked_sum(outside, x):
+    """The sum of ``x`` along its last axis with the elements where
+    ``outside`` is true taken as 0, computed in place of ``x``.  They become
+    +0.0 where a product with the window's mask would make the negative ones
+    -0.0: adding a zero of either sign leaves any sum that is not itself
+    zero the same."""
+    np.putmask(x, outside, 0.0)
+    return x.sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=4)
+def _slots(n):
+    """For each slot of a row of ``_runs``' flips on n knots, the run bound
+    p it stands for, the stand-in's two slots becoming knot 0's bounds 0
+    and 1, and whether that bound is an end of the data (0 or n)."""
+    bound = np.arange(n + 3) % (n + 1)
+    data_end = bound % n == 0
+    for a in (bound, data_end):
+        a.flags.writeable = False
+    return bound, data_end
 
 
 def _runs(t, f1, level):
     """Each run of knots at or above ``level`` (a knot on the level counts
-    as above) in the rows of ``f1``, in row and time order, then a stand-in
-    run of knot 0 alone for each row: the run's row, its bounds (i, j + 1)
-    for knots i..j and its rising and falling end times.  An end at bound 0
-    or n is the data's end; any other is where the interpolant crosses the
-    level, solved exactly on its segment."""
+    as above) in the rows of ``f1``, in row and time order, each row's last
+    a stand-in run of knot 0 alone: the run's rise as a flat position in a
+    (rows, n + 3) table, its bounds (i, j + 1) for knots i..j and its rising
+    and falling end times.  An end at bound 0 or n is the data's end; any
+    other is where the interpolant crosses the level, solved exactly on its
+    segment."""
     n, rows = len(t), len(f1)
-    # with a knot below the level padded on at each end, a row's flag flips
-    # at p = i and p = j + 1 for each run of knots i..j, in pairs
-    above = np.zeros((rows, n + 2), dtype=bool)
-    np.greater_equal(f1, level, out=above[:, 1:-1])
+    # with a knot below the level padded on at each end and the stand-in's
+    # flags (below, above, below) after them, a row's flag flips at p = i
+    # and p = j + 1 for each run of knots i..j, in pairs, then at p = n + 1
+    # and p = n + 2 for its stand-in
+    above = np.zeros((rows, n + 4), dtype=bool)
+    above[:, n + 2] = True
+    np.greater_equal(f1, level, out=above[:, 1:n + 1])
     flips = (above[:, 1:] != above[:, :-1]).ravel().nonzero()[0]
-    flips = np.concatenate(
-        (flips, ((n + 1) * np.arange(rows)[:, None] + (0, 1)).ravel()))
-    row, p = np.divmod(flips, n + 1)
+    row, slot = np.divmod(flips, n + 3)
+    bound, data_end = _slots(n)
+    p = bound.take(slot)
     # the run ends where the segment from knot p - 1 to knot p meets the
     # level, exactly at t[p] when knot p is on it; the data's ends stand in
     # at p = 0 and p = n, where the clipped reads below are not used
-    at = flips - row - 1  # knot p - 1 of the row, flat
-    ga = f1.take(at, mode="clip") - level
-    gb = f1.take(at + 1, mode="clip") - level
-    ta, tb = t.take(p - 1, mode="clip"), t.take(p, mode="clip")
-    ends = np.where((p % n == 0) | (gb == 0), tb,
+    before = p - 1 + _PAIR  # knots p - 1 and p
+    ga, gb = f1.take(row * n + before, mode="clip") - level
+    ta, tb = t.take(before, mode="clip")
+    ends = np.where(data_end.take(slot) | (gb == 0), tb,
                     _segment_zeros(ta, tb, ga, gb)).reshape(-1, 2)
-    return row[::2], p.reshape(-1, 2), ends
+    return flips[::2], p.reshape(-1, 2), ends
 
 
 def _find_half_period(t, f1, level, fails):
@@ -307,39 +455,37 @@ def _find_half_period(t, f1, level, fails):
     row whose longest run touches either end of the data fails.
     """
     n, rows = len(t), len(f1)
-    row, bounds, ends = _runs(t, f1, level)
-    length = ends[:, 1] - ends[:, 0]
-    length[-rows:] = -np.inf
-    longest = np.full(rows, -np.inf)
-    np.maximum.at(longest, row, length)
-    # each row's first longest run; the stand-in, its last, only when the
-    # row has no other
-    win = (length == longest[row]).nonzero()[0]
-    first = np.arange(len(length) - rows, len(length))
-    np.minimum.at(first, row[win], win)
-    (t1, t2), (start, stop) = ends[first].T, bounds[first].T
+    rise, bounds, ends = _runs(t, f1, level)
+    # each run's length at its rise in a table of the rows, -inf where no
+    # run rises and at the stand-ins: a row's first longest run rises at
+    # its row's first maximum, and a row with no other run finds its
+    # stand-in, its first run from slot 0
+    length = np.full((rows, n + 3), -np.inf)
+    length.flat[rise] = ends[:, 1] - ends[:, 0]
+    length[:, n + 1] = -np.inf
+    first = rise.searchsorted(length.argmax(axis=1) + np.arange(0, rows * (n + 3), n + 3))
+    crossings = ends.take(first, axis=0).T  # t1 and t2
+    (t1, t2), (start, stop) = crossings, bounds.take(first, axis=0).T
     fails.check((start > 0) & (stop < n), "find_crossing",
                 lambda r: f"the longest run at or above level {level}, "
                           f"[{t1[r]}, {t2[r]}], is cut off by the data range "
                           f"[{t[0]}, {t[-1]}]; no complete half-period")
-    return t1, t2
+    return crossings
 
 
 def _refine_alpha_beta(t, f1, t1, t2, delta, fails):
-    t_lo, t_hi = t[0], t[-1]
+    win = _windows(t.tobytes(), delta, True)
+    t_lo, t_hi, tie = t[0], t[-1], win.tie
     t_maxval = (t1 + t2) / 2
-    below, above = (3 * t1 - t2) / 2, (3 * t2 - t1) / 2
-    step = _min_step(t)
-    tie = _TIE_STEPS * step
+    ends = np.array((t1, t2))
+    below, above = (3 * ends - ends[::-1]) / 2
+    # below the range and no room above: the range's start, clamped as
+    # below < t_lo there
     t_minval = np.where(below >= t_lo - tie, below, np.where(
-        above <= t_hi + tie, above, np.minimum(np.maximum(below, t_lo), t_hi)))
+        above <= t_hi + tie, above, np.maximum(below, t_lo)))
     # both plateau means in one pass over the knots near either centre
-    centers = np.array((t_minval, t_maxval))
-    tr, i, fr, j = _slab(t, f1, centers, delta - tie, step)
-    d = tr[i]
-    d -= centers[..., None]
-    inside = np.abs(d, out=d) < delta - tie
-    n_min, n_max = n = inside.sum(axis=2)
+    _, n, inside, _, _, fr, j = _slab(t, f1, np.array((t_minval, t_maxval)), win)
+    n_min, n_max = n
     beta, top = _masked_sum(inside, fr[j]) / n
     fails.check((n_min > 0) & (n_max > 0), "refine_alpha_beta",
                 lambda r: f"no grid points within {delta} of " + (
@@ -353,33 +499,25 @@ def _refine_crossing_linear(t, f1, t_i, window, level, fails):
     a row fails at its first crossing that fails, for the first reason.
 
     The closed-form least-squares line through each window's points comes
-    from masked sums over its slab, each taken in place on a slab read for
-    it, so that no more than two slab-sized arrays are held at once,
-    NumPy's buffer for a broadcast or a cast included: the times are read
-    three times, for the window, their mean and their deviations dt, and
-    the values once for their mean, then once per crossing for the slope."""
-    step = _min_step(t)
-    half = window + _TIE_STEPS * step
-    tr, i, fr, j = _slab(t, f1, t_i, half, step)
-    d = tr[i]
-    d -= t_i[..., None]
-    w = np.abs(d, out=d) <= half
-    del d  # before the next slab is read
-    n = w.sum(axis=2)
-    t_mean = _masked_sum(w, tr[i]) / n
-    f_mean = _masked_sum(w, fr[j]) / n
+    from its knots' mean time and the spread of its times, looked up by its
+    window (``_windows``), and from masked sums over its slab of values:
+    the deviations dt of its times from their mean, zero outside the
+    window, and its values, masked for their mean and then less it, for
+    their products with dt.  Beside NumPy's buffers (``_BUFSIZE``) two
+    slab-sized arrays are held at once."""
+    win = _windows(t.tobytes(), window, False)
+    w, n, outside, tr, i, fr, j = _slab(t, f1, t_i, win)
+    t_mean, spread = win.times.take(w, axis=1)
     dt = tr[i]
     dt -= t_mean[..., None]
-    dt *= w
-    # the values one crossing at a time: beside dt, a slab of them and
-    # NumPy's buffer for the broadcast f_mean, as large as its result,
-    # would make three
-    sxy = np.empty(t_i.shape)
-    for jc, mean, dtc, out in zip(j, f_mean[..., None], dt, sxy):
-        fc = fr[jc]
-        fc -= mean
-        np.multiply(dtc, fc, out=fc).sum(axis=1, out=out)
-    slope = sxy / np.multiply(dt, dt, out=dt).sum(axis=2)
+    np.putmask(dt, outside, 0.0)
+    fs = fr[j]
+    f_mean = _masked_sum(outside, fs) / n
+    del outside  # before the broadcast's buffer
+    # outside the window a value is now -f_mean and dt is 0, so their
+    # product is a zero, as the unmasked value's is
+    fs -= f_mean[..., None]
+    slope = np.multiply(dt, fs, out=fs).sum(axis=2) / spread
     t_hat = t_mean + (level - f_mean) / slope
     fit = (n >= 2) & (np.abs(slope) >= 1e-12)
     good = fit & (t[0] <= t_hat) & (t_hat <= t[-1])
@@ -401,28 +539,37 @@ def _trapezoid_integral(t, f1, t1, t2, level, fails, out=None):
     fails.check((t[0] <= t1) & (t1 < t2) & (t2 <= t[-1]), "trapezoid_integral",
                 lambda r: f"limits [{t1[r]}, {t2[r]}] invalid for range "
                           f"[{t[0]}, {t[-1]}]")
+    return _integral(t, f1, t1, t2, level, out)
+
+
+def _integral(t, f1, t1, t2, level, out=None):
+    """``_trapezoid_integral`` less its check of the limits."""
     rows, n = f1.shape
     g = np.subtract(f1, level, out=out)
     flat = g.reshape(-1)
     # both limits in one pass: whole panels to the knot k at or left of the
-    # limit, plus a partial panel from it, whose values are read first
+    # limit, k at most n - 2, plus a partial panel from it, whose values are
+    # read first
     x = np.array((t1, t2))
-    k = np.minimum(np.maximum(t.searchsorted(x, side="right") - 1, 0), n - 2)
-    at = k + n * np.arange(rows)
-    gk, tk = flat.take(at), t.take(k)
+    k = t[1:-1].searchsorted(x, side="right")
+    at = k + np.arange(0, rows * n, n)
+    (gk, gk1), (tk, tk1) = flat.take(at + _PAIR[:, None]), t.take(k + _PAIR[:, None])
     dx = x - tk
-    w = dx / (t.take(k + 1) - tk)
-    partial = (gk + (gk * (1 - w) + flat.take(at + 1) * w)) / 2 * dx
+    w = dx / (tk1 - tk)
+    partial = (gk + (gk * (1 - w) + gk1 * w)) / 2 * dx
     # then, in place of g, the running sums of each row's panels: column k
-    # is the integral of the interpolant from t[0] to knot k + 1.  The
-    # panels are taken over the flat rows, so each row's last column joins
-    # it to the next row and is never read.
+    # is the integral of the interpolant from t[0] to knot k + 1, and they
+    # run only as far as the batch's last limit reads.  The panels are taken
+    # over the flat rows, so each row's last column joins it to the next row
+    # and is never read.  A panel is the sum of its ends times half its
+    # width: halving the width rather than the sum is exact and saves a pass.
     np.add(flat[:-1], flat[1:], out=flat[:-1])
-    g /= 2
-    widths = np.zeros(n)  # of the panels, 0 in each row's last column
-    np.subtract(t[1:], t[:-1], out=widths[:-1])
-    g *= widths
-    np.cumsum(g, axis=1, out=g)
+    half_widths = np.zeros(n)  # 0 in each row's last column
+    np.subtract(t[1:], t[:-1], out=half_widths[:-1])
+    half_widths /= 2
+    g *= half_widths
+    read = g[:, :k.max()]
+    np.cumsum(read, axis=1, out=read)
     to = np.where(k > 0, flat.take(at - 1), 0) + partial
     return to[1] - to[0]
 
@@ -541,39 +688,45 @@ def estimate_rows(times, fractions) -> RowEstimates:
     and ``ok`` marks the rows that passed every step.
 
     Cost per row of n knots: O(n) for the minimum and maximum, the two
-    normalizations, the flags of the knots at or above 1/2 and the running
-    sum of the integral's panels.  The half-period solves a crossing only
-    at each run boundary (2 to 4 per row), and the plateau and crossing
-    windows read only a slab of the knots they hold, whose width depends on
-    the times and the window alone.  A row's results do not depend on the
+    normalizations, the flags of the knots at or above 1/2, the longest
+    run's pick and the running sum of the integral's panels, which stops
+    at the batch's last limit.  The half-period solves a crossing only at
+    each run boundary (2 to 4 per row), and the plateau and crossing
+    windows read only a slab of the knots they hold.  Which knots a
+    centre's window holds, the run of knots that holds it, and, for the
+    line fits, the mean and the spread of its times depend on the times
+    alone: each is looked up in per-grid tables (``_windows``) that the
+    first call on a grid builds.  A row's results do not depend on the
     batch it is in.
 
     Memory: ``fractions`` is only read.  Both normalizations and the
     integral's running sums are written into one (rows, n) float buffer.
-    Beside it a call holds per-row values and at most two (2, rows, width)
-    slabs' worth of arrays in the line fits, or NumPy's buffer for one
-    broadcast (at most 8192 values) elsewhere: 3.1 times the input's bytes
-    on the 150-run protocol (150 x 64) and 2.7 times on 50 low-shot rows of
-    127 times, which ``tests/test_workspace.py`` bounds at 3.5.
+    Beside it a call holds per-row values, at most two (2, rows, width)
+    slab-sized arrays in the line fits, and NumPy's ufunc buffers, which
+    it keeps to ``_BUFSIZE`` values each: 3.1 times the input's bytes on
+    the protocol and 2.7 times on 50 low-shot rows of 127 times, which
+    ``tests/test_workspace.py`` bounds at 3.5.  The per-grid tables hold
+    O(n) values and at most four are kept.
     """
     t = np.ascontiguousarray(times, dtype=float)
     f = np.asarray(fractions, dtype=float)
     if t.ndim != 1 or len(t) < 2 or f.ndim != 2 or f.shape[1] != len(t):
         raise ValueError(f"need >= 2 times and one column of fractions per "
                          f"time, got times {t.shape} and fractions {f.shape}")
-    # the slab widths divide by the least step
-    if not (np.isfinite(t).all() and (t[1:] > t[:-1]).all()):
+    # the slab widths divide by the least step; inside finite ends, a NaN
+    # or an infinity breaks the order
+    if not (math.isfinite(t[0]) and math.isfinite(t[-1]) and (t[1:] > t[:-1]).all()):
         raise ValueError("times must be finite and strictly increasing")
     fails = _Failures(len(f))
     # the workspace: both normalizations and the integral write it, and
     # ``f`` is only read
     f1 = np.empty(f.shape)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), _SmallBuffers():
         alpha1, beta1 = _rough_alpha_beta(f, fails)
         _normalize(f, alpha1, beta1, fails, out=f1)
-        t1_rough, t2_rough = _find_half_period(t, f1, LEVEL, fails)
+        rough = _find_half_period(t, f1, LEVEL, fails)
         alpha5, beta5, t_minval, t_maxval = _refine_alpha_beta(
-            t, f1, t1_rough, t2_rough, DELTA, fails)
+            t, f1, *rough, DELTA, fails)
         fails.check(alpha5 > 0, "refine_alpha_beta",
                     lambda r: f"refined amplitude {alpha5[r]} is not positive")
         # compose the normalized-scale refinement with the rough estimates so
@@ -581,12 +734,14 @@ def estimate_rows(times, fractions) -> RowEstimates:
         alpha_hat = alpha1 * alpha5
         beta_hat = beta1 + alpha1 * beta5
         _normalize(f, alpha_hat, beta_hat, fails, out=f1)
-        t1_hat, t2_hat = _refine_crossing_linear(
-            t, f1, np.array((t1_rough, t2_rough)), REFINE_WINDOW, LEVEL, fails)
+        t1_hat, t2_hat = _refine_crossing_linear(t, f1, rough, REFINE_WINDOW, LEVEL, fails)
         fails.check(t1_hat < t2_hat, "refine_crossing_linear",
                     lambda r: f"refined crossings out of order: "
                               f"{t1_hat[r]} >= {t2_hat[r]}")
-        integral = _trapezoid_integral(t, f1, t1_hat, t2_hat, LEVEL, fails, out=f1)
+        # the line fit checked that both crossings lie in the data's range
+        # and the check above that they are in order, so the limits of
+        # every row still ok pass the integral's check
+        integral = _integral(t, f1, t1_hat, t2_hat, LEVEL, out=f1)
         fails.check(integral > 0, "trapezoid_integral",
                     lambda r: f"integral {integral[r]} is not positive")
         pi_hat = (t2_hat - t1_hat) / integral

@@ -98,8 +98,11 @@ def run_mc(models: list, cfg: McConfig = McConfig()) -> McSummary:
 
     Each model gets one generator: run r of a model is row r of
     ``sample_counts(model, cfg.grid, cfg.shots, _run_seed(cfg.base_seed,
-    model, 0), cfg.runs_per_model)``, so run 0 is ``sample_dataset`` with
-    that seed.  The runs of every model are estimated as one batch.  Failed
+    model, k), cfg.runs_per_model)``, so run 0 is ``sample_dataset`` with
+    that seed.  k counts the earlier models whose parameters have the same
+    bits, so equal models draw different runs, the first of them keeps
+    k = 0, and the seeds of a list are those of any reordering of it.  The
+    runs of every model are estimated as one batch.  Failed
     pipeline runs are counted, by step, and excluded from the pooled
     statistics; an error is raised only if every run fails.  The crossing
     spacing and the integral are pooled in units of the run's model rate
@@ -112,10 +115,13 @@ def run_mc(models: list, cfg: McConfig = McConfig()) -> McSummary:
     # each model's counts are divided into its block of one fraction array,
     # so no array of all the counts is kept while the batch is estimated
     f = np.empty((len(models) * runs, len(times)))
+    repeats = Counter()  # of each model's parameter bits, as _run_seed packs them
     for m, model in enumerate(models):
+        params = struct.pack("<4d", model.alpha, model.beta, model.phi0, model.c)
         np.divide(sample_counts(model, cfg.grid, cfg.shots,
-                                _run_seed(cfg.base_seed, model, 0), runs),
+                                _run_seed(cfg.base_seed, model, repeats[params]), runs),
                   cfg.shots, out=f[m * runs:(m + 1) * runs])
+        repeats[params] += 1
     rows = estimate_rows(times, f)
     ok = rows.ok
     failed = dict(sorted(Counter(

@@ -756,6 +756,55 @@ class TestMatchesFullRowReference:
         np.testing.assert_array_equal(new[0][ok], ref[0][ok])
 
 
+class TestWindows:
+    """A centre's window in ``_windows``' tables holds exactly the knots that
+    ``|t - c|``, as float subtraction rounds it, puts within the half-width
+    and a tie (strictly within it less a tie), as the steps once masked
+    every knot, on centres at the tables' edges, a tie either side of a
+    knot's edge and anywhere."""
+
+    @pytest.mark.parametrize("half, strict", [(REFINE_WINDOW, False), (0.31, False),
+                                              (DELTA, True), (0.23, True)])
+    @pytest.mark.parametrize("times", [*REF_TIMES.values(), 1e3 + GRID_TIMES,
+                                       GRID_TIMES - 3.0],
+                             ids=[*REF_TIMES, "offset", "negative"])
+    def test_window_holds_the_knots_within_the_half_width(self, times, half, strict):
+        win = rabipi.estimate._windows(times.tobytes(), half, strict)
+        h = half - win.tie if strict else half + win.tie
+        rng = np.random.default_rng(6)
+        centres = np.concatenate((edge_centers(times, rng, 400, half), win.edges,
+                                  np.nextafter(win.edges, -np.inf),
+                                  [-np.inf, np.inf, np.nan]))
+        d = np.abs(times - centres[:, None])
+        inside = d < h if strict else d <= h
+        count, start, low, high = win.knots.take(
+            win.edges.searchsorted(centres, side="right"), axis=1)
+        assert np.array_equal(count, inside.sum(axis=1))
+        held = count > 0
+        assert np.array_equal((start + low)[held], inside.argmax(axis=1)[held])
+        last = len(times) - 1 - inside[:, ::-1].argmax(axis=1)
+        assert np.array_equal((start + high - 1)[held], last[held])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 7e4, 3e8])
+    def test_first_centres_are_the_least(self, scale):
+        # at every knot and bound, the difference is at most the bound from
+        # the centre returned on, and above it one double below
+        rng = np.random.default_rng(8)
+        t = np.sort(rng.uniform(-scale, scale, 200))
+        half = scale * rng.uniform(1e-3, 0.1)
+        bound = np.array([[half], [np.nextafter(half, -np.inf)], [-half],
+                          [np.nextafter(-half, -np.inf)]])
+        c = rabipi.estimate._first_centres(t, bound)
+        assert np.all(t - c <= bound)
+        assert not np.any(t - np.nextafter(c, -np.inf) <= bound)
+
+    def test_tables_are_read_only_and_kept_for_four_windows(self):
+        win = rabipi.estimate._windows(GRID_TIMES.tobytes(), REFINE_WINDOW, False)
+        arrays = [a for a in win if isinstance(a, np.ndarray)]
+        assert len(arrays) == 5 and not any(a.flags.writeable for a in arrays)
+        assert rabipi.estimate._windows.cache_info().maxsize == 4
+
+
 def ref_estimate_rows(t, f):
     """``estimate_rows`` composed of the reference steps."""
     est = rabipi.estimate

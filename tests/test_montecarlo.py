@@ -45,15 +45,16 @@ def reference_mc(models, cfg):
     """run_mc as a plain loop: one dataset and one estimate_pi per run.
 
     Run r of a model is the dataset made of row r of the model's block of
-    counts, the one-generator stream of ``_run_seed(base_seed, model, 0)``.
-    The spacing and the integral are pooled times the model's rate.
+    counts, the one-generator stream of ``_run_seed(base_seed, model, k)``,
+    k the number of earlier models equal to it.  The spacing and the
+    integral are pooled times the model's rate.
     """
     times = cfg.grid.times()
     pis, dts, integrals = [], [], []
     failed = Counter()
-    for model in models:
+    for k, model in enumerate(models):
         block = sample_counts(model, cfg.grid, cfg.shots,
-                              _run_seed(cfg.base_seed, model, 0),
+                              _run_seed(cfg.base_seed, model, models[:k].count(model)),
                               cfg.runs_per_model)
         for ones in block:
             ds = Dataset(times, cfg.shots, ones)
@@ -137,7 +138,9 @@ class TestRunMc:
         (DEMO_QUBITS, McConfig(runs_per_model=50, base_seed=11), 0),
         ([FAILING], McConfig(runs_per_model=100, base_seed=0, **LOWSHOT), 1),
         (OFF_RATE, McConfig(runs_per_model=50, base_seed=11), 0),
-    ], ids=["demo_qubits", "lowshot_failing", "off_rate"])
+        ([FAILING, DEMO_QUBITS[0], FAILING, FAILING],
+         McConfig(runs_per_model=30, base_seed=2, **LOWSHOT), 1),
+    ], ids=["demo_qubits", "lowshot_failing", "off_rate", "equal_models"])
     def test_matches_reference_loop(self, models, cfg, min_failures):
         batch = run_mc(models, cfg)
         assert batch == reference_mc(models, cfg)
@@ -171,6 +174,23 @@ class TestRunMc:
         assert seeds == [_run_seed(11, m, 0) for m in DEMO_QUBITS]
         assert len(batches) == 1
         assert batches[0].shape == (3 * 7, len(cfg.grid))
+
+    def test_equal_models_draw_different_runs(self, spied_run_mc):
+        # the second of two equal models is drawn from the next seed, so the
+        # 100 runs of two IDEAL models are 100 different datasets, as
+        # ``rabipi report q.csv q.csv`` estimates them
+        cfg = McConfig(runs_per_model=50, base_seed=7)
+        seeds, (fractions,) = spied_run_mc([IDEAL, IDEAL], cfg)
+        assert seeds == [_run_seed(7, IDEAL, 0), _run_seed(7, IDEAL, 1)]
+        assert len(np.unique(fractions, axis=0)) == 100
+
+    def test_equal_models_in_any_order(self):
+        a, b = DEMO_QUBITS[:2]
+        cfg = McConfig(runs_per_model=20, base_seed=5)
+        first = run_mc([a, a, b], cfg)
+        assert first.n_runs == 60
+        assert run_mc([b, a, a], cfg) == first == run_mc([a, b, a], cfg)
+        assert first != run_mc([a, b, b], cfg)
 
     def test_run_0_is_the_first_per_run_seed_dataset(self, spied_run_mc):
         # run 0 of each model is the dataset the stream of one seed per run

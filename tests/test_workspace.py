@@ -7,17 +7,19 @@ an array it was given: a caller's fractions, a ``Dataset``'s columns, a
 ``NormalizedCurve`` or a time grid.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from rabipi.estimate import (NormalizedCurve, estimate_pi, estimate_rows,
-                             find_crossing, fit_model, interpolate, normalize,
-                             refine_alpha_beta, refine_crossing_linear,
-                             rough_alpha_beta, screen_dataset, screen_rows,
-                             trapezoid_integral)
+import rabipi.estimate
+from rabipi.estimate import (DELTA, REFINE_WINDOW, NormalizedCurve, RowEstimates,
+                             estimate_pi, estimate_rows, find_crossing, fit_model,
+                             interpolate, normalize, refine_alpha_beta,
+                             refine_crossing_linear, rough_alpha_beta,
+                             screen_dataset, screen_rows, trapezoid_integral)
 from rabipi.model import NoiseModel
 from rabipi.montecarlo import McConfig, report, run_mc
 from rabipi.simulate import (DEFAULT_GRID, inject_step, make_grid, sample_counts,
@@ -70,6 +72,13 @@ class TestWorkspaceBound:
     def test_estimate_rows(self, batch):
         t, f = batch()
         assert peak_bytes(estimate_rows, t, f) <= 3.5 * f.nbytes
+
+    def test_ufunc_buffer_size_is_restored(self):
+        # a call shrinks NumPy's ufunc buffers and leaves them as it found them
+        t, f = protocol_batch()
+        before = np.getbufsize()
+        estimate_rows(t, f)
+        assert np.getbufsize() == before
 
     def test_run_mc_protocol(self):
         # the batch's fractions and estimate_rows' workspace; the counts of
@@ -159,3 +168,38 @@ class TestInputsNeverWritten:
         assert np.array_equal(t, kept[0]) and np.array_equal(f1, kept[1])
         assert np.array_equal(queries, [0.5, 1.0, 3.3])
         assert all(not c.flags.writeable for c in (ds.t, ds.ones, ds.shots))
+
+
+class TestNoAliasing:
+    """What ``estimate_rows`` returns is its caller's: no later call writes
+    into it, and it shares no memory with the inputs or with the per-grid
+    tables that every call on a grid reads (``_windows``, ``_slots``)."""
+
+    ARRAYS = [f.name for f in dataclasses.fields(RowEstimates) if f.name != "errors"]
+
+    def test_a_later_call_leaves_a_result_unchanged(self):
+        t, f = lowshot_batch()  # with failed rows
+        first = estimate_rows(t, f)
+        kept = {name: getattr(first, name).copy() for name in self.ARRAYS}
+        messages = [str(e) for e in first.errors]
+        # another batch on the same grid, then one on another grid
+        estimate_rows(t, f[::-1] * 0.9 + 0.05)
+        estimate_rows(*protocol_batch())
+        for name in self.ARRAYS:
+            assert getattr(first, name).tobytes() == kept[name].tobytes(), name
+        assert [str(e) for e in first.errors] == messages
+
+    @pytest.mark.parametrize("batch", [protocol_batch, lowshot_batch],
+                             ids=["protocol", "lowshot"])
+    def test_no_result_shares_memory(self, batch):
+        t, f = batch()
+        rows = estimate_rows(t, f)
+        windows = [rabipi.estimate._windows(t.tobytes(), half, strict)
+                   for half, strict in ((DELTA, True), (REFINE_WINDOW, False))]
+        shared = [t, f, *rabipi.estimate._slots(len(t))]
+        shared += [a for w in windows for a in w if isinstance(a, np.ndarray)]
+        for name in self.ARRAYS:
+            out = getattr(rows, name)
+            assert not any(np.shares_memory(out, a) for a in shared), name
+            others = [getattr(rows, n) for n in self.ARRAYS if n != name]
+            assert not any(np.shares_memory(out, a) for a in others), name
