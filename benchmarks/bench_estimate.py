@@ -7,7 +7,8 @@ every call builds its windows' tables), ``load_csv``, ``fit_model`` and
 ``render_svg`` on one file as triage
 reads, fits and plots it, ``fit_model`` on a file whose best curve has a level at 1, on one whose
 rate search bisects, and on files of two grids in turn (so no scan finds
-its grid's columns built), and ``report`` on three files as ``rabipi
+its grid's columns built), one step of its rate search (one kernel call of
+three rates) and the whole search from the scan's bracket, and ``report`` on three files as ``rabipi
 report`` runs it, with its screen, ``screen_rows``, on its own, and
 ``screen_dataset`` on a clean file, which the scan's bracket accepts with
 no rate search, and on a file with a step, which the search refines.
@@ -211,6 +212,30 @@ def test_fit_model_one_file(benchmark, one_file):
     truth = DEMO_QUBITS[0]
     assert abs(m.alpha - truth.alpha) < 0.02 and abs(m.beta - truth.beta) < 0.02
     assert abs(m.phi0 - truth.phi0) < 0.05 and abs(m.c - truth.c) < 0.02
+
+
+def test_fit_kernel_three_rates(benchmark, one_file):
+    # one step of the rate search on one file: the kernel at c - e, c, c + e
+    # around the fitted rate, with the file's mean and centred fractions,
+    # which the search computes once, computed in the call
+    t, f = one_file.times(), one_file.fractions()[None]
+    c = fit_model(one_file).c + np.array([[-1e-5, 0.0, 1e-5]])
+    rss, alpha, beta, phi0 = benchmark(lambda: est._fit_at_rates(t, est._centred(f), c))
+    assert rss.shape == (1, 3) and np.all(rss < 0.01) and rss[0, 1] < rss[0, ::2].min()
+    m = DEMO_QUBITS[0]
+    assert np.all(np.abs(alpha - m.alpha) < 0.02) and np.all(np.abs(beta - m.beta) < 0.02)
+    assert np.all(np.abs(phi0 - m.phi0) < 0.05)
+
+
+def test_refine_one_file(benchmark, one_file):
+    # the rate search from the scan's bracket, as fit_model runs it after
+    # its scan: 4 or 5 kernel calls of three rates
+    t, f = one_file.times(), one_file.fractions()[None]
+    lo, hi = est._brackets(t, f)
+    alpha, beta, phi0, c = benchmark(est._refine, t, f, lo, hi)
+    m = fit_model(one_file)
+    assert [a[0] for a in (alpha, beta, phi0, c)] == [m.alpha, m.beta, m.phi0, m.c]
+    assert abs(c[0] - DEMO_QUBITS[0].c) < 0.02
 
 
 def test_fit_model_constraint_bound_file(benchmark):

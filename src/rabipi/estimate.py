@@ -209,7 +209,14 @@ def _rough_alpha_beta(f, fails):
     # lane, which is faster than reducing short rows one by one; a minimum or
     # a maximum is exact in any order
     ft = f.T.copy()
-    lo, hi = ft.min(axis=0), ft.max(axis=0)
+    extremes = np.empty((2, len(f)))
+    lo, hi = extremes
+    ft.min(axis=0, out=lo)
+    ft.max(axis=0, out=hi)
+    # a NaN makes its row's extremes NaN and an infinity one of them
+    # infinite, so a row's extremes are finite exactly when its values are
+    if not np.isfinite(extremes).all():
+        raise ValueError("fractions must be finite")
     fails.check(hi != lo, "rough_alpha_beta",
                 lambda r: "all fractions are equal; no oscillation signal")
     return hi - lo, lo
@@ -683,9 +690,11 @@ def estimate_rows(times, fractions) -> RowEstimates:
     """Run the nine-step pipeline on every row of ``fractions``.
 
     ``times`` holds the finite, strictly increasing sample times shared by
-    all rows, ``fractions`` one row of |1> fractions per dataset.  A failing
-    row does not stop the batch; ``errors`` names the first step it failed
-    and ``ok`` marks the rows that passed every step.
+    all rows, ``fractions`` one row of finite |1> fractions per dataset;
+    any other input raises ``ValueError``.  A failing row does not stop the
+    batch; ``errors`` names the first step it failed and ``ok`` marks the
+    rows that passed every step.  The fractions' finiteness is read off the
+    rough step's extremes, so it costs no pass of its own.
 
     Cost per row of n knots: O(n) for the minimum and maximum, the two
     normalizations, the flags of the knots at or above 1/2, the longest
@@ -760,35 +769,42 @@ _EPS = np.finfo(float).eps
 _EDGES, _SIGNS = np.array([[0.0], [1.0]]), np.array([[1.0], [-1.0]])  # (e, s) of _edge
 
 
-def _unconstrained(yc, ys, c2, s2, cs, mean_f, mean_cos, mean_sin):
+def _unconstrained(ycys, sums, mean_f, means):
     """Whether each rate is collinear, and u, v, k and r = |(u, v)| of its
     unconstrained least-squares curve k - u*cos(ct) - v*sin(ct), from sums
     over the times of the centred fractions y and the mean-centred cos/sin
-    columns cc and ss (yc = sum y*cc, ys = sum y*ss, c2 = sum cc^2, s2 =
-    sum ss^2, cs = sum cc*ss) and the means of f, cos and sin; the
-    arguments broadcast.  Cramer's rule gives u and v, with u = v = 0 where
-    det <= eps * (c2 + s2)^2: there the squared condition number exceeds
-    1/eps and the solve carries no correct digits."""
+    columns cc and ss, stacked on a first axis as ``_basis`` and the kernel
+    compute them: ycys = (sum y*cc, sum y*ss) and sums = (c2, s2, cs) =
+    (sum cc^2, sum ss^2, sum cc*ss), and from the mean of f, mean_f, and
+    means = (mean cos, mean sin).  The components broadcast; they are
+    combined one by one, as an operation on stacked operands of unequal
+    shapes costs more than two plain ones.  Cramer's rule gives u and v,
+    with u = v = 0 where det <= eps * (c2 + s2)^2: there the squared
+    condition number exceeds 1/eps and the solve carries no correct
+    digits."""
+    yc, ys = ycys[0], ycys[1]
+    c2, s2, cs = sums[0], sums[1], sums[2]
     det = c2 * s2 - cs * cs
     scale = c2 + s2
     collinear = det <= _EPS * (scale * scale)
     det[collinear] = np.inf  # u = v = 0 there, and no warning
     u = (ys * cs - yc * s2) / det
     v = (yc * cs - ys * c2) / det
-    return collinear, u, v, mean_f + u * mean_cos + v * mean_sin, np.hypot(u, v)
+    return collinear, u, v, mean_f + u * means[0] + v * means[1], np.hypot(u, v)
 
 
-def _solve(yc, ys, c2, s2, cs, mean_f, mean_cos, mean_sin, n):
+def _solve(ycys, sums, mean_f, means, n):
     """Whether each rate is collinear, and alpha, beta and phi0 of its best
     valid curve, from ``_unconstrained``'s sums on n times: its curve where
     the levels k -/+ r lie in [0, 1], else, where r > 0, ``_edge``'s levels
     at its phase."""
-    collinear, u, v, k, r = _unconstrained(yc, ys, c2, s2, cs, mean_f, mean_cos, mean_sin)
+    collinear, u, v, k, r = _unconstrained(ycys, sums, mean_f, means)
     beta, high = k - r, k + r
     out = (beta < 0) | (high > 1)
-    if out.any():
+    if np.count_nonzero(out):
         out &= r > 0
-        beta[out], high[out], _ = _edge(k[out], r[out], (u * yc + v * ys)[out] / n,
+        uy = u * ycys[0] + v * ycys[1]
+        beta[out], high[out], _ = _edge(k[out], r[out], uy[out] / n,
                                         np.where(out, mean_f, 0.0)[out])
     return collinear, high - beta, beta, np.arctan2(-v, u)
 
@@ -812,26 +828,45 @@ def _edge(k, r0, uy, mean_f):
 
 
 def _basis(c, t):
-    """cos, sin and their centred cc and ss at the rates ``c`` (any shape)
-    and times ``t`` (n,), each c.shape + (n,), then mean_cos, mean_sin, c2 =
-    sum cc^2, s2 = sum ss^2 and cs = sum cc*ss over the times, each of the
-    shape of ``c``: a rate's values depend on that rate and ``t`` alone."""
+    """The kernel's columns at the rates ``c`` (any shape) and times ``t``
+    (n,): cos and sin stacked as one (2,) + c.shape + (n,) array, their
+    centred cc and ss stacked the same way, then, over the times, their
+    means (mean_cos, mean_sin), (2,) + c.shape, and the sums (c2, s2, cs) =
+    (sum cc^2, sum ss^2, sum cc*ss), (3,) + c.shape.
+
+    The means take one sum and one division, the centring one subtraction,
+    and the three sums of products one sum, not one call per column; each
+    value rounds as its per-column formula does, as a sum over the last
+    axis is NumPy's pairwise sum of each row of n values, whatever comes
+    before it.  So a rate's values depend on that rate and ``t`` alone."""
     n = len(t)
     ct = np.multiply.outer(c, t)
-    cos, sin = np.cos(ct), np.sin(ct)
-    mean_cos, mean_sin = cos.sum(axis=-1) / n, sin.sum(axis=-1) / n
-    cc, ss = cos - mean_cos[..., None], sin - mean_sin[..., None]
-    c2, s2 = (cc * cc).sum(axis=-1), (ss * ss).sum(axis=-1)
-    cs = np.multiply(cc, ss, out=ct).sum(axis=-1)
-    return cos, sin, cc, ss, mean_cos, mean_sin, c2, s2, cs
+    trig = np.empty((2,) + ct.shape)
+    np.cos(ct, out=trig[0])
+    np.sin(ct, out=trig[1])
+    means = trig.sum(axis=-1) / n
+    centred = trig - means[..., None]
+    products = np.empty((3,) + ct.shape)
+    np.multiply(centred, centred, out=products[:2])
+    np.multiply(centred[0], centred[1], out=products[2])
+    return trig, centred, means, products.sum(axis=-1)
 
 
-def _fit_at_rates(t, f, c):
+def _centred(f):
+    """The kernel's per-file inputs for the files ``f`` (files, n): the
+    fractions and the fractions less their mean, each (files, 1, n), the
+    middle axis standing for the rates, and the mean (files, 1), NumPy's
+    sum over the row divided by n.  The rate search computes them once."""
+    mean_f = f.sum(axis=1, keepdims=True) / f.shape[1]
+    return f[:, None], (f - mean_f)[:, None], mean_f
+
+
+def _fit_at_rates(t, files, c):
     """RSS, alpha, beta and phi0 of the best valid curve at each rate in
-    ``c`` (files, rates), the rates of each file of ``f`` (files, n), its
-    fractions at the times ``t``; each output has the shape of ``c``.  The
-    columns are ``_basis``'s, the curve is ``_solve``'s, and a collinear
-    rate gets RSS inf.
+    ``c`` (files, rates), the rates of each file of ``files``, the files'
+    fractions at the times ``t`` as ``_centred`` gives them; each output
+    has the shape of ``c``.  The columns are ``_basis``'s, the curve is
+    ``_solve``'s, and a collinear rate gets RSS inf.
 
     Every reduction is a sum over the last axis, the times, so a rate's
     outputs depend on that rate and its file alone, not on the other rates
@@ -840,27 +875,29 @@ def _fit_at_rates(t, f, c):
 
     The rate search calls it (through ``_fit_in_batches``) once per step,
     for three rates of each of its files still stepping, where the cost is
-    per NumPy call, not per element.  So it uses
-    reductions, ufuncs and in-place updates rather than ``mean`` and
-    ``where``, each rounding as the plain formula does: a mean is NumPy's
-    sum divided by the count, and (pred - f)^2 equals (f - pred)^2.  The
-    search's path turns on every bit of the RSS, so any other rounding can
-    change the fit.
+    per NumPy call, not per element.  So it takes each file's mean and
+    centred fractions from the search, sums the products of both centred
+    columns with them in one call, and uses reductions, ufuncs and
+    in-place updates rather than ``mean`` and ``where``, each rounding as
+    the plain formula does: a mean is NumPy's sum divided by the count, and
+    (pred - f)^2 equals (f - pred)^2.  The search's path turns on every bit
+    of the RSS, so any other rounding can change the fit.
     """
-    cos, sin, cc, ss, mean_cos, mean_sin, c2, s2, cs = _basis(c, t)
-    mean_f = f.sum(axis=1, keepdims=True) / len(t)
-    y = (f - mean_f)[:, None, :]
-    collinear, alpha, beta, phi0 = _solve((cc * y).sum(axis=2), (ss * y).sum(axis=2),
-                                          c2, s2, cs, mean_f, mean_cos, mean_sin, len(t))
+    n = len(t)
+    f, y, mean_f = files
+    trig, centred, means, sums = _basis(c, t)
+    ycys = (centred * y).sum(axis=-1)
+    collinear, alpha, beta, phi0 = _solve(ycys, sums, mean_f, means, n)
     half = alpha / 2
     # beta + half * (1 - cos(ct + phi0)) - f, expanded
-    pred = (half * np.cos(phi0))[..., None] * cos
+    pred = (half * np.cos(phi0))[..., None] * trig[0]
     np.subtract((beta + half)[..., None], pred, out=pred)
+    sin = trig[1]
     sin *= (half * np.sin(phi0))[..., None]
     pred += sin
-    pred -= f[:, None, :]
+    pred -= f
     pred *= pred
-    rss = pred.sum(axis=2)
+    rss = pred.sum(axis=-1)
     rss[collinear] = np.inf
     return rss, alpha, beta, phi0
 
@@ -878,16 +915,16 @@ def _blocks(files, rates, n):
             yield slice(i, min(i + group, files)), slice(j, min(j + per, rates))
 
 
-def _fit_in_batches(t, f, c):
-    """``_fit_at_rates`` for the files ``f`` (files, n) at their rates ``c``
-    (files, rates), one call per block of ``_blocks``; a lone block's
-    outputs are returned as they are."""
-    blocks = list(_blocks(len(f), c.shape[1], len(t)))
-    if len(blocks) == 1:
-        return _fit_at_rates(t, f, c)
+def _fit_in_batches(t, files, c):
+    """``_fit_at_rates`` for the files ``files`` (``_centred``'s) at their
+    rates ``c`` (files, rates), one call per block of ``_blocks``.  A call
+    within ``_SCAN_CELLS`` cells is one block, whose outputs are returned
+    as they are."""
+    if c.size * len(t) <= _SCAN_CELLS:
+        return _fit_at_rates(t, files, c)
     out = np.empty((4,) + c.shape)
-    for rows, ks in blocks:
-        for o, b in zip(out, _fit_at_rates(t, f[rows], c[rows, ks])):
+    for rows, ks in _blocks(len(c), c.shape[1], len(t)):
+        for o, b in zip(out, _fit_at_rates(t, [a[rows] for a in files], c[rows, ks])):
             o[rows, ks] = b
     return tuple(out)
 
@@ -895,13 +932,12 @@ def _fit_in_batches(t, f, c):
 @functools.lru_cache(maxsize=1)
 def _columns(tkey, step, k0, count):
     """``_basis`` less cos and sin at the rates (k0 + 1 ... k0 + count) *
-    step and the float64 times whose bytes are ``tkey``, with cc and ss as
-    one (2, count, n) array.  They depend on the times alone, so every scan
-    on one grid shares them; the cache keeps the last chunk only, and the
-    arrays are read-only, as every caller gets the same ones."""
-    _, _, cc, ss, *sums = _basis(step * np.arange(k0 + 1, k0 + count + 1),
-                                 np.frombuffer(tkey))
-    columns = (np.stack((cc, ss)), *sums)
+    step and the float64 times whose bytes are ``tkey``: the centred columns
+    (2, count, n), the means (2, count) and the sums (3, count).  They
+    depend on the times alone, so every scan on one grid shares them; the
+    cache keeps the last chunk only, and the arrays are read-only, as every
+    caller gets the same ones."""
+    columns = _basis(step * np.arange(k0 + 1, k0 + count + 1), np.frombuffer(tkey))[1:]
     for a in columns:
         a.flags.writeable = False
     return columns
@@ -911,11 +947,11 @@ def _scan(t, f, step):
     """The index k - 1 of the best of the rates k * step, k = 1 ... 2n - 3,
     for each row of ``f`` (files, n), the first on a tie.  Each block of
     ``_blocks`` takes its columns from ``_columns`` and each file's sums of
-    y cc and y ss, y the centred fractions, as ``_fit_at_rates`` does, so
-    ``_unconstrained`` gets the kernel's own inputs.  Both sums come from
-    one product: two half-size products in turn kept glibc's mmap threshold
-    low enough that ``report`` mapped and faulted in ≈100 pages on every
-    call.
+    y cc and y ss, y the centred fractions (``_centred``), as
+    ``_fit_at_rates`` does, so ``_unconstrained`` gets the kernel's own
+    inputs.  Both sums come from one product: two half-size products in
+    turn kept glibc's mmap threshold low enough that ``report`` mapped and
+    faulted in ≈100 pages on every call.
 
     A rate's curve is ``_solve``'s, and its RSS comes in closed form from
     the same sums, with no residual matrix: the unconstrained curve's, yy +
@@ -925,17 +961,14 @@ def _scan(t, f, step):
     bracket."""
     n, count = len(t), 2 * len(t) - 3
     tkey = np.asarray(t, dtype=float).tobytes()
-    mean_f = f.sum(axis=1, keepdims=True) / n
-    y = f - mean_f
-    yy = (y * y).sum(axis=1, keepdims=True)
+    _, y, mean_f = _centred(f)
+    yy = (y * y).sum(axis=-1)
     rss = np.empty((len(f), count))
     for rows, ks in _blocks(len(f), count, n):
-        ccss, mean_cos, mean_sin, c2, s2, cs = _columns(tkey, step, ks.start,
-                                                        ks.stop - ks.start)
-        yc, ys = (ccss[:, None] * y[rows, None, :]).sum(axis=3)
-        collinear, u, v, k, r = _unconstrained(yc, ys, c2, s2, cs, mean_f[rows],
-                                               mean_cos, mean_sin)
-        uy = u * yc + v * ys
+        centred, means, sums = _columns(tkey, step, ks.start, ks.stop - ks.start)
+        ycys = (centred[:, None] * y[rows]).sum(axis=-1)
+        collinear, u, v, k, r = _unconstrained(ycys, sums, mean_f[rows], means)
+        uy = u * ycys[0] + v * ycys[1]
         block = yy[rows] + uy
         out = ((k - r < 0) | (k + r > 1)) & (r > 0)
         if out.any():
@@ -965,9 +998,17 @@ def _refine(t, f, lo, hi):
     """Alpha, beta, phi0 and c of the fit of each row of ``f`` within its
     bracket [lo, hi]: one ``minimize_on_bracket``, its steps starting at
     the bracket's middle, one ``_fit_in_batches`` call per step for the
-    files still stepping, three rates each."""
-    res = optimize.minimize_on_bracket(
-        lambda c, rows: _fit_in_batches(t, f.take(rows, axis=0), c), lo, hi)
+    files still stepping, three rates each.  Each file's mean and centred
+    fractions are computed once (``_centred``); a step takes the rows of
+    the files still stepping, and none while every file is."""
+    files = _centred(f)
+
+    def step(c, rows):
+        if len(rows) < len(f):
+            return _fit_in_batches(t, [a.take(rows, axis=0) for a in files], c)
+        return _fit_in_batches(t, files, c)
+
+    res = optimize.minimize_on_bracket(step, lo, hi)
     _, alpha, beta, phi0 = res.out
     return alpha, beta, phi0, res.x
 

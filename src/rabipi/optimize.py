@@ -3,7 +3,7 @@
 The fit refines the rates of a batch of files, one bracket per file, with
 one ``minimize_on_bracket``; ``fit_model`` fits a batch of one.  Its kernel
 spends most of a call on per-call NumPy overhead (on a 64-point file, 3
-rates cost about 1.2 times one rate), so every call of the search asks for
+rates cost about 1.05 times one rate), so every call of the search asks for
 the points of all its brackets at once, and it makes as few calls as it
 can.  From the middle of each bracket, finite-difference Newton steps,
 three points per bracket and call, converge quadratically where the
@@ -24,7 +24,6 @@ __all__ = ["Minimum", "minimize_on_bracket"]
 
 XTOL = 1e-10  # steps stop once one is at most this share of the bracket
 DX = 1e-5  # a step evaluates c and c -/+ this share of the bracket
-_STENCIL = np.array([-1.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -43,9 +42,10 @@ def minimize_on_bracket(fun, lo, hi) -> Minimum:
 
     ``lo`` and ``hi`` have shape (k,), one bracket per row.  ``fun(x, rows)``
     takes the points x (len(rows), m) of the rows ``rows`` (indices into
-    lo) and returns a tuple of arrays of that shape, the first of which is
-    minimised; ``x`` and ``out`` hold one value per row.  Each point's
-    outputs must not depend on the other points in the call.
+    lo, in increasing order) and returns a tuple of arrays of that shape,
+    the first of which is minimised; ``x`` and ``out`` hold one value per
+    row.  Each point's outputs must not depend on the other points in the
+    call.
 
     Every row starts at c = (lo + hi) / 2 with the bracket [a, b] = [lo, hi].
     Each step evaluates c - e, c and c + e, e being ``DX`` of hi - lo, in
@@ -74,13 +74,15 @@ def minimize_on_bracket(fun, lo, hi) -> Minimum:
              for r, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()))}
     nfev = 0
     while steps:
+        # the rows still stepping stay in increasing order: each step pops
+        # every one of them and puts back, in turn, those that go on
         stepping = list(steps)
-        ce = np.array([(steps[r][0], DX * width[r]) for r in stepping])
-        x = _STENCIL * ce[:, 1:] + ce[:, :1]
+        ce = [(steps[r][0], DX * width[r]) for r in stepping]
+        # each row's c - e, c and c + e, each rounded once, in one array
+        x = np.array([(c - e, c, c + e) for c, e in ce])
         out = fun(x, stepping)
         nfev += x.size
-        for j, (r, e, (y0, y1, y2)) in enumerate(zip(
-                stepping, ce[:, 1].tolist(), out[0].tolist())):
+        for j, (r, (_, e), (y0, y1, y2)) in enumerate(zip(stepping, ce, out[0].tolist())):
             c, a, b, last = steps.pop(r)
             if y0 > y2:
                 a = c

@@ -16,6 +16,7 @@ from rabipi.model import IDEAL, NoiseModel, noisy_prob
 from rabipi.montecarlo import McConfig, model_from_estimate, run_mc
 from rabipi.simulate import DEFAULT_GRID, DEFAULT_SHOTS, Dataset, inject_step, \
     make_grid, sample_dataset
+from conftest import patch_kernel
 
 
 def run(args):
@@ -421,23 +422,18 @@ class TestPlotReport:
         # scan's brackets already accept every file
         scans, shapes, batches = [], [], []
         scan = rabipi.estimate._scan
-        kernel = rabipi.estimate._fit_at_rates
         estimate_rows = rabipi.montecarlo.estimate_rows
 
         def counted_scan(t, f, step):
             scans.append(f)
             return scan(t, f, step)
 
-        def counted_kernel(t, f, c):
-            shapes.append(c.shape)
-            return kernel(t, f, c)
-
         def counted_rows(times, fractions):
             batches.append(fractions.shape)
             return estimate_rows(times, fractions)
 
         monkeypatch.setattr(rabipi.estimate, "_scan", counted_scan)
-        monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", counted_kernel)
+        patch_kernel(monkeypatch, before=lambda t, f, c: shapes.append(c.shape))
         monkeypatch.setattr(rabipi.montecarlo, "estimate_rows", counted_rows)
         assert run(argv) == 0
         assert [f.tolist() for f in scans] == [

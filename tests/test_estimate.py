@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rabipi.estimate
+import rabipi.optimize
 from rabipi.estimate import (DELTA, REFINE_WINDOW, EstimateResult,
                              NormalizedCurve, PipelineError, estimate_pi,
                              estimate_rows, find_crossing, fit_model,
@@ -25,6 +26,8 @@ from rabipi.model import IDEAL, NoiseModel, noisy_prob
 from rabipi.simulate import (DEFAULT_GRID, Dataset, exact_dataset,
                              inject_step, make_grid, sample_counts,
                              sample_dataset)
+from conftest import (basis, columns_per_column, fit_at_rates, patch_kernel,
+                      unconstrained)
 
 GRID_TIMES = DEFAULT_GRID.times()
 #: The paper's three demo qubits.
@@ -537,6 +540,18 @@ class TestEstimateRows:
         with pytest.raises(ValueError, match="strictly increasing"):
             estimate_rows(times, np.full((2, 4), 0.5))
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("at", [0, 5, 63])
+    def test_non_finite_fractions_rejected(self, value, at):
+        # one value of the middle row of three: an infinity used to fail at
+        # find_crossing and a NaN at normalize, each naming a wrong cause
+        f = np.array([sample_dataset(m, DEFAULT_GRID, 8192, seed=q).fractions()
+                      for q, m in enumerate(DEMO_QUBITS)])
+        assert estimate_rows(GRID_TIMES, f).ok.all()
+        f[1, at] = value
+        with pytest.raises(ValueError, match="^fractions must be finite$"):
+            estimate_rows(GRID_TIMES, f)
+
     @pytest.mark.parametrize("times, fractions", [
         ([0.0], np.full((2, 1), 0.5)), ([[0.0, 0.1]], np.full((2, 2), 0.5)),
         ([0.0, 0.1, 0.2], np.full(3, 0.5)), ([0.0, 0.1, 0.2], np.full((2, 4), 0.5))])
@@ -785,6 +800,26 @@ class TestWindows:
         last = len(times) - 1 - inside[:, ::-1].argmax(axis=1)
         assert np.array_equal((start + high - 1)[held], last[held])
 
+    @pytest.mark.parametrize("half, strict", [(REFINE_WINDOW, False), (DELTA, True)])
+    @pytest.mark.parametrize("times", [
+        np.sort(np.r_[0.01 * np.arange(2000), 5.000001]),
+        make_grid(step=0.001).times()], ids=["close-pair", "fine"])
+    def test_tables_hold_linear_memory(self, times, half, strict):
+        # a window's run of knots is as wide as the grid when two times are
+        # close (width = n) or the window spans many steps, so the tables
+        # must not hold a run per window, (2n + 1) * width values (here over
+        # 1.8 KB per time for a mask and a float each): what they own, views
+        # resolved to their buffers, stays within 128 bytes per time
+        win = rabipi.estimate._windows(times.tobytes(), half, strict)
+        owners = {}
+        for a in win:
+            while isinstance(a, np.ndarray) and a.base is not None:
+                a = a.base
+            if not isinstance(a, (int, float)):
+                owners[id(a)] = a
+        owned = sum(memoryview(a).nbytes for a in owners.values())
+        assert win.width > 100 and owned <= 128 * len(times)
+
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 7e4, 3e8])
     def test_first_centres_are_the_least(self, scale):
         # at every knot and bound, the difference is at most the bound from
@@ -846,14 +881,16 @@ def test_pipeline_matches_full_row_reference(grid, shots, c):
     f = np.concatenate([
         sample_counts(NoiseModel(0.9, 0.05, phi0, c), grid, shots, seed, 20)
         for seed, phi0 in enumerate(phases)]) / shots
-    f[:2] = [np.full(len(t), 0.5), np.where(np.arange(len(t)) == 3, np.nan, 0.5)]
+    # a flat row (a batch with a NaN is rejected as a whole, see
+    # TestEstimateRows::test_non_finite_fractions_rejected)
+    f[0] = 0.5
     rows, ref = estimate_rows(t, f), ref_estimate_rows(t, f)
     assert [e and (e.step, str(e)) for e in rows.errors] == ref["errors"]
     for name in ("alpha_hat", "beta_hat", "t1_hat", "t2_hat", "integral_I",
                  "pi_hat", "t_minval", "t_maxval"):
         np.testing.assert_array_equal(getattr(rows, name)[rows.ok],
                                       ref[name][rows.ok])
-    assert {"rough_alpha_beta", "normalize"} <= {e[0] for e in filter(None, ref["errors"])}
+    assert "rough_alpha_beta" in {e[0] for e in filter(None, ref["errors"])}
 
 
 def test_row_does_not_depend_on_its_batch():
@@ -881,7 +918,7 @@ def test_row_does_not_depend_on_its_batch():
 def one_file(t, f, c):
     """``_fit_at_rates`` on one file's fractions ``f`` (n,) at its rates
     ``c`` (rates,), a batch of one: each output's one row."""
-    return tuple(o[0] for o in rabipi.estimate._fit_at_rates(t, f[None], c[None]))
+    return tuple(o[0] for o in fit_at_rates(t, f[None], c[None]))
 
 
 def batched(reference):
@@ -1133,13 +1170,7 @@ class TestFitModel:
         ds = Dataset(np.insert(r.t, 60, r.t[59] + gap), 8192,
                      np.insert(r.ones, 60, r.ones[59]))
         batches = []
-        fit_at_rates = rabipi.estimate._fit_at_rates
-
-        def counted(t, f, c):
-            batches.append(c.size)
-            return fit_at_rates(t, f, c)
-
-        monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", counted)
+        patch_kernel(monkeypatch, before=lambda t, f, c: batches.append(c.size))
         m = fit_model(ds)
         assert max(batches) < 2 * len(ds)
         assert m.alpha == pytest.approx(truth.alpha, abs=0.02)
@@ -1160,13 +1191,7 @@ class TestFitModel:
         ds = sample_dataset(NoiseModel(0.9, 0.05, 0.0, 2.0), DEFAULT_GRID,
                             8192, seed=100)
         batches = []
-        fit_at_rates = rabipi.estimate._fit_at_rates
-
-        def counted(t, f, c):
-            batches.append(c.size)
-            return fit_at_rates(t, f, c)
-
-        monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", counted)
+        patch_kernel(monkeypatch, before=lambda t, f, c: batches.append(c.size))
         monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", 3 * len(ds))
         fit_model(ds)
         assert max(batches) == 3
@@ -1196,17 +1221,25 @@ class TestFitModel:
     def test_kernel_row_does_not_depend_on_its_batch(self):
         # the rate search keeps the outputs of a step's best point, which
         # shared its call with other rates and files, so a rate must give
-        # the same bits alone as among 32 others
+        # the same bits alone as among 32 others.  The search centres each
+        # file's fractions once for all its files, so a file must also give
+        # them among 19 others as alone
         rates = np.linspace(0.5, 2.5, 33)
+        files = []
         for k in range(20):
             ds = sample_dataset(NoiseModel(0.9, 0.05, 0.3 * k, 0.6 + 0.1 * k),
                                 DEFAULT_GRID, 8192, seed=k)
             t, f = ds.times(), ds.fractions()
+            files.append(f)
             batch = one_file(t, f, rates)
             for j, c in enumerate(rates):
                 alone = one_file(t, f, rates[j:j + 1])
                 for a, b in zip(alone, batch):
                     assert a[0].tobytes() == b[j].tobytes(), (k, c)
+        every = fit_at_rates(GRID_TIMES, np.array(files), np.tile(rates, (20, 1)))
+        for k, f in enumerate(files):
+            for a, b in zip(one_file(GRID_TIMES, f, rates), every):
+                assert a.tobytes() == b[k].tobytes(), k
 
     def test_fit_does_not_depend_on_the_blas_kernel(self):
         """The fits of 48 seeded files are the same bits in a fresh
@@ -1259,14 +1292,12 @@ class TestFitModel:
         # data the residual changes by a few ulp over +-5e-8 in c, and where
         # in that plateau either solver stops is rounding (differences up to
         # 2.7e-7 in 1,600 such datasets)
-        closed_form = rabipi.estimate._fit_at_rates
-
         def fit(kernel, ds):
-            monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", kernel)
+            patch_kernel(monkeypatch, kernel)
             return fit_model(ds)
 
         for i, ds in fit_corpus():
-            a, b = fit(closed_form, ds), fit(batched(pinv_fit_at_rates), ds)
+            a, b = fit(None, ds), fit(batched(pinv_fit_at_rates), ds)
             monkeypatch.undo()
             t, f = ds.times(), ds.fractions()
             # the screen's only use of the fit is its rate
@@ -1291,8 +1322,7 @@ class TestFitModel:
             for c in (scan, scan[i % len(scan):][:1], np.array([fit.c])):
                 for a, b in zip(one_file(t, f, c), plain_fit_at_rates(t, f, c)):
                     assert np.array_equal(a, b), i
-            monkeypatch.setattr(rabipi.estimate, "_fit_at_rates",
-                                batched(plain_fit_at_rates))
+            patch_kernel(monkeypatch, batched(plain_fit_at_rates))
             assert fit_model(ds) == fit, i
             monkeypatch.undo()
 
@@ -1336,13 +1366,7 @@ class TestBatchedFiles:
         corpus = [ds for i, ds in fit_corpus() if i < 20 and i // 92 % 2 == 0]
         (t, f, _, group), = self.batches(corpus)
         sizes = []
-        kernel = rabipi.estimate._fit_at_rates
-
-        def counted(t, f, c):
-            sizes.append(c.shape)
-            return kernel(t, f, c)
-
-        monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", counted)
+        patch_kernel(monkeypatch, before=lambda t, f, c: sizes.append(c.shape))
         monkeypatch.setattr(rabipi.estimate, "_SCAN_CELLS", 6 * len(t))
         rows = rabipi.estimate._fit_rows(t, f)
         assert max(math.prod(size) for size in sizes) == 6
@@ -1369,16 +1393,14 @@ class TestBatchedFiles:
         # any batch, in any order and under any _SCAN_CELLS.
         corpus = dict(fit_corpus())
         centres = []  # per fit, the rate of each step's centre
-        kernel = rabipi.estimate._fit_at_rates
 
         def counted(t, f, c):
             if c.shape[-1] == 3:
                 centres[-1].append(c[0, 1])
                 assert len(centres[-1]) < 100, "the search does not end"
-            return kernel(t, f, c)
 
         alone = {}
-        monkeypatch.setattr(rabipi.estimate, "_fit_at_rates", counted)
+        patch_kernel(monkeypatch, before=counted)
         for i in (46, 47, 0):
             centres.append([])
             alone[i] = fit_model(corpus[i])
@@ -1479,9 +1501,7 @@ class TestScreenBound:
         """``screen_rows`` on ``datasets``, which share their times, and
         the shapes of its kernel calls."""
         shapes = []
-        kernel = rabipi.estimate._fit_at_rates
-        monkeypatch.setattr(rabipi.estimate, "_fit_at_rates",
-                            lambda t, f, c: shapes.append(c.shape) or kernel(t, f, c))
+        patch_kernel(monkeypatch, before=lambda t, f, c: shapes.append(c.shape))
         verdicts = screen_rows(datasets[0].t, [ds.fractions() for ds in datasets],
                                [ds.shots for ds in datasets])
         monkeypatch.undo()
@@ -1619,19 +1639,48 @@ def scan_levels(t, f):
     takes them: the unconstrained curve's, plus ``_edge``'s rise where a
     level leaves [0, 1], inf where collinear."""
     n = len(t)
-    _, _, cc, ss, mean_cos, mean_sin, c2, s2, cs = rabipi.estimate._basis(
+    _, _, cc, ss, mean_cos, mean_sin, c2, s2, cs = basis(
         scan_step(t) * np.arange(1, 2 * n - 2), t)
     mean_f = f.sum() / n
     y = f - mean_f
     yc, ys = (cc * y).sum(axis=1), (ss * y).sum(axis=1)
-    collinear, u, v, k, r = rabipi.estimate._unconstrained(
-        yc, ys, c2, s2, cs, mean_f, mean_cos, mean_sin)
+    collinear, u, v, k, r = unconstrained(yc, ys, c2, s2, cs, mean_f, mean_cos, mean_sin)
     uy = u * yc + v * ys
     rss = (y * y).sum() + uy
     out = ((k - r < 0) | (k + r > 1)) & (r > 0)
     rss[out] += n * rabipi.estimate._edge(k[out], r[out], uy[out] / n, mean_f)[2]
     rss[collinear] = np.inf
     return collinear, k, r, rss
+
+
+def plain_basis(c, t):
+    """Reference for ``_basis`` bit for bit, one value per column: cos,
+    sin, cc, ss, mean_cos, mean_sin, c2, s2 and cs at the rates ``c`` (any
+    shape), each column computed on its own, with ``mean``."""
+    ct = np.multiply.outer(c, t)
+    cos, sin = np.cos(ct), np.sin(ct)
+    mean_cos, mean_sin = cos.mean(axis=-1), sin.mean(axis=-1)
+    cc, ss = cos - mean_cos[..., None], sin - mean_sin[..., None]
+    return (cos, sin, cc, ss, mean_cos, mean_sin, (cc * cc).sum(axis=-1),
+            (ss * ss).sum(axis=-1), (cc * ss).sum(axis=-1))
+
+
+@pytest.mark.parametrize("t", [
+    GRID_TIMES, make_grid(0.0, 6.3, 0.05).times(), REF_TIMES["non_uniform"],
+    make_grid(0.0, 6.3, 0.01).times()], ids=["grid_0.1", "grid_0.05", "uneven", "631"])
+def test_stacked_basis_is_the_per_column_one(t):
+    # at the scan's 2n - 3 rates, and at search stencils c -/+ e, e = DX of
+    # a bracket two scan steps wide, for three files of three rates each,
+    # as a search step asks for them
+    step = scan_step(t)
+    scan = step * np.arange(1, 2 * len(t) - 2)
+    rng = np.random.default_rng(len(t))
+    centres = rng.uniform(step, scan[-1], (3, 1))
+    e = rabipi.optimize.DX * 2 * step
+    stencils = np.hstack((centres - e, centres, centres + e))
+    for c in (scan, stencils):
+        for a, b in zip(basis(c, t), plain_basis(c, t)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestScan:
@@ -1868,10 +1917,10 @@ class TestScanColumns:
         f = sample_dataset(IDEAL, grid, 8192, seed=0).fractions()[None]
         rabipi.estimate._scan(t, f, step)
         assert sum(key[3] for key, _ in chunks) == 2 * n - 3
-        whole = rabipi.estimate._basis(step * np.arange(1, 2 * n - 2), t)[2:]
-        for (_, _, k0, count), (ccss, *sums) in chunks:
-            own = rabipi.estimate._basis(step * np.arange(k0 + 1, k0 + count + 1), t)
-            for a, b, c in zip([*ccss, *sums], own[2:], whole):
+        whole = basis(step * np.arange(1, 2 * n - 2), t)[2:]
+        for (_, _, k0, count), held in chunks:
+            own = basis(step * np.arange(k0 + 1, k0 + count + 1), t)
+            for a, b, c in zip(columns_per_column(held), own[2:], whole):
                 assert a.tobytes() == b.tobytes() == c[k0:k0 + count].tobytes()
 
 

@@ -15,6 +15,7 @@ from rabipi.montecarlo import (McConfig, McSummary, Report, _experiment, _run_se
                                model_from_estimate, report, run_mc)
 from rabipi.simulate import DEFAULT_GRID, Dataset, exact_dataset, \
     inject_step, make_grid, sample_counts, sample_dataset
+from conftest import patch_kernel
 
 THREE_MODELS = [
     NoiseModel(0.90, 0.05, 0.0, 1.0),
@@ -485,11 +486,10 @@ class TestReportBatches:
     def test_one_screen_search_and_one_estimate_batch_per_batch(self, monkeypatch):
         # three clean files on one grid: one rate scan, whose brackets
         # accept all three, so no rate search and no kernel call
-        kernel, rows = rabipi.estimate._fit_at_rates, rabipi.montecarlo.estimate_rows
+        rows = rabipi.montecarlo.estimate_rows
         scan = rabipi.estimate._scan
         shapes, scans, batches = [], [], []
-        monkeypatch.setattr(rabipi.estimate, "_fit_at_rates",
-                            lambda t, f, c: shapes.append(c.shape) or kernel(t, f, c))
+        patch_kernel(monkeypatch, before=lambda t, f, c: shapes.append(c.shape))
         monkeypatch.setattr(rabipi.estimate, "_scan",
                             lambda t, f, step: scans.append(f.shape) or scan(t, f, step))
         monkeypatch.setattr(rabipi.montecarlo, "estimate_rows",
