@@ -259,46 +259,35 @@ def _segment_zeros(ta, tb, ga, gb):
     return np.minimum(ta + (tb - ta) * (ga / (ga - gb)), tb)
 
 
-def _key(x):
-    """Doubles as int64 keys in the same order; its own inverse."""
-    k = x.view(np.int64)
-    return k ^ ((k >> 63) & np.int64(0x7FFFFFFFFFFFFFFF))
-
-
 def _first_centres(t, bound):
     """For each knot of ``t`` (n,) and each row of ``bound`` (k, 1), the
     least double c for which ``t - c``, as float subtraction rounds it, is
-    at most the bound: a bisection over the doubles in order, as the rounded
-    difference only falls as c rises.
-
-    The difference rounds to at most the bound until it passes the midpoint
-    between the bound and the next double up, at c = t - bound less half
-    their gap, so the bisection starts from the 16 doubles either side of
-    that value as rounded.  Its two roundings stay within two units in the
-    last place of the result: where ``t - bound`` cancels enough for the
-    first to matter, it is exact (Sterbenz)."""
-    def at_most(key):
-        return t - _key(key).view(float) <= bound
-
-    guess = _key((t - bound) - (np.nextafter(bound, np.inf) - bound) / 2)
-    lo, hi = guess - 16, guess + 16  # above the bound at lo, at most it at hi
-    while (lo + 1 < hi).any():
-        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
-        below = at_most(mid)
-        lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
-    return _key(hi).view(float)
+    at most the bound.  The rounded difference only falls as c rises, and
+    passes the bound at c = t - bound less half the gap from the bound to
+    the next double up.  A walk starts from that value as rounded, within
+    two units in the last place (where ``t - bound`` cancels enough for its
+    rounding to matter, it is exact: Sterbenz), and steps over the doubles:
+    up while the difference is above the bound, then down while the next
+    double below still keeps it at most the bound."""
+    c = (t - bound) - (np.nextafter(bound, np.inf) - bound) / 2
+    while (up := t - c > bound).any():
+        c[up] = np.nextafter(c[up], np.inf)
+    while (down := t - np.nextafter(c, -np.inf) <= bound).any():
+        c[down] = np.nextafter(c[down], -np.inf)
+    return c
 
 
 class _Windows(NamedTuple):
     """The time-only parts of the windows of one half-width on one grid;
-    see ``_windows``.  The tables are indexed by a window's id."""
+    see ``_windows``.  Column w of the tables is the window at
+    ``[-inf, *edges][w]``."""
 
     tie: float            # _TIE_STEPS grid steps
     edges: np.ndarray     # where a window changes, in order
-    knots: np.ndarray     # (4, ids): a window's count of knots, the first
+    knots: np.ndarray     # (4, 2n + 1): a window's count of knots, the first
                           # knot of the run of knots that holds it, and its
                           # first and last knot + 1 counted from the run's
-    times: np.ndarray     # (2, ids): its knots' mean time and the sum of
+    times: np.ndarray     # (2, 2n + 1): its knots' mean time and the sum of
                           # their squared deviations from it
     width: int            # knots in a run
     slabs: np.ndarray     # every run of ``width`` knots, as a strided view
@@ -315,11 +304,12 @@ def _windows(tkey, half_width, strict):
     ``_first_centres`` gives each knot's first centre in (enter) and out
     (leave); both rise with the knot, so the window of a centre c is knots
     a..b - 1 with a = #{leave <= c} and b = #{enter <= c}.  It changes only
-    at an edge, so a + b, the number of edges at or below c, names it (a
-    window's id) and every window is the one at -inf or at an edge.  The
-    run of knots that holds it, its mean time and the spread of its times
-    are computed here for every window, as ``_slab`` and the line fit
-    would compute them on a centre's, so a call only looks them up.
+    at an edge, so it is the window at -inf or at the last edge at or below
+    c: column ``edges.searchsorted(c, side="right")`` of the tables, which
+    a call only looks up.  Two equal edges give two equal columns, and the
+    search returns the second.  The run of knots that holds each window,
+    its mean time and the spread of its times are computed here as
+    ``_slab`` and the line fit would compute them on a centre's.
 
     They depend on the times alone: a grid builds them once per half-width,
     in O(n) tables (the runs, of ``width`` knots, in chunks of at most
@@ -338,7 +328,6 @@ def _windows(tkey, half_width, strict):
     edges = np.sort(np.concatenate((enter, leave)))
     at = np.concatenate(([-np.inf], edges))
     a, b = leave.searchsorted(at, side="right"), enter.searchsorted(at, side="right")
-    ids = a + b
     most = int(2 * (half + tie) / step) + 1  # knots in a window, and a tie
     aligned = int(2 * half / step) >= 2  # more than two knots in a window
     # whole blocks of 8 for the window and up to 7 knots before it, then
@@ -348,15 +337,14 @@ def _windows(tkey, half_width, strict):
     slabs = np.ndarray((n - width + 1, width), float, t, 0, (8, 8))
     zeros_then_ones = np.arange(2 * width) >= width
     steps = np.ndarray((width + 1, width), bool, zeros_then_ones, width, (-1, 1))
-    knots = np.zeros((4, 2 * n + 1), dtype=np.int32)
-    knots[:, ids] = b - a, start, a - start, b - start
+    knots = np.array((b - a, start, a - start, b - start), dtype=np.int32)
     counts, starts, lows, highs = knots
-    times = np.zeros((2, 2 * n + 1))
+    times = np.empty((2, len(at)))
     means, spreads = times
     per = max(1, _SCAN_CELLS // width)
     with np.errstate(all="ignore"):  # 0 / 0 on empty windows
         for k in range(0, len(at), per):
-            w = ids[k:k + per]
+            w = slice(k, k + per)
             outside = steps[lows[w]] == steps[highs[w]]
             means[w] = _masked_sum(outside, slabs[starts[w]]) / counts[w]
             dt = slabs[starts[w]]
@@ -370,11 +358,11 @@ def _windows(tkey, half_width, strict):
 
 def _slab(t, f1, centers, win):
     """The window of each of the ``centers`` (k, rows), in the rows of
-    ``f1``, on the windows ``win`` of ``_windows``: as (id, count, outside,
-    tr, i, fr, j), where ``tr[i]`` is a (k, rows, width) array of the times
-    of the run of knots that holds each window, ``fr[j]`` one of their
-    values and ``outside`` (k, rows, width) marks the knots of its run that
-    the window does not hold.
+    ``f1``, on the windows ``win`` of ``_windows``: as (w, count, outside,
+    tr, i, fr, j), where ``w`` is its column of the tables, ``tr[i]`` is a
+    (k, rows, width) array of the times of the run of knots that holds each
+    window, ``fr[j]`` one of their values and ``outside`` (k, rows, width)
+    marks the knots of its run that the window does not hold.
     ``tr`` and ``fr`` are strided views of every run of ``width`` knots of
     ``t`` and of ``f1``'s flat rows, which must be C-contiguous float arrays
     (every caller's are), so no index array of a slab's size is built,
@@ -409,18 +397,6 @@ def _masked_sum(outside, x):
     return x.sum(axis=-1)
 
 
-@functools.lru_cache(maxsize=4)
-def _slots(n):
-    """For each slot of a row of ``_runs``' flips on n knots, the run bound
-    p it stands for, the stand-in's two slots becoming knot 0's bounds 0
-    and 1, and whether that bound is an end of the data (0 or n)."""
-    bound = np.arange(n + 3) % (n + 1)
-    data_end = bound % n == 0
-    for a in (bound, data_end):
-        a.flags.writeable = False
-    return bound, data_end
-
-
 def _runs(t, f1, level):
     """Each run of knots at or above ``level`` (a knot on the level counts
     as above) in the rows of ``f1``, in row and time order, each row's last
@@ -431,23 +407,22 @@ def _runs(t, f1, level):
     segment."""
     n, rows = len(t), len(f1)
     # with a knot below the level padded on at each end and the stand-in's
-    # flags (below, above, below) after them, a row's flag flips at p = i
-    # and p = j + 1 for each run of knots i..j, in pairs, then at p = n + 1
-    # and p = n + 2 for its stand-in
+    # flags (below, above, below) after them, a row's flag flips at slot
+    # p = i and p = j + 1 for each run of knots i..j, in pairs, then at
+    # n + 1 and n + 2 for its stand-in: knot 0's bounds 0 and 1, mod n + 1
     above = np.zeros((rows, n + 4), dtype=bool)
     above[:, n + 2] = True
     np.greater_equal(f1, level, out=above[:, 1:n + 1])
     flips = (above[:, 1:] != above[:, :-1]).ravel().nonzero()[0]
     row, slot = np.divmod(flips, n + 3)
-    bound, data_end = _slots(n)
-    p = bound.take(slot)
+    p = slot % (n + 1)
     # the run ends where the segment from knot p - 1 to knot p meets the
     # level, exactly at t[p] when knot p is on it; the data's ends stand in
     # at p = 0 and p = n, where the clipped reads below are not used
     before = p - 1 + _PAIR  # knots p - 1 and p
     ga, gb = f1.take(row * n + before, mode="clip") - level
     ta, tb = t.take(before, mode="clip")
-    ends = np.where(data_end.take(slot) | (gb == 0), tb,
+    ends = np.where((p == 0) | (p == n) | (gb == 0), tb,
                     _segment_zeros(ta, tb, ga, gb)).reshape(-1, 2)
     return flips[::2], p.reshape(-1, 2), ends
 
@@ -491,9 +466,9 @@ def _refine_alpha_beta(t, f1, t1, t2, delta, fails):
     t_minval = np.where(below >= t_lo - tie, below, np.where(
         above <= t_hi + tie, above, np.maximum(below, t_lo)))
     # both plateau means in one pass over the knots near either centre
-    _, n, inside, _, _, fr, j = _slab(t, f1, np.array((t_minval, t_maxval)), win)
+    _, n, outside, _, _, fr, j = _slab(t, f1, np.array((t_minval, t_maxval)), win)
     n_min, n_max = n
-    beta, top = _masked_sum(inside, fr[j]) / n
+    beta, top = _masked_sum(outside, fr[j]) / n
     fails.check((n_min > 0) & (n_max > 0), "refine_alpha_beta",
                 lambda r: f"no grid points within {delta} of " + (
                     f"t_minval={t_minval[r]}" if n_min[r] == 0

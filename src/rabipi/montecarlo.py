@@ -21,7 +21,7 @@ import numpy as np
 from .estimate import EstimateResult, PipelineError, estimate_pi, estimate_rows, \
     screen_rows
 from .model import NoiseModel
-from .simulate import DEFAULT_GRID, DEFAULT_SHOTS, TimeGrid, sample_counts
+from .simulate import DEFAULT_GRID, DEFAULT_SHOTS, TimeGrid, _check_integer, sample_counts
 
 __all__ = [
     "McConfig",
@@ -41,6 +41,8 @@ class McConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        for name in ("runs_per_model", "shots", "base_seed"):
+            _check_integer(name, getattr(self, name))
         if self.runs_per_model < 2:
             raise ValueError("runs_per_model must be >= 2 for a standard deviation")
         if self.shots < 1:

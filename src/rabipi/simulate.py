@@ -11,6 +11,7 @@ bit-identical datasets.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,6 +167,15 @@ def make_grid(start: float = 0.0, stop: float = 6.3, step: float = 0.1) -> TimeG
 DEFAULT_GRID = make_grid()
 
 
+def _check_integer(name: str, value):
+    """Raise ``ValueError`` unless ``value`` is an integer, Python's or
+    NumPy's: a fractional count would be truncated further down."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value}") from None
+
+
 def sample_counts(model: NoiseModel, grid: TimeGrid, shots: int, seed: int,
                   runs: int) -> np.ndarray:
     """Binomial |1> counts on ``grid``: ``runs`` rows from one generator.
@@ -175,6 +185,7 @@ def sample_counts(model: NoiseModel, grid: TimeGrid, shots: int, seed: int,
     C order, so row r does not depend on ``runs``, and row 0 equals the
     counts of ``sample_dataset(model, grid, shots, seed=seed)``.
     """
+    _check_integer("shots", shots)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     p = np.clip(noisy_prob(model, grid.times()), 0.0, 1.0)

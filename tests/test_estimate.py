@@ -771,6 +771,13 @@ class TestMatchesFullRowReference:
         np.testing.assert_array_equal(new[0][ok], ref[0][ok])
 
 
+def random_knots(scale, offset=0.0):
+    """200 knots in [-scale, scale] moved by ``offset``, and a half-width."""
+    rng = np.random.default_rng(8)
+    return (np.sort(rng.uniform(-scale, scale, 200)) + offset,
+            scale * rng.uniform(1e-3, 0.1))
+
+
 class TestWindows:
     """A centre's window in ``_windows``' tables holds exactly the knots that
     ``|t - c|``, as float subtraction rounds it, puts within the half-width
@@ -820,13 +827,16 @@ class TestWindows:
         owned = sum(memoryview(a).nbytes for a in owners.values())
         assert win.width > 100 and owned <= 128 * len(times)
 
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 7e4, 3e8])
-    def test_first_centres_are_the_least(self, scale):
+    @pytest.mark.parametrize("t, half", [
+        *(random_knots(s) for s in (1e-3, 1.0, 7e4, 3e8, 1e-300, 1e300)),
+        *(random_knots(s, 100 * s) for s in (1e-3, 3e8)),
+        # knots near the half-width, where t - half cancels
+        (1000 + 0.1 * np.arange(100), 999.95),
+    ], ids=["0.001", "1.0", "70000.0", "300000000.0", "1e-300", "1e+300",
+            "offset-0.001", "offset-3e+08", "near-bound"])
+    def test_first_centres_are_the_least(self, t, half):
         # at every knot and bound, the difference is at most the bound from
         # the centre returned on, and above it one double below
-        rng = np.random.default_rng(8)
-        t = np.sort(rng.uniform(-scale, scale, 200))
-        half = scale * rng.uniform(1e-3, 0.1)
         bound = np.array([[half], [np.nextafter(half, -np.inf)], [-half],
                           [np.nextafter(-half, -np.inf)]])
         c = rabipi.estimate._first_centres(t, bound)

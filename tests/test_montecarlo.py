@@ -107,6 +107,18 @@ class TestRunMc:
         with pytest.raises(ValueError, match=f"shots must be >= 1, got {shots}"):
             McConfig(shots=shots)
 
+    @pytest.mark.parametrize("name", ["runs_per_model", "shots", "base_seed"])
+    @pytest.mark.parametrize("value", [2.5, 64.0, np.float64(3.5)])
+    def test_value_that_is_not_an_integer_rejected(self, name, value):
+        # 1.5 shots would run 1-shot experiments, as binomial truncates them
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+            McConfig(**{name: value})
+
+    def test_numpy_integers_run(self):
+        cfg = McConfig(runs_per_model=np.int64(2), shots=np.int32(64),
+                       base_seed=np.uint8(3))
+        assert run_mc([IDEAL], cfg) == run_mc([IDEAL], McConfig(2, 64, base_seed=3))
+
     @pytest.mark.parametrize("seed", [2**63, -2**63 - 1])
     def test_seed_outside_int64_rejected(self, seed):
         # _run_seed packs the base seed as a signed 64-bit integer

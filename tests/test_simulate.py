@@ -319,6 +319,16 @@ class TestSampleCounts:
         with pytest.raises(ValueError):
             sample_counts(IDEAL, DEFAULT_GRID, 0, 1, 2)
 
+    @pytest.mark.parametrize("shots", [1.5, 256.0, np.float64(2.5)])
+    def test_shots_that_are_not_integers_rejected(self, shots):
+        # binomial would truncate 1.5 shots to 1
+        with pytest.raises(ValueError, match=f"shots must be an integer, got {shots}"):
+            sample_counts(IDEAL, DEFAULT_GRID, shots, 1, 2)
+
+    def test_numpy_integer_shots(self):
+        assert np.array_equal(sample_counts(IDEAL, DEFAULT_GRID, np.int32(256), 1, 2),
+                              sample_counts(IDEAL, DEFAULT_GRID, 256, 1, 2))
+
 
 class TestExactDataset:
     def test_fractions_match_probabilities(self):

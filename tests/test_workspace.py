@@ -173,7 +173,7 @@ class TestInputsNeverWritten:
 class TestNoAliasing:
     """What ``estimate_rows`` returns is its caller's: no later call writes
     into it, and it shares no memory with the inputs or with the per-grid
-    tables that every call on a grid reads (``_windows``, ``_slots``)."""
+    tables that every call on a grid reads (``_windows``)."""
 
     ARRAYS = [f.name for f in dataclasses.fields(RowEstimates) if f.name != "errors"]
 
@@ -196,7 +196,7 @@ class TestNoAliasing:
         rows = estimate_rows(t, f)
         windows = [rabipi.estimate._windows(t.tobytes(), half, strict)
                    for half, strict in ((DELTA, True), (REFINE_WINDOW, False))]
-        shared = [t, f, *rabipi.estimate._slots(len(t))]
+        shared = [t, f]
         shared += [a for w in windows for a in w if isinstance(a, np.ndarray)]
         for name in self.ARRAYS:
             out = getattr(rows, name)
